@@ -296,14 +296,19 @@ def instantiate(pmc: Pmc, assignment: Assignment) -> np.ndarray:
 
 
 def model_digest(pmc: Pmc) -> str:
-    """Short stable hash of the model's structure and numbers."""
-    parts: list[str] = [str(pmc.n), ",".join(repr(x) for x in pmc.initial)]
-    by_row: dict[int, str] = {}
-    for row, vec in pmc.concrete_rows.items():
-        by_row[row] = "c:" + ",".join(repr(x) for x in vec)
-    for p in pmc.parameters:
-        by_row[p.row] = (f"p:{p.id}:{','.join(map(str, p.support))}:"
-                         + ",".join(repr(x) for x in p.reference))
-    parts.extend(f"{row}={by_row[row]}" for row in sorted(by_row))
-    digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-    return digest[:12]
+    """Short stable hash of the model's structure and numbers.
+
+    Hashes the prefix ``pmc-digest-v2`` and little-endian int64/float64 bytes,
+    never a numpy repr: the state count and initial distribution, then each row
+    in state order as (index, kind, id, support, length) ahead of its numbers.
+    """
+    digest = hashlib.sha256(b"pmc-digest-v2")
+    digest.update(np.array([pmc.n, pmc.initial.size], dtype="<i8").tobytes())
+    digest.update(pmc.initial.astype("<f8").tobytes())
+    rows = [(row, 0, b"", (), vec) for row, vec in pmc.concrete_rows.items()]
+    rows += [(p.row, 1, p.id.encode("utf-8"), p.support, p.reference) for p in pmc.parameters]
+    for row, kind, ident, support, vec in sorted(rows, key=lambda r: r[:2]):
+        header = [row, kind, len(ident), len(support), *support, vec.size]
+        digest.update(np.array(header, dtype="<i8").tobytes() + ident)
+        digest.update(vec.astype("<f8").tobytes())
+    return digest.hexdigest()[:12]

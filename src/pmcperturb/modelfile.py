@@ -54,17 +54,16 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
 
 
 def _number_list(value, where: str) -> list[float]:
-    if not isinstance(value, list) or not all(isinstance(x, (int, float)) and
-                                              not isinstance(x, bool) for x in value):
+    # json.loads yields only builtin types, so exact types reject bools too.
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
         raise ModelSchemaError(f"{where}: expected a list of numbers")
-    return [float(x) for x in value]
+    return list(map(float, value))
 
 
 def _int_list(value, where: str) -> list[int]:
-    if not isinstance(value, list) or not all(isinstance(x, int) and
-                                              not isinstance(x, bool) for x in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise ModelSchemaError(f"{where}: expected a list of integers")
-    return [int(x) for x in value]
+    return list(value)
 
 
 def parse_model(text: str) -> ParsedModel:
@@ -155,9 +154,7 @@ def parse_model(text: str) -> ParsedModel:
             raise ModelSchemaError("direction: expected an object")
         _require_keys(block, {"weights"}, {"weights"}, "direction")
         weights = block["weights"]
-        if not isinstance(weights, dict) or not all(
-                isinstance(k, str) and isinstance(v, (int, float)) and
-                not isinstance(v, bool) for k, v in weights.items()):
+        if not isinstance(weights, dict) or not set(map(type, weights.values())) <= {int, float}:
             raise ModelSchemaError("direction.weights: expected an object of numbers")
         direction = Direction({k: float(v) for k, v in weights.items()})
 

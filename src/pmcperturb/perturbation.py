@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ArityMismatchError,
@@ -52,10 +51,10 @@ from .reachability import (
     CanonicalProblem,
     ReachabilityProblem,
     Role,
+    _solve_direct,
     canonicalize,
     constrained_initial,
     extract_system,
-    reach_positive_mask,
     solve_reachability,
     total_probability,
 )
@@ -140,20 +139,13 @@ class SensitivityReport:
 def gradient_coefficients(pmc: Pmc, cp: CanonicalProblem) -> GradientSet:
     """Closed-form linear coefficients ``h_i`` for every parameter.
 
-    Solves the reference system once for ``t`` (equal to the reachability
-    solution) and once, transposed, for the visit weights ``s``; both are
-    restricted to reach-positive states and zero elsewhere.
+    The reach-positive mask comes from one frontier search, and one LU
+    factorization of the restricted ``I - A`` gives both ``t`` (equal to
+    the reachability solution) and, by the transposed solve, the visit
+    weights ``s``; both are zero outside the reach-positive states.
     """
     system = extract_system(pmc, cp)
-    a, b = system.a, system.b
-    nq = b.size
-    iota_c = constrained_initial(pmc, cp)
-    t = solve_reachability(system)
-    s = np.zeros(nq)
-    mask = reach_positive_mask(a, b)
-    if mask.any():
-        sub = np.eye(int(mask.sum())) - a[np.ix_(mask, mask)]
-        s[mask] = scipy.linalg.solve(sub.T, iota_c[mask])
+    t, s = _solve_direct(system.a, system.b, constrained_initial(pmc, cp))
 
     h: dict[str, np.ndarray] = {}
     for param in pmc.parameters:

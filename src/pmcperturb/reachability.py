@@ -15,8 +15,10 @@ the non-decreasing partial sums ``sum_j A^j b``.
 The direct solver first restricts the system to constraint states with a
 positive probability of reaching the destination (a path in the ``A``-graph
 to a state with ``b > 0``); on that block ``I - A`` is non-singular, and all
-other states get probability exactly zero. The truncated-series solver is
-kept for reproducing reference results computed that way.
+other states get probability exactly zero. The mask comes from one reverse
+frontier search; one LU factorization of that block gives both ``t = N b``
+and, transposed, the visit weights ``s = iota_c N`` (``N = (I - A)^{-1}``).
+The truncated-series solver is kept for reproducing reference results.
 """
 
 from __future__ import annotations
@@ -212,12 +214,33 @@ def reach_positive_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean mask of states with an ``A``-graph path to some ``b[i] > 0``."""
     adjacency = a > 0.0
     reached = b > 0.0
-    while True:
-        grown = reached | (adjacency[:, reached].any(axis=1) if reached.any()
-                           else np.zeros_like(reached))
-        if np.array_equal(grown, reached):
-            return reached
-        reached = grown
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = adjacency[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+    return reached
+
+
+def _solve_direct(a: np.ndarray, b: np.ndarray,
+                  weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """``t`` with ``(I - A) t = b`` and, given ``weights``, ``s`` with ``s (I - A) = weights``.
+
+    Both come from one LU factorization of the reach-positive block and are
+    zero elsewhere. ``t`` must meet ``RESIDUAL_HARD`` and is clipped to [0, 1].
+    """
+    mask = reach_positive_mask(a, b)
+    t = np.zeros(b.size)
+    s = None if weights is None else np.zeros(b.size)
+    if mask.any():
+        lu = scipy.linalg.lu_factor(np.eye(int(mask.sum())) - a[np.ix_(mask, mask)])
+        t[mask] = scipy.linalg.lu_solve(lu, b[mask])
+        if s is not None:
+            s[mask] = scipy.linalg.lu_solve(lu, weights[mask], trans=1)
+    residual = float(np.max(np.abs(t - (a @ t + b)), initial=0.0))
+    if not residual <= RESIDUAL_HARD:  # a NaN residual (singular block) fails too
+        raise SingularSystemError(
+            f"direct solve residual {residual:.3e} exceeds {RESIDUAL_HARD:.0e}")
+    return as_vector(np.clip(t, 0.0, 1.0)), s
 
 
 def solve_reachability(system: LinearSystem, method: str = "direct",
@@ -243,20 +266,8 @@ def solve_reachability(system: LinearSystem, method: str = "direct",
             ``RESIDUAL_HARD``; the achieved residual is attached.
     """
     a, b = system.a, system.b
-    nq = b.size
-    if nq == 0:
-        return as_vector(np.zeros(0))
     if method == "direct":
-        mask = reach_positive_mask(a, b)
-        p = np.zeros(nq)
-        if mask.any():
-            sub = np.eye(int(mask.sum())) - a[np.ix_(mask, mask)]
-            p[mask] = scipy.linalg.solve(sub, b[mask])
-        residual = float(np.max(np.abs(p - (a @ p + b))))
-        if residual > RESIDUAL_HARD:
-            raise SingularSystemError(
-                f"direct solve residual {residual:.3e} exceeds {RESIDUAL_HARD:.0e}")
-        return as_vector(np.clip(p, 0.0, 1.0))
+        return _solve_direct(a, b)[0]
     if method == "series":
         if truncation < 0:
             raise ValueError("truncation must be non-negative")
@@ -269,7 +280,7 @@ def solve_reachability(system: LinearSystem, method: str = "direct",
             # non-increasing; once negligible, further terms cannot change p.
             if term.max(initial=0.0) < 1e-30:
                 break
-        residual = float(np.max(np.abs(p - (a @ p + b))))
+        residual = float(np.max(np.abs(p - (a @ p + b)), initial=0.0))
         if residual > RESIDUAL_HARD:
             raise NonConvergenceError(
                 f"series residual {residual:.3e} after {truncation} terms "

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     BadIndicesError,
     DomainError,
+    EmptyVectorError,
     InfeasibleDistanceError,
     MissingParameterError,
     NonpositiveDeltaError,
@@ -171,31 +172,18 @@ def _extremal_indices(h: np.ndarray) -> tuple[int, int]:
     return int(np.argmax(h)) + 1, int(np.argmin(h)) + 1
 
 
-def _extremal_vectors(param, h: np.ndarray, delta: float) -> list[np.ndarray]:
-    """Feasible extremal moves of one parameter, in both signs."""
-    if param.arity < 2:
-        return []
-    i1, i2 = _extremal_indices(h)
-    if i1 == i2:
-        return []
-    out = []
-    for j1, j2 in ((i1, i2), (i2, i1)):
-        try:
-            out.append(extremal_perturbation(param.reference, delta, j1, j2))
-        except SimplexViolationError:
-            pass
-    return out
-
-
 def _extremal_assignments(pmc: Pmc, gradients: GradientSet,
                           deltas: Mapping[str, float]) -> list[tuple[str, Assignment]]:
-    """The two joint extremal assignments (+ and -), skipping infeasible moves."""
+    """The two joint extremal assignments (+ and -), skipping infeasible moves.
+
+    Parameters absent from ``deltas`` keep their references.
+    """
     out = []
     for label, swap in (("extremal+", False), ("extremal-", True)):
         vectors = {}
         for param in pmc.parameters:
             vectors[param.id] = param.reference
-            if param.arity < 2:
+            if param.arity < 2 or param.id not in deltas:
                 continue
             i1, i2 = _extremal_indices(gradients.h[param.id])
             if i1 == i2:
@@ -212,17 +200,25 @@ def _extremal_assignments(pmc: Pmc, gradients: GradientSet,
 
 
 class _ExactDelta:
-    """Perturbation values against a once-solved reference system."""
+    """Perturbation values against the reference solution held by ``gradients``."""
 
-    def __init__(self, pmc: Pmc, cp: CanonicalProblem):
+    def __init__(self, pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet):
         self.pmc = pmc
         self.cp = cp
         self.iota_c = constrained_initial(pmc, cp)
-        self.reference_value = float(self.iota_c @ solve_reachability(extract_system(pmc, cp)))
+        self.reference_value = float(self.iota_c @ gradients.t)
 
     def __call__(self, assignment: Assignment) -> float:
         p = solve_reachability(extract_system(self.pmc, self.cp, assignment))
         return float(self.iota_c @ p) - self.reference_value
+
+
+def _check_run(pmc: Pmc, n_samples: int) -> None:
+    """Reject a run with no parameter to perturb or a negative sample count."""
+    if not pmc.parameters:
+        raise EmptyVectorError("the model has no distribution parameters to perturb")
+    if n_samples < 0:
+        raise DomainError(f"sample count must be non-negative, got {n_samples!r}")
 
 
 def empirical_kappa(pmc: Pmc, cp: CanonicalProblem, delta: float,
@@ -233,20 +229,23 @@ def empirical_kappa(pmc: Pmc, cp: CanonicalProblem, delta: float,
     full distance; the two extremal moves of every parameter are always
     evaluated in addition, so the result realizes the analytic condition
     number up to a quadratic remainder.
+
+    Raises:
+        EmptyVectorError: the model has no distribution parameters.
+        DomainError: ``delta`` is not positive or ``n_samples`` is negative.
     """
+    _check_run(pmc, n_samples)
     if delta <= 0.0:
         raise DomainError(f"perturbation distance must be positive, got {delta!r}")
     gradients = gradient_coefficients(pmc, cp)
-    exact = _ExactDelta(pmc, cp)
+    exact = _ExactDelta(pmc, cp, gradients)
     references = reference_assignment(pmc)
     params = pmc.parameters
 
     best = 0.0
     for param in params:
-        for v in _extremal_vectors(param, gradients.h[param.id], delta):
-            vectors = dict(references.vectors)
-            vectors[param.id] = v
-            best = max(best, abs(exact(Assignment(vectors))) / delta)
+        for _, assignment in _extremal_assignments(pmc, gradients, {param.id: delta}):
+            best = max(best, abs(exact(assignment)) / delta)
     for index in range(n_samples):
         param = params[index % len(params)]
         rng = np.random.default_rng([seed, index])
@@ -272,9 +271,12 @@ def validate_bounds(pmc: Pmc, cp: CanonicalProblem, deltas: Mapping[str, float],
     unless disabled. Violations are reported, never raised.
 
     Raises:
+        EmptyVectorError: the model has no distribution parameters.
+        DomainError: ``n_samples`` is negative.
         NonpositiveDeltaError: a requested distance is not positive.
         MissingParameterError: ``deltas`` does not cover every parameter.
     """
+    _check_run(pmc, n_samples)
     requested = {str(k): float(v) for k, v in dict(deltas).items()}
     for param in pmc.parameters:
         if param.id not in requested:
@@ -286,7 +288,7 @@ def validate_bounds(pmc: Pmc, cp: CanonicalProblem, deltas: Mapping[str, float],
     kappas = {p.id: condition_number_basic(gradients.h[p.id]) for p in pmc.parameters}
     requested_bound = sum(kappas[pid] * requested[pid] for pid in kappas)
     requested_total = sum(requested.values())
-    exact = _ExactDelta(pmc, cp)
+    exact = _ExactDelta(pmc, cp, gradients)
 
     runs: list[tuple[str, Assignment]] = []
     if inject_extremal:

@@ -154,3 +154,29 @@ def test_no_color_env_respected(capsys, monkeypatch):
                        "--samples", "5", "--seed", "2")
     assert code == 0
     assert "\x1b[" not in out
+
+
+def parameter_free_frog(tmp_path):
+    """The frog model with its parameter row made concrete."""
+    doc = json.loads(Path(FROG).read_text())
+    doc["rows"][0] = {"concrete": doc["rows"][0]["reference"]}
+    doc.pop("direction", None)
+    path = tmp_path / "fixed.model"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_validate_parameter_free_model(capsys, tmp_path):
+    model = parameter_free_frog(tmp_path)
+    assert run(capsys, "check", model)[0] == 0
+    code, out, err = run(capsys, "validate", model, "--delta", "0.01", "--samples", "5")
+    assert code == 1
+    assert out == ""
+    assert "no distribution parameters" in err
+
+
+def test_validate_negative_samples(capsys):
+    code, out, err = run(capsys, "validate", ZEROCONF, "--delta", "0.01", "--samples", "-3")
+    assert code == 1
+    assert out == ""
+    assert "non-negative" in err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -168,6 +170,38 @@ class TestBuilders:
         assert model_digest(pmc1) == model_digest(pmc2)
         pmc3, _ = build_zeroconf()
         assert model_digest(pmc1) != model_digest(pmc3)
+
+
+class TestDigest:
+    # Pinned: the digest hashes little-endian bytes, not the numpy repr of
+    # floats, so this value holds on every numpy version pyproject allows.
+    FROG_DIGEST = "18a2819baebf"
+
+    def test_frog_pinned(self):
+        assert model_digest(build_frog()[0]) == self.FROG_DIGEST
+
+    @staticmethod
+    def frog_variant(**changes):
+        pmc, _ = build_frog()
+        hop = dataclasses.replace(pmc.parameters[0], **changes.pop("hop", {}))
+        return dataclasses.replace(pmc, parameters=(hop,), **changes)
+
+    @pytest.mark.parametrize("changes", [
+        {"hop": {"support": (1, 2, 3)}},
+        {"n": 5},
+        {"hop": {"id": "jump"}},
+        {"hop": {"row": 3}},
+        {"hop": {"reference": (0.375, 0.125, 0.25, np.nextafter(0.25, 1.0))}},
+        {"initial": (0.25, 0.25, 0.25, np.nextafter(0.25, 0.0))},
+        {"concrete_rows": {2: (0.375, 0.125, 0.25, np.nextafter(0.25, 1.0)),
+                           3: (0.0, 0.5, 0.5, 0.0), 4: (1 / 3, 0.0, 1 / 3, 1 / 3)}},
+        {"concrete_rows": {2: (0.375, 0.125, 0.25, 0.25), 3: (0.0, 0.5, 0.5, 0.0)}},
+    ])
+    def test_changes_with_structure_and_last_bit(self, changes):
+        assert model_digest(self.frog_variant(**changes)) != self.FROG_DIGEST
+
+    def test_unchanged_variant_keeps_digest(self):
+        assert model_digest(self.frog_variant(hop={"id": "hop"})) == self.FROG_DIGEST
 
 
 class TestAbsoluteDistance:

@@ -121,3 +121,37 @@ def test_problem_and_direction_parsed():
     parsed = parse_model(json.dumps(doc))
     assert parsed.problem == ReachabilityProblem(frozenset({1, 2}), frozenset({4}))
     assert parsed.direction.weights == {"hop": 1.0}
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.25", None, [0.25]])
+def test_number_list_rejects_non_numbers(bad):
+    doc = frog_doc()
+    doc["initial"][1] = bad
+    with pytest.raises(ModelSchemaError, match=r"^initial: expected a list of numbers$"):
+        parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2", None, [2]])
+def test_int_list_rejects_non_integers(bad):
+    doc = frog_doc()
+    doc["rows"][0]["support"][1] = bad
+    with pytest.raises(ModelSchemaError,
+                       match=r"^rows\[0\]\.support: expected a list of integers$"):
+        parse_model(json.dumps(doc))
+
+
+def test_integer_entries_accepted_as_numbers():
+    doc = frog_doc()
+    doc["rows"][2]["concrete"] = [0, 1, 0, 0]
+    doc["direction"] = {"weights": {"hop": 1}}
+    parsed = parse_model(json.dumps(doc))
+    np.testing.assert_array_equal(parsed.pmc.concrete_rows[3], [0.0, 1.0, 0.0, 0.0])
+    assert parsed.direction.weights == {"hop": 1.0}
+
+
+@pytest.mark.parametrize("bad", [True, "1", None])
+def test_direction_weights_reject_non_numbers(bad):
+    doc = frog_doc()
+    doc["direction"] = {"weights": {"hop": bad}}
+    with pytest.raises(ModelSchemaError, match="direction.weights"):
+        parse_model(json.dumps(doc))

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import random_pmc, random_problem
 
 from pmcperturb import (
@@ -16,14 +19,18 @@ from pmcperturb import (
     Pmc,
     ReachabilityProblem,
     Role,
+    SingularSystemError,
+    analyze,
     build_frog,
     build_zeroconf,
     canonicalize,
     extract_system,
     instantiate,
+    reach_positive_mask,
     reference_assignment,
     solve_reachability,
     total_probability,
+    validate_bounds,
 )
 
 RESIDUAL_HARD = 1e-10
@@ -134,6 +141,15 @@ class TestSolve:
         assert series[1] == 0.0
         np.testing.assert_allclose(p, series, atol=1e-9)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                                "ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_block_reported(self):
+        # not a stochastic system: I - A is exactly singular on the
+        # reach-positive block, and the non-finite residual must be caught
+        system = LinearSystem(a=np.array([[1.0]]), b=np.array([0.5]), placements={})
+        with pytest.raises(SingularSystemError):
+            solve_reachability(system)
+
     def test_series_non_convergence(self):
         a = np.array([[0.99]])
         b = np.array([0.01])
@@ -197,3 +213,85 @@ class TestTotalProbability:
             total_probability((0.5, 0.5), np.array([0.5, 0.5]), cp)
         with pytest.raises(ArityMismatchError):
             total_probability(pmc.initial, np.array([0.5]), cp)
+
+
+def bfs_mask(a, b):
+    """Independent reverse breadth-first search over the edges ``A[i, j] > 0``."""
+    n = len(b)
+    predecessors = [[] for _ in range(n)]
+    for i, j in zip(*np.nonzero(np.asarray(a) > 0.0)):
+        predecessors[int(j)].append(int(i))
+    reached = [float(x) > 0.0 for x in b]
+    queue = deque(i for i in range(n) if reached[i])
+    while queue:
+        j = queue.popleft()
+        for i in predecessors[j]:
+            if not reached[i]:
+                reached[i] = True
+                queue.append(i)
+    return np.array(reached, dtype=bool)
+
+
+def path_system(n, broken_at=None):
+    """``i -> i + 1`` chain whose last state alone feeds the destination."""
+    a = np.zeros((n, n))
+    a[np.arange(n - 1), np.arange(1, n)] = 0.5
+    if broken_at is not None:
+        a[broken_at, broken_at + 1] = 0.0
+    b = np.zeros(n)
+    b[-1] = 0.5
+    return a, b
+
+
+class TestReachPositiveMask:
+    def test_random_sparse_against_bfs(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            a = np.where(rng.random((n, n)) < rng.uniform(0.0, 0.2), rng.random((n, n)), 0.0)
+            a[np.diag_indices(n)] = np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
+            cut = int(rng.integers(0, n + 1))  # no edges between the two parts
+            a[:cut, cut:] = 0.0
+            a[cut:, :cut] = 0.0
+            b = np.where(rng.random(n) < 0.15, rng.random(n), 0.0)
+            np.testing.assert_array_equal(reach_positive_mask(a, b), bfs_mask(a, b))
+
+    def test_zero_b_and_zero_a(self):
+        rng = np.random.default_rng(29)
+        a = rng.random((12, 12))
+        assert not reach_positive_mask(a, np.zeros(12)).any()
+        b = np.where(rng.random(12) < 0.5, 0.4, 0.0)
+        np.testing.assert_array_equal(reach_positive_mask(np.zeros((12, 12)), b), b > 0.0)
+        assert reach_positive_mask(np.zeros((0, 0)), np.zeros(0)).size == 0
+
+    @pytest.mark.parametrize("broken_at", [None, 999])
+    def test_long_path(self, broken_at):
+        a, b = path_system(2000, broken_at)
+        mask = reach_positive_mask(a, b)
+        np.testing.assert_array_equal(mask, bfs_mask(a, b))
+        assert int(mask.sum()) == (2000 if broken_at is None else 1000)
+
+
+def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog):
+    """``analyze`` and the reference of ``validate_bounds`` each factor once."""
+    import pmcperturb.reachability as reachability
+
+    calls = {"mask": 0, "lu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reachability, "reach_positive_mask",
+                        counted("mask", reachability.reach_positive_mask))
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted("lu", scipy.linalg.lu_factor))
+    pmc, problem, cp = frog
+    analyze(pmc, problem)
+    assert calls == {"mask": 1, "lu": 1}
+
+    calls.update(mask=0, lu=0)
+    report = validate_bounds(pmc, cp, {"hop": 0.01}, n_samples=5, seed=1)
+    # one reference solve, then one re-solve per evaluated sample
+    assert calls == {"mask": 1 + len(report.samples), "lu": 1 + len(report.samples)}

@@ -10,9 +10,11 @@ from pmcperturb import (
     Assignment,
     BadIndicesError,
     DomainError,
+    EmptyVectorError,
     InfeasibleDistanceError,
     MissingParameterError,
     NonpositiveDeltaError,
+    Pmc,
     SimplexViolationError,
     absolute_distance,
     build_zeroconf,
@@ -118,6 +120,20 @@ class TestEmpiricalKappa:
                   parameters=(DistributionParameter("q", 3, (1, 2), (0.5, 0.5)),))
         cp = canonicalize(pmc, ReachabilityProblem(frozenset({1}), frozenset({2})))
         assert empirical_kappa(pmc, cp, delta=1e-3, n_samples=50, seed=5) <= 1e-12
+
+    def test_rejects_parameter_free_model_and_negative_samples(self, frog):
+        pmc, _, cp = frog
+        fixed = Pmc(n=pmc.n, initial=pmc.initial,
+                    concrete_rows={**pmc.concrete_rows, 1: pmc.parameters[0].reference},
+                    parameters=())
+        with pytest.raises(EmptyVectorError):
+            empirical_kappa(fixed, cp, delta=1e-3, n_samples=5, seed=0)
+        with pytest.raises(EmptyVectorError):
+            validate_bounds(fixed, cp, {}, n_samples=5, seed=0)
+        with pytest.raises(DomainError):
+            empirical_kappa(pmc, cp, delta=1e-3, n_samples=-1, seed=0)
+        with pytest.raises(DomainError):
+            validate_bounds(pmc, cp, {"hop": 1e-3}, n_samples=-1, seed=0)
 
 
 class TestValidateBounds:
