@@ -62,10 +62,7 @@ from .perturbation import (
 from .reachability import (
     CanonicalProblem,
     LinearSystem,
-    ParameterPlacement,
     ReachabilityProblem,
-    Role,
-    VariablePlacement,
     canonicalize,
     constrained_initial,
     extract_system,
@@ -78,6 +75,7 @@ from .sampler import (
     VIOLATION_SLACK,
     ValidationReport,
     empirical_kappa,
+    evaluate_assignments,
     extremal_perturbation,
     sample_on_simplex,
     validate_bounds,
@@ -103,11 +101,11 @@ __all__ = [
     "condition_number_parameterwise", "gradient_coefficients",
     "linear_estimate", "link_identity_check", "perturbation_function_exact",
     "perturbation_function_series",
-    "CanonicalProblem", "LinearSystem", "ParameterPlacement",
-    "ReachabilityProblem", "Role", "VariablePlacement", "canonicalize",
+    "CanonicalProblem", "LinearSystem", "ReachabilityProblem", "canonicalize",
     "constrained_initial", "extract_system", "reach_positive_mask",
     "solve_reachability", "total_probability",
     "PerturbationSample", "VIOLATION_SLACK", "ValidationReport",
-    "empirical_kappa", "extremal_perturbation", "sample_on_simplex",
+    "empirical_kappa", "evaluate_assignments", "extremal_perturbation",
+    "sample_on_simplex",
     "validate_bounds",
 ]

@@ -15,13 +15,17 @@ absolute condition numbers follow:
 
 With ``N = (I - A)^{-1}`` on the reach-positive block, ``s = iota_c N``
 (expected visits weighted by the initial distribution) and ``t = N b``
-(the per-state reachability solution), the coefficient of the variable of
-parameter ``i`` (canonical row ``m``) at support position ``j`` is
+(the per-state reachability solution), let ``x`` hold, over canonical
+positions, ``t`` on the constraint block, 1 on the destination block and 0
+on the states in between. The coefficient vector of parameter ``i`` (row
+``row_i``, support ``support_i``) is the gather
 
-  * ``s[m] * t[c]`` if the variable sits in constraint column ``c``,
-  * ``s[m]``        if it feeds the destination sum of ``b``,
-  * ``0``           if it appears in neither (dropped), or if the
-    parameter's row lies outside the constraint block.
+    h_i[j] = s[row_i] * x[support_i[j]],
+
+so a variable in constraint column ``c`` gets ``s[row_i] * t[c]``, one that
+feeds the destination sum of ``b`` gets ``s[row_i]``, and one in the middle
+block, like every variable of a parameter whose row lies outside the
+constraint block, gets exactly ``+0.0``.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .model import (
 from .reachability import (
     CanonicalProblem,
     ReachabilityProblem,
-    Role,
     _solve_direct,
     canonicalize,
     constrained_initial,
@@ -65,10 +68,11 @@ class GradientSet:
     """Linear coefficients of the perturbation value at the references.
 
     ``h`` maps each parameter id to its coefficient vector (one entry per
-    support position; exactly zero at dropped positions and for parameters
-    whose row lies outside the constraint block). ``s`` and ``t`` are the
-    cached visit weights and per-state solution described in the module
-    docstring; ``t`` equals the reachability solution of the same system.
+    support position; exactly zero at middle-block positions and for
+    parameters whose row lies outside the constraint block). ``s`` and
+    ``t`` are the cached visit weights and per-state solution described in
+    the module docstring; ``t`` equals the reachability solution of the
+    same system.
     """
 
     h: Mapping[str, np.ndarray]
@@ -142,23 +146,27 @@ def gradient_coefficients(pmc: Pmc, cp: CanonicalProblem) -> GradientSet:
     The reach-positive mask comes from one frontier search, and one LU
     factorization of the restricted ``I - A`` gives both ``t`` (equal to
     the reachability solution) and, by the transposed solve, the visit
-    weights ``s``; both are zero outside the reach-positive states.
+    weights ``s``; both are zero outside the reach-positive states. Each
+    ``h_i`` is then one gather over canonical positions (module docstring).
     """
     system = extract_system(pmc, cp)
     t, s = _solve_direct(system.a, system.b, constrained_initial(pmc, cp))
 
+    nq, d0 = cp.n_constraint, cp.destination_start - 1
+    pos = np.asarray(cp.permutation, dtype=np.intp) - 1
+    x = np.zeros(cp.n)
+    x[:nq] = t
+    x[d0:] = 1.0
+    visits = np.zeros(cp.n)
+    visits[:nq] = s
     h: dict[str, np.ndarray] = {}
     for param in pmc.parameters:
-        placement = system.placements[param.id]
-        coeff = np.zeros(param.arity)
-        if placement.row is not None:
-            visits = s[placement.row - 1]
-            for j, var in enumerate(placement.variables):
-                if var.role is Role.CONSTRAINT_COLUMN:
-                    coeff[j] = visits * t[var.column - 1]
-                elif var.role is Role.DESTINATION_SUM:
-                    coeff[j] = visits
-        h[param.id] = coeff
+        row = pos[param.row - 1]
+        cols = pos[np.asarray(param.support, dtype=np.intp) - 1]
+        # Select, not multiply by x == 0: s can be a rounding-level negative,
+        # and a position outside the system must read +0.0, not -0.0.
+        in_system = (row < nq) & ((cols < nq) | (cols >= d0))
+        h[param.id] = np.where(in_system, visits[row] * x[cols], 0.0)
 
     return GradientSet(h=h, s=s, t=t,
                        references={p.id: p.reference for p in pmc.parameters})

@@ -24,8 +24,6 @@ The truncated-series solver is kept for reproducing reference results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Mapping
 
 import numpy as np
 import scipy.linalg
@@ -127,87 +125,35 @@ def canonicalize(pmc: Pmc, problem: ReachabilityProblem) -> CanonicalProblem:
     )
 
 
-class Role(Enum):
-    """Where one variable of a parameter lands in the extracted system."""
-
-    CONSTRAINT_COLUMN = "constraint"
-    DESTINATION_SUM = "destination"
-    DROPPED = "dropped"
-
-
-@dataclass(frozen=True)
-class VariablePlacement:
-    role: Role
-    column: int | None = None  # canonical column in 1..n_constraint for CONSTRAINT_COLUMN
-
-
-@dataclass(frozen=True)
-class ParameterPlacement:
-    """Positions of a parameter's variables within ``(A, b)``.
-
-    ``row`` is the parameter's canonical row if it lies in the constraint
-    block, else ``None``; in the latter case the variable list is empty
-    because none of its entries appear in the system.
-    """
-
-    row: int | None
-    variables: tuple[VariablePlacement, ...]
-
-
 @dataclass(frozen=True)
 class LinearSystem:
-    """The pair ``(A, b)`` with per-parameter variable placements."""
+    """The pair ``(A, b)`` of a canonical problem."""
 
     a: np.ndarray
     b: np.ndarray
-    placements: Mapping[str, ParameterPlacement]
 
     def __post_init__(self):
         a = np.array(self.a, dtype=np.float64)
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", as_vector(self.b))
-        object.__setattr__(self, "placements", dict(self.placements))
 
 
 def extract_system(pmc: Pmc, cp: CanonicalProblem,
                    assignment: Assignment | None = None) -> LinearSystem:
-    """Extract ``(A, b)`` for a canonical problem, plus variable placements.
+    """Extract ``(A, b)`` for a canonical problem.
 
     ``A`` is the constraint-block submatrix of the instantiated transition
     matrix (at the references unless ``assignment`` is given) and
-    ``b[i]`` sums row ``i``'s mass over the destination block. The
-    placements record, for every parameter and support position, whether
-    the variable lands in a column of ``A``, in the destination sum of
-    ``b``, or nowhere.
+    ``b[i]`` sums row ``i``'s mass over the destination block.
     """
     if assignment is None:
         assignment = reference_assignment(pmc)
     matrix = instantiate(pmc, assignment)
-    idx = np.asarray(cp.order, dtype=np.intp) - 1
-    canon = matrix[np.ix_(idx, idx)]
-    nq = cp.n_constraint
-    a = canon[:nq, :nq]
-    b = canon[:nq, cp.destination_start - 1:].sum(axis=1) if nq else np.zeros(0)
-
-    placements: dict[str, ParameterPlacement] = {}
-    for param in pmc.parameters:
-        row_pos = cp.permutation[param.row - 1]
-        if row_pos > nq:
-            placements[param.id] = ParameterPlacement(row=None, variables=())
-            continue
-        variables = []
-        for col in param.support:
-            col_pos = cp.permutation[col - 1]
-            if col_pos <= nq:
-                variables.append(VariablePlacement(Role.CONSTRAINT_COLUMN, col_pos))
-            elif col_pos >= cp.destination_start:
-                variables.append(VariablePlacement(Role.DESTINATION_SUM))
-            else:
-                variables.append(VariablePlacement(Role.DROPPED))
-        placements[param.id] = ParameterPlacement(row=row_pos, variables=tuple(variables))
-
-    return LinearSystem(a=a, b=b, placements=placements)
+    constraint = np.asarray(cp.constraint_states, dtype=np.intp) - 1
+    destination = np.asarray(cp.destination_states, dtype=np.intp) - 1
+    return LinearSystem(a=matrix[np.ix_(constraint, constraint)],
+                        b=matrix[np.ix_(constraint, destination)].sum(axis=1))
 
 
 def reach_positive_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:

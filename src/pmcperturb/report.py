@@ -24,7 +24,7 @@ from .example_models import build_frog, build_zeroconf
 from .model import Assignment
 from .perturbation import SensitivityReport, analyze
 from .reachability import ReachabilityProblem, canonicalize
-from .sampler import ValidationReport, validate_bounds
+from .sampler import ValidationReport, evaluate_assignments
 
 BOUND_CONVENTION = ("per-parameter distances Delta_i bound the exact delta by "
                     "sum_i kappa_i * Delta_i = kappa_w * Delta with "
@@ -189,15 +189,13 @@ def reference_tables_record() -> dict:
     """Both case-study tables as one machine-readable record (values x 1e3)."""
     zf_pmc, zf_problem = build_zeroconf(a=0.2, loss_ref=0.25)
     zf = analyze(zf_pmc, zf_problem)
-    zf_cp = canonicalize(zf_pmc, zf_problem)
+    zf_runs = [("given", Assignment({p.id: (back, 1.0 - back) for p in zf_pmc.parameters}))
+               for back in _ZF_PERTURBED]
+    zf_samples = evaluate_assignments(zf_pmc, canonicalize(zf_pmc, zf_problem),
+                                      zf.gradients, zf_runs)
     zf_rows = []
-    for back in _ZF_PERTURBED:
-        assignment = Assignment({p.id: (back, 1.0 - back) for p in zf_pmc.parameters})
+    for back, sample in zip(_ZF_PERTURBED, zf_samples):
         delta_i = 2.0 * abs(back - 0.75)
-        run = validate_bounds(zf_pmc, zf_cp, {p.id: delta_i for p in zf_pmc.parameters},
-                              n_samples=0, seed=0, assignments=[assignment],
-                              inject_extremal=False)
-        sample = run.samples[0]
         zf_rows.append({
             "back_probability_x1e3": back * 1e3,
             "delta_x1e3": sample.exact * 1e3,
@@ -208,14 +206,12 @@ def reference_tables_record() -> dict:
 
     fg_pmc, fg_problem = build_frog()
     fg = analyze(fg_pmc, fg_problem)
-    fg_cp = canonicalize(fg_pmc, fg_problem)
+    fg_runs = [("given", Assignment({"hop": dist})) for dist in _FG_PERTURBED]
+    fg_samples = evaluate_assignments(fg_pmc, canonicalize(fg_pmc, fg_problem),
+                                      fg.gradients, fg_runs)
     fg_rows = []
-    for dist in _FG_PERTURBED:
-        assignment = Assignment({"hop": dist})
+    for dist, sample in zip(_FG_PERTURBED, fg_samples):
         delta = sum(abs(x - r) for x, r in zip(dist, (0.375, 0.125, 0.25, 0.25)))
-        run = validate_bounds(fg_pmc, fg_cp, {"hop": delta}, n_samples=0, seed=0,
-                              assignments=[assignment], inject_extremal=False)
-        sample = run.samples[0]
         fg_rows.append({
             "distribution_x1e3": [x * 1e3 for x in dist],
             "delta_x1e3": sample.exact * 1e3,

@@ -14,6 +14,12 @@ on ties); they realize the condition-number bound up to a quadratic
 remainder and are always injected into validation runs so the empirical
 supremum is not an underestimate by sampling luck.
 
+Every evaluated assignment, sampled, extremal or given by the caller (the
+published perturbed models), goes through :func:`evaluate_assignments`,
+which measures it against a reference solve the caller already holds.
+Requested distances must lie in ``(0, 2]``, the diameter of the simplex in
+this distance; others are rejected before anything is sampled.
+
 Randomness for sample ``k`` of a run derives from ``(seed, k)``, so results
 do not depend on evaluation order and identical seeds give bit-identical
 reports.
@@ -22,7 +28,7 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -199,20 +205,6 @@ def _extremal_assignments(pmc: Pmc, gradients: GradientSet,
     return out
 
 
-class _ExactDelta:
-    """Perturbation values against the reference solution held by ``gradients``."""
-
-    def __init__(self, pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet):
-        self.pmc = pmc
-        self.cp = cp
-        self.iota_c = constrained_initial(pmc, cp)
-        self.reference_value = float(self.iota_c @ gradients.t)
-
-    def __call__(self, assignment: Assignment) -> float:
-        p = solve_reachability(extract_system(self.pmc, self.cp, assignment))
-        return float(self.iota_c @ p) - self.reference_value
-
-
 def _check_run(pmc: Pmc, n_samples: int) -> None:
     """Reject a run with no parameter to perturb or a negative sample count."""
     if not pmc.parameters:
@@ -232,105 +224,108 @@ def empirical_kappa(pmc: Pmc, cp: CanonicalProblem, delta: float,
 
     Raises:
         EmptyVectorError: the model has no distribution parameters.
-        DomainError: ``delta`` is not positive or ``n_samples`` is negative.
+        DomainError: ``delta`` is not positive (or NaN) or ``n_samples`` is
+            negative.
+        InfeasibleDistanceError: ``delta`` exceeds 2 or is infinite.
     """
     _check_run(pmc, n_samples)
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError(f"perturbation distance must be positive, got {delta!r}")
+    if delta > 2.0:
+        raise InfeasibleDistanceError(f"no probability vectors at distance {delta!r} > 2")
     gradients = gradient_coefficients(pmc, cp)
-    exact = _ExactDelta(pmc, cp, gradients)
-    references = reference_assignment(pmc)
+    references = reference_assignment(pmc).vectors
     params = pmc.parameters
-
-    best = 0.0
-    for param in params:
-        for _, assignment in _extremal_assignments(pmc, gradients, {param.id: delta}):
-            best = max(best, abs(exact(assignment)) / delta)
+    runs = [run for param in params
+            for run in _extremal_assignments(pmc, gradients, {param.id: delta})]
     for index in range(n_samples):
         param = params[index % len(params)]
         rng = np.random.default_rng([seed, index])
         v = sample_on_simplex(param.reference, delta, rng)
-        vectors = dict(references.vectors)
-        vectors[param.id] = v
-        best = max(best, abs(exact(Assignment(vectors))) / delta)
-    return best
+        runs.append(("random", Assignment({**references, param.id: v})))
+    return max(abs(x.exact) / delta for x in evaluate_assignments(pmc, cp, gradients, runs))
+
+
+def evaluate_assignments(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
+                         runs: Iterable[tuple[str, Assignment]]) -> list[PerturbationSample]:
+    """Measure labelled assignments against the reference solve in ``gradients``.
+
+    For each ``(label, assignment)`` pair the result holds the achieved
+    per-parameter distances, the exact delta (one re-solve), the linear
+    estimate and the bound ``sum_i kappa_i * Delta_i`` at those distances.
+    ``gradients`` must come from :func:`gradient_coefficients` on the same
+    ``pmc`` and ``cp``.
+    """
+    kappas = {pid: condition_number_basic(h) for pid, h in gradients.h.items()}
+    iota_c = constrained_initial(pmc, cp)
+    reference_value = float(iota_c @ gradients.t)
+    samples = []
+    for label, assignment in runs:
+        distances = {p.id: absolute_distance(assignment[p.id], p.reference)
+                     for p in pmc.parameters}
+        solution = solve_reachability(extract_system(pmc, cp, assignment))
+        value = float(iota_c @ solution) - reference_value
+        bound = sum(kappas[pid] * d for pid, d in distances.items())
+        samples.append(PerturbationSample(
+            label=label, assignment=assignment, distances=distances,
+            distance=sum(distances.values()), exact=value,
+            linear=linear_estimate(gradients, assignment), bound=bound,
+            exceeds=abs(value) > bound))
+    return samples
 
 
 def validate_bounds(pmc: Pmc, cp: CanonicalProblem, deltas: Mapping[str, float],
                     n_samples: int, seed: int, *,
-                    assignments: Sequence[Assignment] = (),
-                    slack: float = VIOLATION_SLACK,
-                    inject_extremal: bool = True) -> ValidationReport:
+                    slack: float = VIOLATION_SLACK) -> ValidationReport:
     """Empirically validate the first-order bound at given per-parameter distances.
 
-    Draws ``n_samples`` assignments moving every parameter ``i`` by (up to)
-    ``deltas[i]``, evaluates the exact delta, the linear estimate and the
-    bound ``sum_i kappa_i * Delta_i`` at each sample's achieved distances,
-    and reports samples whose exact delta exceeds the bound. Explicit
-    ``assignments`` are evaluated alongside; extremal moves are injected
-    unless disabled. Violations are reported, never raised.
+    Evaluates the two joint extremal moves and then ``n_samples`` random
+    assignments moving every parameter ``i`` by (up to) ``deltas[i]``, all
+    through :func:`evaluate_assignments` against one reference solve, and
+    reports samples whose exact delta exceeds the bound. Violations are
+    reported, never raised.
 
     Raises:
         EmptyVectorError: the model has no distribution parameters.
         DomainError: ``n_samples`` is negative.
-        NonpositiveDeltaError: a requested distance is not positive.
         MissingParameterError: ``deltas`` does not cover every parameter.
+        NonpositiveDeltaError: a requested distance is not positive (or NaN).
+        InfeasibleDistanceError: a requested distance exceeds 2 or is infinite.
     """
     _check_run(pmc, n_samples)
     requested = {str(k): float(v) for k, v in dict(deltas).items()}
     for param in pmc.parameters:
         if param.id not in requested:
             raise MissingParameterError(f"no distance requested for parameter {param.id!r}")
-    if any(d <= 0.0 for d in requested.values()):
+    if not all(d > 0.0 for d in requested.values()):
         raise NonpositiveDeltaError(f"requested distances must be positive: {requested}")
+    if any(d > 2.0 for d in requested.values()):
+        raise InfeasibleDistanceError(
+            f"requested distances must not exceed 2, the diameter of the simplex: "
+            f"{requested}")
 
     gradients = gradient_coefficients(pmc, cp)
-    kappas = {p.id: condition_number_basic(gradients.h[p.id]) for p in pmc.parameters}
-    requested_bound = sum(kappas[pid] * requested[pid] for pid in kappas)
-    requested_total = sum(requested.values())
-    exact = _ExactDelta(pmc, cp, gradients)
-
-    runs: list[tuple[str, Assignment]] = []
-    if inject_extremal:
-        runs.extend(_extremal_assignments(pmc, gradients, requested))
-    runs.extend(("given", a) for a in assignments)
+    runs = _extremal_assignments(pmc, gradients, requested)
     for index in range(n_samples):
         rng = np.random.default_rng([seed, index])
         vectors = {p.id: sample_on_simplex(p.reference, requested[p.id], rng)
                    for p in pmc.parameters}
         runs.append(("random", Assignment(vectors)))
+    samples = evaluate_assignments(pmc, cp, gradients, runs)
 
-    samples: list[PerturbationSample] = []
-    empirical = 0.0
-    violations = 0
-    max_excess = 0.0
-    for label, assignment in runs:
-        distances = {p.id: absolute_distance(assignment[p.id], p.reference)
-                     for p in pmc.parameters}
-        total = sum(distances.values())
-        value = exact(assignment)
-        linear = linear_estimate(gradients, assignment)
-        bound = sum(kappas[pid] * d for pid, d in distances.items())
-        exceeds = abs(value) > bound
-        if exceeds:
-            violations += 1
-            max_excess = max(max_excess, abs(value) - bound)
-        if total > 0.0:
-            empirical = max(empirical, abs(value) / total)
-        samples.append(PerturbationSample(
-            label=label, assignment=assignment, distances=distances,
-            distance=total, exact=value, linear=linear, bound=bound,
-            exceeds=exceeds))
-
+    kappas = {p.id: condition_number_basic(gradients.h[p.id]) for p in pmc.parameters}
+    requested_bound = sum(kappas[pid] * requested[pid] for pid in kappas)
     return ValidationReport(
         samples=tuple(samples),
         requested=requested,
         bound=float(requested_bound),
-        analytic_kappa=float(requested_bound / requested_total),
+        analytic_kappa=float(requested_bound / sum(requested.values())),
         kappa_sum=float(sum(kappas.values())),
-        empirical_kappa=float(empirical),
-        violations=violations,
-        max_excess=float(max_excess),
+        empirical_kappa=float(max((abs(x.exact) / x.distance for x in samples
+                                   if x.distance > 0.0), default=0.0)),
+        violations=sum(x.exceeds for x in samples),
+        max_excess=float(max((abs(x.exact) - x.bound for x in samples if x.exceeds),
+                             default=0.0)),
         slack=float(slack),
         seed=int(seed),
     )

@@ -4,10 +4,12 @@ The oracle probes the exact perturbation value along zero-sum pair
 directions (entries +1/2 and -1/2) with central differences. Such probes
 stay on the simplex, so they identify the coefficient vector of one
 parameter up to an additive constant; the gauge is fixed by a support
-position that is structurally absent from the extracted system (its
-coefficient is zero by construction) whenever one exists, and pairwise
-differences are checked otherwise. Condition numbers only depend on those
-differences, so the check is complete for everything the bounds use.
+position that is structurally absent from the extracted system (a column
+in the middle block of the canonical order, between constraint and
+destination, whose coefficient is zero by construction) whenever one
+exists, and pairwise differences are checked otherwise. Condition
+numbers only depend on those differences, so the check is complete for
+everything the bounds use.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from pmcperturb import (
     DistributionParameter,
     Pmc,
     ReachabilityProblem,
-    Role,
     canonicalize,
-    extract_system,
     perturbation_function_exact,
     reference_assignment,
 )
@@ -50,6 +50,40 @@ def random_pmc(rng: np.random.Generator, n: int, n_params: int,
                 for state in range(1, n + 1) if state not in param_rows}
     return Pmc(n=n, initial=random_distribution(rng, n, min_entry),
                concrete_rows=concrete, parameters=parameters)
+
+
+def sparse_distribution(rng: np.random.Generator, k: int, density: float) -> np.ndarray:
+    """Random simplex vector in which each entry is zero with probability ``1 - density``.
+
+    At least one entry is positive.
+    """
+    keep = rng.random(k) < density
+    keep[rng.integers(k)] = True
+    v = np.where(keep, rng.dirichlet(np.ones(k)), 0.0)
+    return v / v.sum()
+
+
+def random_sparse_pmc(rng: np.random.Generator, n: int, n_params: int,
+                      density: float = 0.4) -> Pmc:
+    """Random PMC whose concrete rows, references and initial vector have zero entries.
+
+    Parameters sit on distinct random rows with random non-empty supports,
+    and a reference may be zero on part of its support. Zero entries give
+    absorbing and dead-end states and reference-zero exits, which
+    ``random_pmc`` (every entry at least ``min_entry``) never produces.
+    """
+    param_rows = sorted(int(r) + 1 for r in rng.choice(n, size=n_params, replace=False))
+    parameters = []
+    for i, row in enumerate(param_rows):
+        arity = int(rng.integers(1, n + 1))
+        support = tuple(sorted(int(c) + 1 for c in rng.choice(n, size=arity, replace=False)))
+        parameters.append(DistributionParameter(
+            id=f"p{i + 1}", row=row, support=support,
+            reference=sparse_distribution(rng, arity, density)))
+    concrete = {state: sparse_distribution(rng, n, density)
+                for state in range(1, n + 1) if state not in param_rows}
+    return Pmc(n=n, initial=sparse_distribution(rng, n, density),
+               concrete_rows=concrete, parameters=tuple(parameters))
 
 
 def random_problem(rng: np.random.Generator, n: int) -> ReachabilityProblem:
@@ -118,12 +152,11 @@ def fd_reconstruct(pmc: Pmc, cp, pid: str, step: float = FD_STEP) -> np.ndarray 
     absent from the system (no gauge anchor); use pairwise checks then.
     """
     param = pmc.parameter(pid)
-    placement = extract_system(pmc, cp).placements[pid]
-    if placement.row is None:
+    if cp.permutation[param.row - 1] > cp.n_constraint:
         anchors = range(param.arity)  # whole row absent: every position anchors
     else:
-        anchors = [j for j, var in enumerate(placement.variables)
-                   if var.role is Role.DROPPED]
+        anchors = [j for j, col in enumerate(param.support)
+                   if cp.n_constraint < cp.permutation[col - 1] < cp.destination_start]
     if not anchors:
         return None
     anchor = anchors[0]

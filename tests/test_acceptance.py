@@ -28,6 +28,7 @@ from pmcperturb import (
     condition_number_basic,
     condition_number_directional,
     empirical_kappa,
+    evaluate_assignments,
     extract_system,
     gradient_coefficients,
     linear_estimate,
@@ -35,7 +36,6 @@ from pmcperturb import (
     perturbation_function_exact,
     solve_reachability,
     total_probability,
-    validate_bounds,
 )
 
 
@@ -124,14 +124,11 @@ ZF_TABLE = ((0.749, -0.016e-3), (0.752, +0.031e-3), (0.747, -0.048e-3))
 def test_criterion_6_zeroconf_perturbed_models():
     with criterion(6, "zeroconf exact deltas (1e-6), third model flagged"):
         pmc, _, cp = zeroconf_case()
+        runs = [("given", Assignment({p.id: (back, 1.0 - back) for p in pmc.parameters}))
+                for back, _ in ZF_TABLE]
+        samples = evaluate_assignments(pmc, cp, gradient_coefficients(pmc, cp), runs)
         flags = []
-        for back, expected in ZF_TABLE:
-            assignment = Assignment({p.id: (back, 1.0 - back) for p in pmc.parameters})
-            delta_i = 2.0 * abs(back - 0.75)
-            report = validate_bounds(pmc, cp, {p.id: delta_i for p in pmc.parameters},
-                                     n_samples=0, seed=0, assignments=[assignment],
-                                     inject_extremal=False)
-            sample = report.samples[0]
+        for (_, expected), sample in zip(ZF_TABLE, samples):
             assert sample.exact == pytest.approx(expected, abs=1e-6)
             flags.append(sample.exceeds)
         assert flags[2], "the 0.747 model must be flagged as exceeding its range"

@@ -180,3 +180,40 @@ def test_validate_negative_samples(capsys):
     assert code == 1
     assert out == ""
     assert "non-negative" in err
+
+
+@pytest.mark.parametrize("delta, message", [
+    ("inf", "diameter of the simplex: {'hop': inf}"),
+    ("nan", "must be positive: {'hop': nan}"),
+    ("5", "diameter of the simplex: {'hop': 5.0}"),
+])
+def test_validate_distance_outside_simplex_diameter(capsys, delta, message):
+    code, out, err = run(capsys, "validate", FROG, "--delta", delta, "--samples", "0",
+                         "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_paper_tables_solve_count(capsys, monkeypatch):
+    """Two reference solves (one per model) and one re-solve per table row."""
+    import scipy.linalg
+
+    import pmcperturb.perturbation as perturbation
+    import pmcperturb.sampler as sampler
+
+    calls = {"gradient_coefficients": 0, "lu_factor": 0}
+
+    def counted(name, *modules):
+        fn = getattr(modules[0], name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+
+    counted("gradient_coefficients", perturbation, sampler)
+    counted("lu_factor", scipy.linalg)
+    assert run(capsys, "paper-tables", "--format", "json")[0] == 0
+    assert calls == {"gradient_coefficients": 2, "lu_factor": 2 + 3 + 6}

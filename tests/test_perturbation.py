@@ -7,6 +7,8 @@ import pytest
 from conftest import (
     assert_gradient_matches_fd,
     random_case,
+    random_problem,
+    random_sparse_pmc,
     zero_sum_direction,
 )
 from hypothesis import given, strategies as st
@@ -96,6 +98,79 @@ class TestGradient:
         for _ in range(3):
             pmc, _, cp = random_case(rng, n=5, n_params=2)
             assert_gradient_matches_fd(pmc, cp, gradient_coefficients(pmc, cp))
+
+
+def loop_coefficients(pmc, cp, gradients):
+    """``h`` by the per-position rule, one support position at a time."""
+    h = {}
+    for param in pmc.parameters:
+        row = cp.permutation[param.row - 1]
+        coeff = []
+        for col in param.support:
+            c = cp.permutation[col - 1]
+            if row > cp.n_constraint or cp.n_constraint < c < cp.destination_start:
+                coeff.append(0.0)  # row outside the constraint block, or middle column
+            elif c <= cp.n_constraint:
+                coeff.append(gradients.s[row - 1] * gradients.t[c - 1])
+            else:
+                coeff.append(gradients.s[row - 1])  # destination column
+        h[param.id] = np.array(coeff, dtype=np.float64)
+    return h
+
+
+def assert_gather_matches_loop(pmc, cp):
+    gradients = gradient_coefficients(pmc, cp)
+    expected = loop_coefficients(pmc, cp, gradients)
+    for pid, h in gradients.h.items():
+        assert h.tobytes() == expected[pid].tobytes(), (pid, h, expected[pid])
+
+
+class TestGather:
+    """``h`` as one gather, byte for byte (sign of zero included) against the loop."""
+
+    def test_random_sparse_models(self):
+        # With numpy 2.4 and scipy 1.17 this draw includes a rounding-level
+        # negative s[row] on a row with a middle-block column.
+        rng = np.random.default_rng(1310)
+        seen = {"row_middle": 0, "row_destination": 0, "column_middle": 0,
+                "zero_reference": 0, "empty_constraint": 0}
+        for index in range(600):
+            n = int(rng.integers(3, 9))
+            pmc = random_sparse_pmc(rng, n, int(rng.integers(1, n + 1)))
+            problem = random_problem(rng, n)
+            if index % 10 == 0:  # constraint block empty
+                problem = ReachabilityProblem(frozenset(), problem.destination)
+            cp = canonicalize(pmc, problem)
+            assert_gather_matches_loop(pmc, cp)
+
+            nq, d0 = cp.n_constraint, cp.destination_start
+            seen["empty_constraint"] += nq == 0
+            for param in pmc.parameters:
+                row = cp.permutation[param.row - 1]
+                seen["row_middle"] += nq < row < d0
+                seen["row_destination"] += row >= d0
+                seen["column_middle"] += any(nq < cp.permutation[c - 1] < d0
+                                             for c in param.support)
+                seen["zero_reference"] += bool((param.reference == 0.0).any())
+        assert min(seen.values()) >= 20, seen
+
+    def test_rounding_negative_visits_keep_positive_zero(self, frog, monkeypatch):
+        # s can come out a rounding-level negative; a middle-block position
+        # must still read +0.0 while the others carry the sign of s.
+        import pmcperturb.perturbation as perturbation
+
+        solve = perturbation._solve_direct
+
+        def negative_visits(a, b, weights=None):
+            t, s = solve(a, b, weights)
+            return t, np.full_like(s, -4.4e-16)
+
+        monkeypatch.setattr(perturbation, "_solve_direct", negative_visits)
+        pmc, _, cp = frog
+        assert_gather_matches_loop(pmc, cp)
+        h = gradient_coefficients(pmc, cp).h["hop"]
+        assert not np.signbit(h[2]) and h[2] == 0.0
+        assert np.signbit(h[[0, 1, 3]]).all()
 
 
 class TestConditionNumbers:

@@ -18,13 +18,13 @@ from pmcperturb import (
     NonConvergenceError,
     Pmc,
     ReachabilityProblem,
-    Role,
     SingularSystemError,
     analyze,
     build_frog,
     build_zeroconf,
     canonicalize,
     extract_system,
+    gradient_coefficients,
     instantiate,
     reach_positive_mask,
     reference_assignment,
@@ -77,11 +77,12 @@ class TestExtract:
         system = extract_system(pmc, cp)
         np.testing.assert_allclose(system.a, [[0.375, 0.125], [0.375, 0.125]])
         np.testing.assert_allclose(system.b, [0.25, 0.25])
-        roles = [v.role for v in system.placements["hop"].variables]
-        assert roles == [Role.CONSTRAINT_COLUMN, Role.CONSTRAINT_COLUMN,
-                         Role.DROPPED, Role.DESTINATION_SUM]
-        assert system.placements["hop"].variables[0].column == 1
-        assert system.placements["hop"].variables[1].column == 2
+        g = gradient_coefficients(pmc, cp)
+        # support (1, 2, 3, 4): two constraint columns, the middle state 3
+        # (in neither A nor b) and the destination sum
+        np.testing.assert_array_equal(g.h["hop"][:2], g.s[0] * g.t)
+        assert g.h["hop"][2] == 0.0
+        assert g.h["hop"][3] == g.s[0]
 
     def test_zeroconf_system(self, zeroconf):
         pmc, _, cp = zeroconf
@@ -95,18 +96,19 @@ class TestExtract:
         ])
         np.testing.assert_allclose(system.a, expected)
         np.testing.assert_allclose(system.b, [0.8, 0, 0, 0, 0])
-        last = system.placements["probe4"].variables
-        assert last[0].role is Role.CONSTRAINT_COLUMN and last[0].column == 1
-        assert last[1].role is Role.DROPPED
+        g = gradient_coefficients(pmc, cp)
+        # probe4 (row 5) returns to state 1, a constraint column, or moves
+        # on to the failure state 6 in the middle block
+        assert g.h["probe4"][0] == g.s[4] * g.t[0]
+        assert g.h["probe4"][1] == 0.0
 
     def test_parameter_outside_constraint(self):
         pmc = Pmc(n=3, initial=(0.5, 0.5, 0.0),
                   concrete_rows={1: (0.2, 0.4, 0.4), 2: (0.3, 0.3, 0.4)},
                   parameters=(DistributionParameter("q", 3, (1, 2), (0.5, 0.5)),))
         cp = canonicalize(pmc, ReachabilityProblem(frozenset({1}), frozenset({2})))
-        placement = extract_system(pmc, cp).placements["q"]
-        assert placement.row is None
-        assert placement.variables == ()
+        h = gradient_coefficients(pmc, cp).h["q"]
+        assert h.tobytes() == np.zeros(2).tobytes()
 
 
 class TestSolve:
@@ -119,7 +121,7 @@ class TestSolve:
 
     def test_zero_matrix(self):
         b = np.array([0.3, 0.0, 0.7])
-        system = LinearSystem(a=np.zeros((3, 3)), b=b, placements={})
+        system = LinearSystem(a=np.zeros((3, 3)), b=b)
         np.testing.assert_allclose(solve_reachability(system, method="series"), b)
         np.testing.assert_allclose(solve_reachability(system), b)
 
@@ -133,7 +135,7 @@ class TestSolve:
         # which also makes I - A singular before restriction
         a = np.array([[0.5, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.4]])
         b = np.array([0.3, 0.0, 0.6])
-        system = LinearSystem(a=a, b=b, placements={})
+        system = LinearSystem(a=a, b=b)
         p = solve_reachability(system)
         assert p[1] == 0.0
         assert residual(system, p) <= RESIDUAL_HARD
@@ -146,14 +148,14 @@ class TestSolve:
     def test_singular_block_reported(self):
         # not a stochastic system: I - A is exactly singular on the
         # reach-positive block, and the non-finite residual must be caught
-        system = LinearSystem(a=np.array([[1.0]]), b=np.array([0.5]), placements={})
+        system = LinearSystem(a=np.array([[1.0]]), b=np.array([0.5]))
         with pytest.raises(SingularSystemError):
             solve_reachability(system)
 
     def test_series_non_convergence(self):
         a = np.array([[0.99]])
         b = np.array([0.01])
-        system = LinearSystem(a=a, b=b, placements={})
+        system = LinearSystem(a=a, b=b)
         with pytest.raises(NonConvergenceError) as excinfo:
             solve_reachability(system, method="series", truncation=5)
         assert excinfo.value.residual > 1e-10

@@ -20,6 +20,7 @@ from pmcperturb import (
     build_zeroconf,
     condition_number_basic,
     empirical_kappa,
+    evaluate_assignments,
     extremal_perturbation,
     gradient_coefficients,
     sample_on_simplex,
@@ -140,10 +141,8 @@ class TestValidateBounds:
     def test_zeroconf_published_violation(self, zeroconf):
         pmc, _, cp = zeroconf
         assignment = Assignment({p.id: (0.747, 0.253) for p in pmc.parameters})
-        report = validate_bounds(pmc, cp, {p.id: 0.006 for p in pmc.parameters},
-                                 n_samples=0, seed=0, assignments=[assignment],
-                                 inject_extremal=False)
-        sample = report.samples[0]
+        [sample] = evaluate_assignments(pmc, cp, gradient_coefficients(pmc, cp),
+                                        [("given", assignment)])
         assert sample.label == "given"
         assert sample.exact == pytest.approx(-4.763017175250e-05, abs=1e-11)
         assert sample.bound == pytest.approx(4.6783581202e-05, abs=1e-12)
@@ -205,6 +204,44 @@ class TestValidateBounds:
                             n_samples=1, seed=0)
         with pytest.raises(MissingParameterError):
             validate_bounds(pmc, cp, {"probe1": 0.01}, n_samples=1, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [0, 3])
+    def test_distance_outside_simplex_diameter(self, zeroconf, n_samples):
+        # rejected before any sampling, whatever the sample count
+        pmc, _, cp = zeroconf
+        for bad, error in ((float("nan"), NonpositiveDeltaError),
+                           (-0.5, NonpositiveDeltaError),
+                           (float("inf"), InfeasibleDistanceError),
+                           (2.5, InfeasibleDistanceError)):
+            deltas = {p.id: 0.01 for p in pmc.parameters}
+            deltas["probe3"] = bad
+            with pytest.raises(error, match="probe3"):
+                validate_bounds(pmc, cp, deltas, n_samples=n_samples, seed=0)
+            with pytest.raises(DomainError if error is NonpositiveDeltaError else error):
+                empirical_kappa(pmc, cp, delta=bad, n_samples=n_samples, seed=0)
+        # the diameter itself is a feasible distance
+        validate_bounds(pmc, cp, {p.id: 2.0 for p in pmc.parameters}, n_samples=1, seed=0)
+
+    def test_one_reference_solve_and_one_evaluation(self, zeroconf, monkeypatch):
+        import pmcperturb.sampler as sampler
+
+        calls = {"gradient_coefficients": 0, "evaluate_assignments": 0}
+
+        def counted(name):
+            fn = getattr(sampler, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(sampler, name, wrapper)
+
+        counted("gradient_coefficients")
+        counted("evaluate_assignments")
+        pmc, _, cp = zeroconf
+        report = validate_bounds(pmc, cp, {p.id: 0.01 for p in pmc.parameters},
+                                 n_samples=7, seed=3)
+        assert calls == {"gradient_coefficients": 1, "evaluate_assignments": 1}
+        assert [s.label for s in report.samples] == ["extremal+", "extremal-"] + ["random"] * 7
 
     def test_random_case_consistency(self):
         rng = np.random.default_rng(31)
