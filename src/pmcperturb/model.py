@@ -16,9 +16,9 @@ computations downstream.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -34,18 +34,29 @@ STOCHASTIC_TOL = 1e-12
 
 
 def as_vector(values) -> np.ndarray:
-    """Coerce to a read-only 1-D float64 array."""
+    """Coerce to a read-only 1-D float64 array.
+
+    A read-only 1-D float64 array that owns its data is returned as it is:
+    it is not a view of writable memory, so sharing it is safe. Anything
+    else is copied.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1 \
+            and values.base is None and not values.flags.writeable:
+        return values
     arr = np.array(values, dtype=np.float64).reshape(-1)
     arr.flags.writeable = False
     return arr
 
 
 def is_distribution(v: np.ndarray, tol: float = STOCHASTIC_TOL) -> bool:
-    """True if ``v`` is a probability vector within absolute tolerance ``tol``."""
-    v = np.asarray(v, dtype=np.float64)
+    """True if ``v`` is a probability vector within absolute tolerance ``tol``.
+
+    For a 2-D ``v`` every row must be one. A NaN entry fails.
+    """
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     if v.size == 0:
         return False
-    return bool(v.min() >= -tol and abs(v.sum() - 1.0) <= tol)
+    return bool((v.min(axis=-1) >= -tol).all() and (abs(v.sum(axis=-1) - 1.0) <= tol).all())
 
 
 def absolute_distance(u, v) -> float:
@@ -150,6 +161,13 @@ class Assignment:
             coerced[str(pid)] = arr
         object.__setattr__(self, "vectors", coerced)
 
+    @classmethod
+    def _checked(cls, vectors: dict[str, np.ndarray]) -> "Assignment":
+        """Wrap read-only vectors that the caller has already checked on the simplex."""
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "vectors", vectors)
+        return assignment
+
     def __getitem__(self, pid: str) -> np.ndarray:
         try:
             return self.vectors[pid]
@@ -189,11 +207,13 @@ class ValidationResult:
 
 def _check_probability_vector(vec: np.ndarray, row: int | None, what: str,
                               out: list[Violation]) -> None:
-    if vec.size and vec.min() < -STOCHASTIC_TOL:
-        idx = int(np.argmin(vec))
+    # Written so that a NaN fails both checks: every comparison with NaN is false.
+    if vec.size and not vec.min() >= -STOCHASTIC_TOL:
+        idx = int(np.argmin(vec))  # the first NaN, if there is one
+        sort = "negative" if vec[idx] < 0.0 else "NaN"
         out.append(Violation(ViolationKind.NEGATIVE_ENTRY, row,
-                             f"{what} has negative entry {vec[idx]!r} at position {idx + 1}"))
-    if abs(vec.sum() - 1.0) > STOCHASTIC_TOL:
+                             f"{what} has {sort} entry {vec[idx]!r} at position {idx + 1}"))
+    if not abs(vec.sum() - 1.0) <= STOCHASTIC_TOL:
         out.append(Violation(ViolationKind.ROW_NOT_STOCHASTIC, row,
                              f"{what} sums to {vec.sum()!r}, expected 1"))
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ModelSchemaError, ModelSyntaxError, ModelValidationError
 from .model import DistributionParameter, Pmc, validate_pmc
 from .perturbation import Direction
@@ -53,11 +55,16 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ModelSchemaError(f"{where}: missing field(s) {sorted(missing)}")
 
 
-def _number_list(value, where: str) -> list[float]:
+def _number_list(value, where: str) -> np.ndarray:
     # json.loads yields only builtin types, so exact types reject bools too.
     if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
         raise ModelSchemaError(f"{where}: expected a list of numbers")
-    return list(map(float, value))
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the double range
+        raise ModelSchemaError(f"{where}: a number is too large for a double") from None
+    arr.flags.writeable = False  # read-only, so the model shares it instead of copying
+    return arr
 
 
 def _int_list(value, where: str) -> list[int]:
@@ -99,7 +106,7 @@ def parse_model(text: str) -> ParsedModel:
     if len(rows) != n:
         raise ModelSchemaError(f"rows: expected {n} entries, got {len(rows)}")
 
-    concrete_rows: dict[int, list[float]] = {}
+    concrete_rows: dict[int, np.ndarray] = {}
     parameters: list[DistributionParameter] = []
     for index, row in enumerate(rows):
         where = f"rows[{index}]"
@@ -156,7 +163,8 @@ def parse_model(text: str) -> ParsedModel:
         weights = block["weights"]
         if not isinstance(weights, dict) or not set(map(type, weights.values())) <= {int, float}:
             raise ModelSchemaError("direction.weights: expected an object of numbers")
-        direction = Direction({k: float(v) for k, v in weights.items()})
+        values = _number_list(list(weights.values()), "direction.weights")
+        direction = Direction(dict(zip(weights, values.tolist())))
 
     return ParsedModel(pmc=pmc, problem=problem, direction=direction)
 

@@ -39,7 +39,6 @@ from .errors import (
     ArityMismatchError,
     DirectionMismatchError,
     EmptyVectorError,
-    MissingParameterError,
     NonpositiveDeltaError,
     UnknownParameterError,
     WeightsNotNormalizedError,
@@ -94,16 +93,20 @@ class GradientSet:
 
 @dataclass(frozen=True)
 class Direction:
-    """Normalized weights splitting a perturbation budget across parameters."""
+    """Normalized weights splitting a perturbation budget across parameters.
+
+    A model without parameters has one direction, the empty one.
+    """
 
     weights: Mapping[str, float]
 
     def __post_init__(self):
         weights = {str(k): float(v) for k, v in dict(self.weights).items()}
-        if any(w < 0.0 or w > 1.0 + STOCHASTIC_TOL for w in weights.values()):
+        # Written so that a NaN weight fails: every comparison with NaN is false.
+        if not all(0.0 <= w <= 1.0 + STOCHASTIC_TOL for w in weights.values()):
             raise WeightsNotNormalizedError(f"direction weights outside [0, 1]: {weights}")
         total = sum(weights.values())
-        if abs(total - 1.0) > STOCHASTIC_TOL:
+        if weights and not abs(total - 1.0) <= STOCHASTIC_TOL:
             raise WeightsNotNormalizedError(
                 f"direction weights sum to {total!r}, expected 1")
         object.__setattr__(self, "weights", weights)
@@ -111,8 +114,6 @@ class Direction:
     @classmethod
     def uniform(cls, ids) -> "Direction":
         ids = list(ids)
-        if not ids:
-            raise EmptyVectorError("cannot build a uniform direction over no parameters")
         return cls({pid: 1.0 / len(ids) for pid in ids})
 
 

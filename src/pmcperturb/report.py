@@ -21,7 +21,6 @@ import os
 import sys
 
 from .example_models import build_frog, build_zeroconf
-from .model import Assignment
 from .perturbation import SensitivityReport, analyze
 from .reachability import ReachabilityProblem, canonicalize
 from .sampler import ValidationReport, evaluate_assignments
@@ -130,7 +129,7 @@ def validation_record(report: ValidationReport, model_hash: str,
         "samples": [
             {
                 "label": s.label,
-                "assignment": {pid: list(map(float, vec))
+                "assignment": {pid: vec.tolist()
                                for pid, vec in s.assignment.vectors.items()},
                 "distances": dict(s.distances),
                 "distance": s.distance,
@@ -189,10 +188,11 @@ def reference_tables_record() -> dict:
     """Both case-study tables as one machine-readable record (values x 1e3)."""
     zf_pmc, zf_problem = build_zeroconf(a=0.2, loss_ref=0.25)
     zf = analyze(zf_pmc, zf_problem)
-    zf_runs = [("given", Assignment({p.id: (back, 1.0 - back) for p in zf_pmc.parameters}))
-               for back in _ZF_PERTURBED]
+    zf_vectors = {p.id: [(back, 1.0 - back) for back in _ZF_PERTURBED]
+                  for p in zf_pmc.parameters}
     zf_samples = evaluate_assignments(zf_pmc, canonicalize(zf_pmc, zf_problem),
-                                      zf.gradients, zf_runs)
+                                      zf.gradients, ["given"] * len(_ZF_PERTURBED),
+                                      zf_vectors)
     zf_rows = []
     for back, sample in zip(_ZF_PERTURBED, zf_samples):
         delta_i = 2.0 * abs(back - 0.75)
@@ -206,9 +206,9 @@ def reference_tables_record() -> dict:
 
     fg_pmc, fg_problem = build_frog()
     fg = analyze(fg_pmc, fg_problem)
-    fg_runs = [("given", Assignment({"hop": dist})) for dist in _FG_PERTURBED]
     fg_samples = evaluate_assignments(fg_pmc, canonicalize(fg_pmc, fg_problem),
-                                      fg.gradients, fg_runs)
+                                      fg.gradients, ["given"] * len(_FG_PERTURBED),
+                                      {"hop": _FG_PERTURBED})
     fg_rows = []
     for dist, sample in zip(_FG_PERTURBED, fg_samples):
         delta = sum(abs(x - r) for x, r in zip(dist, (0.375, 0.125, 0.25, 0.25)))

@@ -8,6 +8,17 @@ of the reference is at least ``Delta/2`` from the simplex boundary no
 clipping occurs and the achieved distance is exactly ``Delta``; otherwise
 it may fall short, never above.
 
+One draw takes three vector calls on the generator: uniform keys, whose
+ranks give the bipartition (the lowest ``cut`` ranks gain mass), the
+``cut`` from ``integers(1, arity)``, and standard exponentials, which
+normalise over each side to a Dirichlet(1) split of ``Delta/2``. A
+validation run draws every parameter of one arity with those three calls
+per sample, then clips and rescales all samples as one array;
+:func:`sample_on_simplex` is the same move for a batch of one. This is the
+same distribution as an earlier per-vector draw (``permutation``,
+``integers``, two ``dirichlet`` calls), but a given seed gives different
+vectors than that draw did.
+
 Extremal perturbations move ``+Delta/2`` onto the support position with the
 largest linear coefficient and ``-Delta/2`` off the smallest (lowest index
 on ties); they realize the condition-number bound up to a quadratic
@@ -16,23 +27,25 @@ supremum is not an underestimate by sampling luck.
 
 Every evaluated assignment, sampled, extremal or given by the caller (the
 published perturbed models), goes through :func:`evaluate_assignments`,
-which measures it against a reference solve the caller already holds.
-Requested distances must lie in ``(0, 2]``, the diameter of the simplex in
-this distance; others are rejected before anything is sampled.
+which takes them as one batch per parameter and measures them against a
+reference solve the caller already holds. Requested distances must lie in
+``(0, 2]``, the diameter of the simplex in this distance; others are
+rejected before anything is sampled.
 
 Randomness for sample ``k`` of a run derives from ``(seed, k)``, so results
-do not depend on evaluation order and identical seeds give bit-identical
-reports.
+do not depend on evaluation order or run size, and identical seeds give
+bit-identical reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    ArityMismatchError,
     BadIndicesError,
     DomainError,
     EmptyVectorError,
@@ -41,10 +54,11 @@ from .errors import (
     NonpositiveDeltaError,
     SimplexViolationError,
 )
-from .model import Assignment, Pmc, absolute_distance, as_vector, reference_assignment
-from .perturbation import GradientSet, condition_number_basic, gradient_coefficients, linear_estimate
+from .model import Assignment, DistributionParameter, Pmc, as_vector, is_distribution
+from .perturbation import GradientSet, condition_number_basic, gradient_coefficients
 from .reachability import (
     CanonicalProblem,
+    LinearSystem,
     constrained_initial,
     extract_system,
     solve_reachability,
@@ -134,6 +148,32 @@ def extremal_perturbation(reference, delta: float, i1: int, i2: int) -> np.ndarr
     return as_vector(v)
 
 
+def _draw(rng: np.random.Generator, count: int, arity: int):
+    """Keys, cuts and exponentials for ``count`` vectors of one arity (three calls)."""
+    return (rng.random((count, arity)), rng.integers(1, arity, size=count),
+            rng.standard_exponential((count, arity)))
+
+
+def _spread(reference, half, keys, cuts, exps) -> np.ndarray:
+    """Clip-and-rescale move over ``(..., arity)`` arrays (module docstring).
+
+    The ``cuts`` lowest-ranked ``keys`` of a row gain mass and the rest lose
+    it; ``exps`` split ``half`` over each side. A row whose common feasible
+    mass is not positive keeps the reference.
+    """
+    gain = np.argsort(np.argsort(keys, axis=-1), axis=-1) < cuts[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        add = np.where(gain, exps, 0.0)
+        sub = np.where(gain, 0.0, exps)
+        add = np.minimum(add / add.sum(axis=-1, keepdims=True) * half, 1.0 - reference)
+        sub = np.minimum(sub / sub.sum(axis=-1, keepdims=True) * half, reference)
+        add_mass = add.sum(axis=-1, keepdims=True)
+        sub_mass = sub.sum(axis=-1, keepdims=True)
+        mass = np.minimum(add_mass, sub_mass)
+        moved = reference + add * (mass / add_mass) - sub * (mass / sub_mass)
+    return np.where(mass > 0.0, np.clip(moved, 0.0, 1.0), reference)
+
+
 def sample_on_simplex(reference, delta: float, rng: np.random.Generator) -> np.ndarray:
     """Random simplex vector at absolute distance ``delta`` from ``reference``.
 
@@ -152,57 +192,57 @@ def sample_on_simplex(reference, delta: float, rng: np.random.Generator) -> np.n
     if delta > 2.0:
         raise InfeasibleDistanceError(f"no probability vectors at distance {delta!r} > 2")
     r = np.asarray(reference, dtype=np.float64).reshape(-1)
-    k = r.size
-    if k < 2:
+    if r.size < 2:
         return as_vector(r)
-
-    half = delta / 2.0
-    perm = rng.permutation(k)
-    cut = int(rng.integers(1, k))
-    gain, lose = perm[:cut], perm[cut:]
-    add = np.zeros(k)
-    sub = np.zeros(k)
-    add[gain] = rng.dirichlet(np.ones(gain.size)) * half
-    sub[lose] = rng.dirichlet(np.ones(lose.size)) * half
-    add = np.minimum(add, 1.0 - r)
-    sub = np.minimum(sub, r)
-    mass = min(add.sum(), sub.sum())
-    if mass <= 0.0:
-        return as_vector(r)
-    v = r + add * (mass / add.sum()) - sub * (mass / sub.sum())
-    return as_vector(np.clip(v, 0.0, 1.0))
+    return as_vector(_spread(r, delta / 2.0, *_draw(rng, 1, r.size))[0])
 
 
-def _extremal_indices(h: np.ndarray) -> tuple[int, int]:
-    """1-based (argmax, argmin) of the coefficient vector, lowest index on ties."""
-    return int(np.argmax(h)) + 1, int(np.argmin(h)) + 1
+def _random_rows(params: Sequence[DistributionParameter], deltas: Mapping[str, float],
+                 seed: int, indices: Iterable[int]) -> dict[str, np.ndarray]:
+    """Random vectors of ``params``, one row per sample index ``k``.
 
-
-def _extremal_assignments(pmc: Pmc, gradients: GradientSet,
-                          deltas: Mapping[str, float]) -> list[tuple[str, Assignment]]:
-    """The two joint extremal assignments (+ and -), skipping infeasible moves.
-
-    Parameters absent from ``deltas`` keep their references.
+    Sample ``k`` draws from the generator keyed ``[seed, k]``: all parameters
+    of one arity at once, in ascending arity. Each parameter moves by its
+    distance in ``deltas``; single-entry parameters keep their references.
     """
-    out = []
-    for label, swap in (("extremal+", False), ("extremal-", True)):
-        vectors = {}
-        for param in pmc.parameters:
-            vectors[param.id] = param.reference
-            if param.arity < 2 or param.id not in deltas:
-                continue
-            i1, i2 = _extremal_indices(gradients.h[param.id])
-            if i1 == i2:
-                continue
-            if swap:
-                i1, i2 = i2, i1
+    indices = list(indices)
+    groups: dict[int, list[DistributionParameter]] = {}
+    for param in params:
+        groups.setdefault(param.arity, []).append(param)
+    moving = sorted(arity for arity in groups if arity >= 2)
+    keys = {a: np.empty((len(indices), len(groups[a]), a)) for a in moving}
+    cuts = {a: np.empty((len(indices), len(groups[a])), dtype=np.int64) for a in moving}
+    exps = {a: np.empty((len(indices), len(groups[a]), a)) for a in moving}
+    for i, k in enumerate(indices):
+        rng = np.random.default_rng([seed, k])
+        for a in moving:
+            keys[a][i], cuts[a][i], exps[a][i] = _draw(rng, len(groups[a]), a)
+
+    out = {p.id: np.tile(p.reference, (len(indices), 1)) for p in groups.get(1, ())}
+    for a in moving:
+        members = groups[a]
+        references = np.stack([p.reference for p in members])
+        half = np.array([deltas[p.id] / 2.0 for p in members])[:, None]
+        moved = _spread(references, half, keys[a], cuts[a], exps[a])
+        out.update((p.id, moved[:, j]) for j, p in enumerate(members))
+    return out
+
+
+def _extremal_rows(param: DistributionParameter, h: np.ndarray, delta: float) -> np.ndarray:
+    """The ``+`` and ``-`` extremal moves of one parameter, as two rows.
+
+    A move that would leave the simplex, or that has nowhere to go, keeps
+    the reference.
+    """
+    rows = [param.reference, param.reference]
+    i1, i2 = int(np.argmax(h)) + 1, int(np.argmin(h)) + 1  # lowest index on ties
+    if i1 != i2:
+        for k, (gain, lose) in enumerate(((i1, i2), (i2, i1))):
             try:
-                vectors[param.id] = extremal_perturbation(
-                    param.reference, deltas[param.id], i1, i2)
+                rows[k] = extremal_perturbation(param.reference, delta, gain, lose)
             except SimplexViolationError:
                 pass
-        out.append((label, Assignment(vectors)))
-    return out
+    return np.stack(rows)
 
 
 def _check_run(pmc: Pmc, n_samples: int) -> None:
@@ -234,44 +274,128 @@ def empirical_kappa(pmc: Pmc, cp: CanonicalProblem, delta: float,
     if delta > 2.0:
         raise InfeasibleDistanceError(f"no probability vectors at distance {delta!r} > 2")
     gradients = gradient_coefficients(pmc, cp)
-    references = reference_assignment(pmc).vectors
     params = pmc.parameters
-    runs = [run for param in params
-            for run in _extremal_assignments(pmc, gradients, {param.id: delta})]
-    for index in range(n_samples):
-        param = params[index % len(params)]
-        rng = np.random.default_rng([seed, index])
-        v = sample_on_simplex(param.reference, delta, rng)
-        runs.append(("random", Assignment({**references, param.id: v})))
-    return max(abs(x.exact) / delta for x in evaluate_assignments(pmc, cp, gradients, runs))
+    count = len(params)
+    labels = ["extremal+", "extremal-"] * count + ["random"] * n_samples
+    vectors = {}
+    for j, param in enumerate(params):
+        rows = np.tile(param.reference, (len(labels), 1))
+        rows[2 * j:2 * j + 2] = _extremal_rows(param, gradients.h[param.id], delta)
+        drawn = _random_rows([param], {param.id: delta}, seed, range(j, n_samples, count))
+        rows[2 * count + j::count] = drawn[param.id]
+        vectors[param.id] = rows
+    samples = evaluate_assignments(pmc, cp, gradients, labels, vectors)
+    return max(abs(x.exact) / delta for x in samples)
+
+
+def _exact_deltas(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
+                  batch: Mapping[str, np.ndarray], count: int) -> list[float]:
+    """Exact delta of every sample, by one re-solve of the patched reference system.
+
+    Only the parameter rows of the constraint block change between samples:
+    their ``A`` entries are overwritten and their ``b`` entries rebuilt as the
+    sum of the destination-ordered row segment, as :func:`extract_system`
+    sums it. Each patched ``(A, b)`` is bit-identical to
+    ``extract_system(pmc, cp, assignment)``, and so is its solution.
+    """
+    reference = extract_system(pmc, cp)
+    a, b = np.array(reference.a), np.array(reference.b)
+    nq, d0 = cp.n_constraint, cp.destination_start - 1
+    pos = np.asarray(cp.permutation, dtype=np.intp) - 1
+    a_rows, a_cols, b_rows = [], [], []
+    a_values, b_values = [np.empty((count, 0))], [np.empty((count, 0))]
+    for param in pmc.parameters:
+        row = pos[param.row - 1]
+        if row >= nq:
+            continue
+        cols = pos[np.asarray(param.support, dtype=np.intp) - 1]
+        rows = batch[param.id]
+        inner, outer = cols < nq, cols >= d0
+        a_rows += [row] * int(inner.sum())
+        a_cols += cols[inner].tolist()
+        a_values.append(rows[:, inner])
+        segment = np.zeros((count, cp.n - d0))
+        segment[:, cols[outer] - d0] = rows[:, outer]
+        b_rows.append(row)
+        b_values.append(segment.sum(axis=1, keepdims=True))
+    a_index = (np.array(a_rows, dtype=np.intp), np.array(a_cols, dtype=np.intp))
+    b_index = np.array(b_rows, dtype=np.intp)
+    a_values, b_values = np.hstack(a_values), np.hstack(b_values)
+
+    iota_c = constrained_initial(pmc, cp)
+    reference_value = float(iota_c @ gradients.t)
+    exact = []
+    for k in range(count):
+        a[a_index] = a_values[k]
+        b[b_index] = b_values[k]
+        solution = solve_reachability(LinearSystem(a=a, b=b))
+        exact.append(float(iota_c @ solution) - reference_value)
+    return exact
 
 
 def evaluate_assignments(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
-                         runs: Iterable[tuple[str, Assignment]]) -> list[PerturbationSample]:
-    """Measure labelled assignments against the reference solve in ``gradients``.
+                         labels: Sequence[str],
+                         vectors: Mapping[str, object]) -> list[PerturbationSample]:
+    """Measure a batch of labelled assignments against the reference solve in ``gradients``.
 
-    For each ``(label, assignment)`` pair the result holds the achieved
-    per-parameter distances, the exact delta (one re-solve), the linear
-    estimate and the bound ``sum_i kappa_i * Delta_i`` at those distances.
-    ``gradients`` must come from :func:`gradient_coefficients` on the same
-    ``pmc`` and ``cp``.
+    ``vectors[pid]`` holds one row per label: the vector assigned to
+    parameter ``pid`` in that sample. Each parameter's rows are checked on
+    the simplex once, as a batch. For each sample the result holds the
+    achieved per-parameter distances, the exact delta (one re-solve), the
+    linear estimate and the bound ``sum_i kappa_i * Delta_i`` at those
+    distances. ``gradients`` must come from :func:`gradient_coefficients` on
+    the same ``pmc`` and ``cp``.
+
+    Raises:
+        MissingParameterError: ``vectors`` misses a parameter.
+        ArityMismatchError: a parameter's rows are not ``len(labels)`` by its arity.
+        SimplexViolationError: some row is not a probability vector.
     """
-    kappas = {pid: condition_number_basic(h) for pid, h in gradients.h.items()}
-    iota_c = constrained_initial(pmc, cp)
-    reference_value = float(iota_c @ gradients.t)
-    samples = []
-    for label, assignment in runs:
-        distances = {p.id: absolute_distance(assignment[p.id], p.reference)
-                     for p in pmc.parameters}
-        solution = solve_reachability(extract_system(pmc, cp, assignment))
-        value = float(iota_c @ solution) - reference_value
-        bound = sum(kappas[pid] * d for pid, d in distances.items())
-        samples.append(PerturbationSample(
-            label=label, assignment=assignment, distances=distances,
-            distance=sum(distances.values()), exact=value,
-            linear=linear_estimate(gradients, assignment), bound=bound,
-            exceeds=abs(value) > bound))
-    return samples
+    labels = list(labels)
+    count = len(labels)
+    if not count:
+        return []
+    params = pmc.parameters
+    batch = {}
+    for param in params:
+        if param.id not in vectors:
+            raise MissingParameterError(f"assignments miss parameter {param.id!r}")
+        rows = np.array(vectors[param.id], dtype=np.float64)
+        if rows.shape != (count, param.arity):
+            raise ArityMismatchError(
+                f"assignments for {param.id!r} have shape {rows.shape}, "
+                f"expected {(count, param.arity)}")
+        if not is_distribution(rows):
+            raise SimplexViolationError(
+                f"an assignment for parameter {param.id!r} is not a probability vector")
+        rows.flags.writeable = False
+        batch[param.id] = rows
+
+    # Reductions over the batch, accumulated over parameters in model order
+    # as the per-sample sums did, so distances and bounds keep their bits.
+    distances = {}
+    distance = np.zeros(count)
+    bound = np.zeros(count)
+    linear = np.zeros(count)
+    for param in params:
+        rows, h = batch[param.id], gradients.h[param.id]
+        distances[param.id] = np.abs(rows - param.reference).sum(axis=1)
+        distance = distance + distances[param.id]
+        bound = bound + condition_number_basic(h) * distances[param.id]
+        linear = linear + (rows - param.reference) @ h
+    exact = _exact_deltas(pmc, cp, gradients, batch, count)
+
+    distances = {pid: d.tolist() for pid, d in distances.items()}
+    return [
+        PerturbationSample(
+            label=label,
+            assignment=Assignment._checked({pid: rows[k] for pid, rows in batch.items()}),
+            distances={pid: d[k] for pid, d in distances.items()},
+            distance=total, exact=value, linear=estimate, bound=limit,
+            exceeds=abs(value) > limit)
+        for k, (label, total, value, estimate, limit) in enumerate(
+            zip(labels, distance.tolist(), exact, linear.tolist(), bound.tolist()))
+    ]
 
 
 def validate_bounds(pmc: Pmc, cp: CanonicalProblem, deltas: Mapping[str, float],
@@ -281,8 +405,8 @@ def validate_bounds(pmc: Pmc, cp: CanonicalProblem, deltas: Mapping[str, float],
 
     Evaluates the two joint extremal moves and then ``n_samples`` random
     assignments moving every parameter ``i`` by (up to) ``deltas[i]``, all
-    through :func:`evaluate_assignments` against one reference solve, and
-    reports samples whose exact delta exceeds the bound. Violations are
+    in one :func:`evaluate_assignments` batch against one reference solve,
+    and reports samples whose exact delta exceeds the bound. Violations are
     reported, never raised.
 
     Raises:
@@ -305,13 +429,12 @@ def validate_bounds(pmc: Pmc, cp: CanonicalProblem, deltas: Mapping[str, float],
             f"{requested}")
 
     gradients = gradient_coefficients(pmc, cp)
-    runs = _extremal_assignments(pmc, gradients, requested)
-    for index in range(n_samples):
-        rng = np.random.default_rng([seed, index])
-        vectors = {p.id: sample_on_simplex(p.reference, requested[p.id], rng)
-                   for p in pmc.parameters}
-        runs.append(("random", Assignment(vectors)))
-    samples = evaluate_assignments(pmc, cp, gradients, runs)
+    drawn = _random_rows(pmc.parameters, requested, seed, range(n_samples))
+    vectors = {p.id: np.concatenate([_extremal_rows(p, gradients.h[p.id], requested[p.id]),
+                                     drawn[p.id]])
+               for p in pmc.parameters}
+    labels = ["extremal+", "extremal-"] + ["random"] * n_samples
+    samples = evaluate_assignments(pmc, cp, gradients, labels, vectors)
 
     kappas = {p.id: condition_number_basic(gradients.h[p.id]) for p in pmc.parameters}
     requested_bound = sum(kappas[pid] * requested[pid] for pid in kappas)

@@ -124,9 +124,9 @@ ZF_TABLE = ((0.749, -0.016e-3), (0.752, +0.031e-3), (0.747, -0.048e-3))
 def test_criterion_6_zeroconf_perturbed_models():
     with criterion(6, "zeroconf exact deltas (1e-6), third model flagged"):
         pmc, _, cp = zeroconf_case()
-        runs = [("given", Assignment({p.id: (back, 1.0 - back) for p in pmc.parameters}))
-                for back, _ in ZF_TABLE]
-        samples = evaluate_assignments(pmc, cp, gradient_coefficients(pmc, cp), runs)
+        vectors = {p.id: [(back, 1.0 - back) for back, _ in ZF_TABLE] for p in pmc.parameters}
+        samples = evaluate_assignments(pmc, cp, gradient_coefficients(pmc, cp),
+                                       ["given"] * len(ZF_TABLE), vectors)
         flags = []
         for (_, expected), sample in zip(ZF_TABLE, samples):
             assert sample.exact == pytest.approx(expected, abs=1e-6)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,6 +176,51 @@ def test_validate_parameter_free_model(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "no distribution parameters" in err
+
+
+def test_sensitivity_parameter_free_model(capsys, tmp_path):
+    model = parameter_free_frog(tmp_path)
+    code, out, _ = run(capsys, "sensitivity", model, "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["probability"] == 0.5
+    assert record["parameters"] == [] and record["direction"] == {}
+    assert record["kappa_directional"] == 0.0 and record["kappa_sum"] == 0.0
+    code, out, _ = run(capsys, "sensitivity", model)
+    assert code == 0
+    assert "referential probability: 0.500000" in out
+    assert "kappa_w   = 0 " in out and "kappa_sum = 0 " in out
+
+
+@pytest.mark.parametrize("where, place", [
+    ("initial distribution", lambda doc: doc["initial"].__setitem__(0, float("nan"))),
+    ("(row 3): row 3", lambda doc: doc["rows"][2]["concrete"].__setitem__(1, float("nan"))),
+    ("(row 1): reference of parameter 'hop'",
+     lambda doc: doc["rows"][0]["reference"].__setitem__(2, float("nan"))),
+])
+def test_nan_entry_is_an_invalid_model(capsys, tmp_path, where, place):
+    doc = json.loads(Path(FROG).read_text())
+    place(doc)
+    path = tmp_path / "nan.model"
+    path.write_text(json.dumps(doc))  # json writes the NaN as a bare NaN token
+    for command in ("check", "sensitivity", "validate"):
+        argv = [command, str(path)] + (["--delta", "0.01"] if command == "validate" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1, command
+        assert out == ""
+        assert "invalid model" in err and where in err and "nan" in err
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # Every command pays for every module `import pmcperturb.cli` loads.
+    probe = ("import sys, pmcperturb.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+             "[['scipy', s] for s in ('optimize', 'sparse', 'stats', 'special')]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"
 
 
 def test_validate_negative_samples(capsys):

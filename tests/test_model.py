@@ -225,3 +225,28 @@ class TestAbsoluteDistance:
         assert duv <= 2.0 + 1e-12
         assert duv >= 0.0
         assert duv <= absolute_distance(u, w) + absolute_distance(w, v) + 1e-12
+
+
+class TestAsVector:
+    def test_shares_only_read_only_arrays_that_own_their_data(self):
+        from pmcperturb.model import as_vector
+
+        owned = np.array([0.25, 0.75])
+        owned.flags.writeable = False
+        assert as_vector(owned) is owned
+        writable = np.array([0.25, 0.75])
+        view = writable[:]
+        view.flags.writeable = False
+        for values in (writable, view, [0.25, 0.75], np.array([[0.25, 0.75]])):
+            vector = as_vector(values)
+            assert vector is not values and not np.shares_memory(vector, writable)
+            assert not vector.flags.writeable and vector.tolist() == [0.25, 0.75]
+
+    def test_is_distribution_rows_and_nan(self):
+        from pmcperturb.model import is_distribution
+
+        assert is_distribution([[0.5, 0.5], [1.0, 0.0]])
+        assert not is_distribution([[0.5, 0.5], [0.6, 0.6]])
+        assert not is_distribution([[0.5, 0.5], [1.5, -0.5]])
+        assert not is_distribution([0.5, float("nan")])
+        assert not is_distribution(np.empty((0, 2)))

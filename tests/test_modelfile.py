@@ -155,3 +155,14 @@ def test_direction_weights_reject_non_numbers(bad):
     doc["direction"] = {"weights": {"hop": bad}}
     with pytest.raises(ModelSchemaError, match="direction.weights"):
         parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, place", [
+    ("initial", lambda doc, x: doc["initial"].__setitem__(0, x)),
+    ("direction.weights", lambda doc, x: doc.__setitem__("direction", {"weights": {"hop": x}})),
+])
+def test_integer_beyond_double_range(field, place):
+    doc = frog_doc()
+    place(doc, 10 ** 400)
+    with pytest.raises(ModelSchemaError, match=rf"^{field}: a number is too large"):
+        parse_model(json.dumps(doc))

@@ -24,8 +24,6 @@ from pmcperturb import (
     ReachabilityProblem,
     UnknownParameterError,
     WeightsNotNormalizedError,
-    build_frog,
-    build_zeroconf,
     canonicalize,
     condition_number_basic,
     condition_number_directional,
@@ -223,6 +221,12 @@ class TestConditionNumbers:
             Direction({"probe1": 0.6, "probe2": 0.6})
         with pytest.raises(WeightsNotNormalizedError):
             Direction({"probe1": 1.5, "probe2": -0.5})
+
+    def test_nan_weights_rejected_and_empty_direction(self):
+        for weights in ({"p": float("nan")}, {"p": 1.0, "q": float("nan")}):
+            with pytest.raises(WeightsNotNormalizedError):
+                Direction(weights)
+        assert Direction.uniform([]).weights == {}
 
     def test_parameterwise(self, frog, zeroconf):
         pmc, _, cp = frog

@@ -21,13 +21,10 @@ from pmcperturb import (
     SingularSystemError,
     analyze,
     build_frog,
-    build_zeroconf,
     canonicalize,
     extract_system,
     gradient_coefficients,
-    instantiate,
     reach_positive_mask,
-    reference_assignment,
     solve_reachability,
     total_probability,
     validate_bounds,

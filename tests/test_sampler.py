@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import random_case
+from conftest import random_case, random_problem, random_sparse_pmc
 
 from pmcperturb import (
+    ArityMismatchError,
     Assignment,
     BadIndicesError,
     DomainError,
@@ -15,15 +16,21 @@ from pmcperturb import (
     MissingParameterError,
     NonpositiveDeltaError,
     Pmc,
+    ReachabilityProblem,
     SimplexViolationError,
     absolute_distance,
-    build_zeroconf,
+    canonicalize,
     condition_number_basic,
+    constrained_initial,
     empirical_kappa,
     evaluate_assignments,
+    extract_system,
     extremal_perturbation,
     gradient_coefficients,
+    linear_estimate,
+    reach_positive_mask,
     sample_on_simplex,
+    solve_reachability,
     validate_bounds,
 )
 
@@ -140,9 +147,8 @@ class TestEmpiricalKappa:
 class TestValidateBounds:
     def test_zeroconf_published_violation(self, zeroconf):
         pmc, _, cp = zeroconf
-        assignment = Assignment({p.id: (0.747, 0.253) for p in pmc.parameters})
-        [sample] = evaluate_assignments(pmc, cp, gradient_coefficients(pmc, cp),
-                                        [("given", assignment)])
+        [sample] = evaluate_assignments(pmc, cp, gradient_coefficients(pmc, cp), ["given"],
+                                        {p.id: [(0.747, 0.253)] for p in pmc.parameters})
         assert sample.label == "given"
         assert sample.exact == pytest.approx(-4.763017175250e-05, abs=1e-11)
         assert sample.bound == pytest.approx(4.6783581202e-05, abs=1e-12)
@@ -252,3 +258,142 @@ class TestValidateBounds:
                                  n_samples=50, seed=13)
         assert report.kappa_sum == pytest.approx(kappa_sum, abs=1e-15)
         assert report.empirical_kappa <= kappa_sum * (1 + report.slack) + 1e-12
+
+
+def direct_resolve(pmc, cp, assignment):
+    """Exact delta by the direct re-solve of the instantiated system."""
+    iota_c = constrained_initial(pmc, cp)
+    reference = float(iota_c @ solve_reachability(extract_system(pmc, cp)))
+    return float(iota_c @ solve_reachability(extract_system(pmc, cp, assignment))) - reference
+
+
+def assert_sample_matches_direct_resolve(pmc, cp, gradients, sample):
+    assignment = Assignment(sample.assignment.vectors)
+    distances = {p.id: absolute_distance(assignment[p.id], p.reference)
+                 for p in pmc.parameters}
+    kappas = {pid: condition_number_basic(h) for pid, h in gradients.h.items()}
+    assert sample.exact == direct_resolve(pmc, cp, assignment)
+    assert sample.distances == distances
+    assert sample.distance == sum(distances.values())
+    assert sample.bound == sum(kappas[pid] * d for pid, d in distances.items())
+    assert abs(sample.linear - linear_estimate(gradients, assignment)) <= 1e-15
+
+
+def support_moves(rng, reference):
+    """A zero-reference entry moved off 0, and a positive entry cleared to 0.
+
+    Either is ``None`` when the reference has no such entries.
+    """
+    positive = np.flatnonzero(reference > 0.0)
+    zero = np.flatnonzero(reference == 0.0)
+    raised = cleared = None
+    if zero.size:
+        raised = reference.copy()
+        i, j = rng.choice(positive), rng.choice(zero)
+        mass = reference[i] * rng.uniform(0.1, 1.0)
+        raised[i] -= mass
+        raised[j] += mass
+    if positive.size >= 2:
+        cleared = reference.copy()
+        i, j = rng.choice(positive, size=2, replace=False)
+        cleared[j] += cleared[i]
+        cleared[i] = 0.0
+    return raised, cleared
+
+
+class TestBatchEvaluation:
+    def test_published_models_match_direct_resolve(self, frog, zeroconf):
+        for pmc, _, cp in (frog, zeroconf):
+            gradients = gradient_coefficients(pmc, cp)
+            report = validate_bounds(pmc, cp, {p.id: 0.02 for p in pmc.parameters},
+                                     n_samples=40, seed=17)
+            for sample in report.samples:
+                assert_sample_matches_direct_resolve(pmc, cp, gradients, sample)
+
+    def test_sparse_models_match_direct_resolve(self):
+        # Random sparse models: zero entries, absorbing and dead-end states, and
+        # samples that move a reference-zero entry off 0 or clear a positive
+        # entry, both of which can change the reach-positive mask.
+        rng = np.random.default_rng(1304)
+        mask_changes = {"raised": 0, "cleared": 0}
+        for draw in range(200):
+            n = int(rng.integers(3, 9)) if draw % 4 else int(rng.integers(12, 25))
+            pmc = random_sparse_pmc(rng, n, int(rng.integers(1, min(n, 4) + 1)))
+            problem = random_problem(rng, n)
+            if not draw % 4:
+                # many destination states, so b sums long row segments
+                states = rng.permutation(n) + 1
+                problem = ReachabilityProblem(frozenset(states[:n // 2].tolist()),
+                                              frozenset(states[n // 2:].tolist()))
+            cp = canonicalize(pmc, problem)
+            gradients = gradient_coefficients(pmc, cp)
+            reference = extract_system(pmc, cp)
+            reference_mask = reach_positive_mask(reference.a, reference.b)
+            report = validate_bounds(pmc, cp, {p.id: 0.1 for p in pmc.parameters},
+                                     n_samples=3, seed=draw)
+            samples = list(report.samples)
+            for param in pmc.parameters:
+                for kind, moved in zip(("raised", "cleared"),
+                                       support_moves(rng, param.reference)):
+                    if moved is None:
+                        continue
+                    vectors = {p.id: [moved if p is param else p.reference]
+                               for p in pmc.parameters}
+                    [sample] = evaluate_assignments(pmc, cp, gradients, [kind], vectors)
+                    samples.append(sample)
+                    system = extract_system(pmc, cp, Assignment(sample.assignment.vectors))
+                    if (reach_positive_mask(system.a, system.b) != reference_mask).any():
+                        mask_changes[kind] += 1
+            for sample in samples:
+                assert_sample_matches_direct_resolve(pmc, cp, gradients, sample)
+        assert min(mask_changes.values()) >= 10, mask_changes
+
+    def test_batch_checks(self, frog):
+        pmc, _, cp = frog
+        gradients = gradient_coefficients(pmc, cp)
+        with pytest.raises(MissingParameterError):
+            evaluate_assignments(pmc, cp, gradients, ["given"], {})
+        with pytest.raises(ArityMismatchError):
+            evaluate_assignments(pmc, cp, gradients, ["given"], {"hop": [(0.5, 0.5)]})
+        with pytest.raises(SimplexViolationError, match="hop"):
+            evaluate_assignments(pmc, cp, gradients, ["ok", "bad"],
+                                 {"hop": [FROG_REFERENCE, (0.5, 0.5, 0.5, -0.5)]})
+        with pytest.raises(SimplexViolationError, match="hop"):
+            evaluate_assignments(pmc, cp, gradients, ["nan"],
+                                 {"hop": [(0.375, 0.125, 0.25, float("nan"))]})
+        assert evaluate_assignments(pmc, cp, gradients, [], {}) == []
+
+    def test_per_vector_work_does_not_grow_with_samples(self, zeroconf, monkeypatch):
+        import pmcperturb.model as model
+        import pmcperturb.sampler as sampler
+
+        calls = {"is_distribution": 0, "absolute_distance": 0, "sample_on_simplex": 0}
+        for name in calls:
+            fn = getattr(model, name, None) or getattr(sampler, name)
+
+            def wrapper(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            for module in (model, sampler):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+
+        pmc, _, cp = zeroconf
+        counts = []
+        for n_samples in (5, 50):
+            for name in calls:
+                calls[name] = 0
+            validate_bounds(pmc, cp, {p.id: 0.01 for p in pmc.parameters},
+                            n_samples=n_samples, seed=1)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+
+    def test_sample_on_simplex_is_the_batch_of_one(self, frog):
+        # With one parameter, the batched draw of sample k equals
+        # sample_on_simplex on the generator keyed (seed, k), bit for bit.
+        pmc, _, cp = frog
+        [param] = pmc.parameters
+        report = validate_bounds(pmc, cp, {param.id: 0.1}, n_samples=20, seed=5)
+        for k, sample in enumerate(report.samples[2:]):
+            expected = sample_on_simplex(param.reference, 0.1, np.random.default_rng([5, k]))
+            np.testing.assert_array_equal(sample.assignment[param.id], expected)
