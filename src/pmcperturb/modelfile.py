@@ -36,6 +36,7 @@ from .errors import ModelSchemaError, ModelSyntaxError, ModelValidationError
 from .model import DistributionParameter, Pmc, validate_pmc
 from .perturbation import Direction
 from .reachability import ReachabilityProblem
+from .report import render_json
 
 SCHEMA_VERSION = 1
 
@@ -199,4 +200,4 @@ def render_model(pmc: Pmc, problem: ReachabilityProblem | None = None,
     if direction is not None:
         doc["direction"] = {"weights": {k: float(v)
                                         for k, v in sorted(direction.weights.items())}}
-    return json.dumps(doc, indent=2) + "\n"
+    return render_json(doc)

@@ -5,6 +5,14 @@ the JSON and table renderers both read from that record, so the two views
 cannot diverge. Tables round to six significant digits, JSON keeps full
 double precision.
 
+:func:`render_json` writes exactly the bytes of ``json.dumps(record,
+indent=2) + "\n"`` for every value ``json.dumps`` accepts, and raises
+``TypeError`` for the values it rejects (a container that holds itself
+raises ``RecursionError`` instead of ``ValueError``). It walks containers
+itself and formats each run of floats or ints in one C-level ``map``, in
+place of the stdlib's pure-Python indenting encoder. Model files
+(:func:`modelfile.render_model`) are written by the same function.
+
 The ``reference_tables`` record reproduces the published case-study tables
 for the two built-in models (values scaled by 1e3 there, as in the source
 tables). The bound convention in all reports: per-parameter
@@ -16,9 +24,9 @@ explicitly rather than collapsed into one figure.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .example_models import build_frog, build_zeroconf
 from .perturbation import SensitivityReport, analyze
@@ -28,6 +36,12 @@ from .sampler import ValidationReport, evaluate_assignments
 BOUND_CONVENTION = ("per-parameter distances Delta_i bound the exact delta by "
                     "sum_i kappa_i * Delta_i = kappa_w * Delta with "
                     "w(i) = Delta_i / Delta")
+
+_FLOAT = float.__repr__
+_INT = int.__repr__
+_PAIR = "{}: {}".format
+#: JSON spellings of the ``float.__repr__`` texts that are not finite numbers.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt(x: float) -> str:
@@ -52,8 +66,80 @@ def _mark(text: str, color: bool) -> str:
     return f"\x1b[31m{text}\x1b[0m" if color else text
 
 
-def render_json(record: dict) -> str:
-    return json.dumps(record, indent=2) + "\n"
+def render_json(record) -> str:
+    """``json.dumps(record, indent=2) + "\\n"``, byte for byte."""
+    return _encode(record, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """JSON text of ``value``; ``newline`` starts each line at its nesting level.
+
+    Checks run in the order of the stdlib encoder, so ``True`` is not an int
+    and float subclasses such as ``np.float64`` print by ``float.__repr__``.
+    A container nests by one call of this function, as a stdlib nesting level
+    is one generator, so this reaches at least the depth ``json.dumps`` reaches.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _INT(value)
+    if isinstance(value, float):
+        text = _FLOAT(value)
+        return _NONFINITE.get(text, text)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        keys, items = None, value
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        try:
+            keys = list(map(encode_basestring_ascii, value))
+        except TypeError:  # a key that is not a str
+            keys = [encode_basestring_ascii(_key(key)) for key in value]
+        items = list(value.values())
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    inner = newline + "  "
+    texts = _scalar_run(items)
+    if texts is None:
+        texts = []
+        for item in items:
+            texts.append(_encode(item, inner))
+    sep = "," + inner
+    if keys is None:
+        return f"[{inner}{sep.join(texts)}{newline}]"
+    return f"{{{inner}{sep.join(map(_PAIR, keys, texts))}{newline}}}"
+
+
+def _scalar_run(items) -> list[str] | None:
+    """Texts of ``items`` formatted in C if all are floats or all are ints, else None."""
+    try:
+        if isinstance(items[0], float):
+            texts = list(map(_FLOAT, items))
+            if "n" in "".join(texts):  # nan, inf or -inf
+                texts = [_NONFINITE.get(text, text) for text in texts]
+            return texts
+        if isinstance(items[0], int) and bool not in map(type, items):
+            return list(map(_INT, items))
+    except TypeError:  # an item of another type
+        pass
+    return None
+
+
+def _key(key) -> str:
+    """A dict key as the text that the stdlib encoder quotes for it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:

@@ -245,12 +245,14 @@ def _extremal_rows(param: DistributionParameter, h: np.ndarray, delta: float) ->
     return np.stack(rows)
 
 
-def _check_run(pmc: Pmc, n_samples: int) -> None:
-    """Reject a run with no parameter to perturb or a negative sample count."""
+def _check_run(pmc: Pmc, n_samples: int, seed: int) -> None:
+    """Reject a run with no parameter to perturb, a negative sample count or seed."""
     if not pmc.parameters:
         raise EmptyVectorError("the model has no distribution parameters to perturb")
     if n_samples < 0:
         raise DomainError(f"sample count must be non-negative, got {n_samples!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed!r}")
 
 
 def empirical_kappa(pmc: Pmc, cp: CanonicalProblem, delta: float,
@@ -264,11 +266,11 @@ def empirical_kappa(pmc: Pmc, cp: CanonicalProblem, delta: float,
 
     Raises:
         EmptyVectorError: the model has no distribution parameters.
-        DomainError: ``delta`` is not positive (or NaN) or ``n_samples`` is
-            negative.
+        DomainError: ``delta`` is not positive (or NaN), or ``n_samples`` or
+            ``seed`` is negative.
         InfeasibleDistanceError: ``delta`` exceeds 2 or is infinite.
     """
-    _check_run(pmc, n_samples)
+    _check_run(pmc, n_samples, seed)
     if not delta > 0.0:
         raise DomainError(f"perturbation distance must be positive, got {delta!r}")
     if delta > 2.0:
@@ -411,12 +413,12 @@ def validate_bounds(pmc: Pmc, cp: CanonicalProblem, deltas: Mapping[str, float],
 
     Raises:
         EmptyVectorError: the model has no distribution parameters.
-        DomainError: ``n_samples`` is negative.
+        DomainError: ``n_samples`` or ``seed`` is negative.
         MissingParameterError: ``deltas`` does not cover every parameter.
         NonpositiveDeltaError: a requested distance is not positive (or NaN).
         InfeasibleDistanceError: a requested distance exceeds 2 or is infinite.
     """
-    _check_run(pmc, n_samples)
+    _check_run(pmc, n_samples, seed)
     requested = {str(k): float(v) for k, v in dict(deltas).items()}
     for param in pmc.parameters:
         if param.id not in requested:

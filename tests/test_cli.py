@@ -112,6 +112,23 @@ def test_paper_tables_json_golden(capsys):
     assert record == golden
 
 
+@pytest.mark.parametrize("argv", [
+    [command, model, *extra]
+    for model in (FROG, ZEROCONF)
+    for command, extra in [("check", []), ("sensitivity", []),
+                           ("validate", ["--delta", "0.01", "--samples", "50", "--seed", "7"])]
+] + [["paper-tables"]])
+def test_json_output_bytes_equal_json_dumps(capsys, monkeypatch, argv):
+    records = []
+    render = cli.render_json
+    monkeypatch.setattr(cli, "render_json", lambda record: records.append(record) or
+                        render(record))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    [record] = records
+    assert out == json.dumps(record, indent=2) + "\n"
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "check", "no-such-file.model")
     assert code == 1
@@ -228,6 +245,14 @@ def test_validate_negative_samples(capsys):
     assert code == 1
     assert out == ""
     assert "non-negative" in err
+
+
+def test_validate_negative_seed(capsys):
+    code, out, err = run(capsys, "validate", FROG, "--delta", "0.02", "--samples", "3",
+                         "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "pmcperturb: seed must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("delta, message", [

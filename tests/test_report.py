@@ -1,0 +1,111 @@
+"""JSON rendering: ``render_json`` writes exactly what ``json.dumps(indent=2)`` writes."""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pmcperturb.report import render_json
+
+SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.225073858507201e-308, 1e-05, 0.0001, 1e+16, 1e16, 9999999999999998.0,
+                  1.7976931348623157e308, 0.1, -2.5]
+SPECIAL_STRINGS = ["", "plain", 'quote " backslash \\ slash /', "\n\r\t\b\f\x00\x1f\x7f",
+                   "é中 ", "\U0001f600 astral", "\ud800 lone high", "low \udfff"]
+
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+strings = st.one_of(st.sampled_from(SPECIAL_STRINGS),
+                    st.text(st.characters(exclude_categories=()), max_size=8))
+scalars = st.one_of(
+    floats,
+    floats.map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    strings,
+)
+keys = st.one_of(strings, floats, st.integers(), st.booleans(), st.none())
+# Runs of one scalar type take the writer's formatting of a whole run at once;
+# a run broken by one item of another type must not.
+runs = st.one_of(
+    st.lists(st.one_of(floats, floats.map(np.float64)), min_size=1, max_size=6),
+    st.lists(st.integers(), min_size=1, max_size=6),
+    st.tuples(floats, st.integers(), floats),
+    st.tuples(st.integers(), st.booleans(), st.integers()),
+)
+values = st.recursive(
+    st.one_of(scalars, runs),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400)
+@given(values)
+def test_bytes_equal_json_dumps_indent_2(value):
+    assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], {"a": {}}, [{}, []], {"runs": [[1.0, math.nan], [2, True], [3, 4.5]]},
+    {"a": [1.0, -math.inf], "b": (2.0,)},
+    {math.nan: 1, -math.inf: 2, 1.5: 3, 7: 4, True: 5, False: 6, None: 7, "s": 8},
+    list(map(np.float64, SPECIAL_FLOATS)),
+    [True, False, None, 1, -0.0],
+    "top-level string \U0001f600",
+    math.inf,
+    np.float64(math.nan),
+    -(2 ** 80),
+])
+def test_edge_values(value):
+    assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3),
+    [1, np.int64(2)],
+    [1.0, np.int64(2)],
+    {"a": [0.5, {1, 2}]},
+    {1, 2},
+    np.bool_(True),
+    {(1, 2): 1.0},
+    {np.int64(1): 1.0},
+])
+def test_unsupported_values_raise_type_error(value):
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as ours:
+        render_json(value)
+    assert str(ours.value) == str(stdlib.value)
+
+
+def test_container_that_holds_itself_raises_recursion_error():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        json.dumps(loop, indent=2)
+    with pytest.raises(RecursionError):
+        render_json(loop)
+
+
+def test_nesting_as_deep_as_json_dumps_reaches():
+    for depth in range(sys.getrecursionlimit(), 0, -25):
+        value = 1.5
+        for _ in range(depth):
+            value = {"k": [value]}
+        try:
+            expected = json.dumps(value, indent=2) + "\n"
+        except RecursionError:
+            continue
+        assert render_json(value) == expected
+        return
+    pytest.fail("json.dumps rejected every depth")

@@ -143,6 +143,14 @@ class TestEmpiricalKappa:
         with pytest.raises(DomainError):
             validate_bounds(pmc, cp, {"hop": 1e-3}, n_samples=-1, seed=0)
 
+    @pytest.mark.parametrize("n_samples", [0, 3])
+    def test_rejects_negative_seed(self, frog, n_samples):
+        pmc, _, cp = frog
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            empirical_kappa(pmc, cp, delta=1e-3, n_samples=n_samples, seed=-1)
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            validate_bounds(pmc, cp, {"hop": 1e-3}, n_samples=n_samples, seed=-1)
+
 
 class TestValidateBounds:
     def test_zeroconf_published_violation(self, zeroconf):
