@@ -56,8 +56,6 @@ from .perturbation import (
     gradient_coefficients,
     linear_estimate,
     link_identity_check,
-    perturbation_function_exact,
-    perturbation_function_series,
 )
 from .reachability import (
     CanonicalProblem,
@@ -99,8 +97,7 @@ __all__ = [
     "Direction", "GradientSet", "LinkIdentityCheck", "SensitivityReport",
     "analyze", "condition_number_basic", "condition_number_directional",
     "condition_number_parameterwise", "gradient_coefficients",
-    "linear_estimate", "link_identity_check", "perturbation_function_exact",
-    "perturbation_function_series",
+    "linear_estimate", "link_identity_check",
     "CanonicalProblem", "LinearSystem", "ReachabilityProblem", "canonicalize",
     "constrained_initial", "extract_system", "reach_positive_mask",
     "solve_reachability", "total_probability",

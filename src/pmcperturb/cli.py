@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import NonConvergenceError, PmcError, SingularSystemError
 from .model import model_digest
-from .modelfile import parse_model
+from .modelfile import parse_direction, parse_model
 from .perturbation import Direction, analyze
 from .reachability import (
     ReachabilityProblem,
@@ -157,9 +157,7 @@ def _direction_from_flag(flag: str) -> Direction | None:
         raise PmcError(f"cannot read direction file {flag!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise PmcError(f"direction file {flag!r}: {exc}") from None
-    if not isinstance(doc, dict) or "weights" not in doc:
-        raise PmcError(f"direction file {flag!r}: expected {{\"weights\": {{...}}}}")
-    return Direction(doc["weights"])
+    return parse_direction(doc, f"direction file {flag!r}")
 
 
 def _cmd_sensitivity(args) -> int:

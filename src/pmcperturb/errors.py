@@ -36,7 +36,10 @@ class IndexOutOfRangeError(PmcError):
 
 
 class SingularSystemError(PmcError):
-    """The restricted direct solve failed; indicates an internal error."""
+    """The restricted direct solve failed its residual check.
+
+    A NaN entry in the system causes this; otherwise it is an internal error.
+    """
 
 
 class NonConvergenceError(PmcError):

@@ -155,19 +155,29 @@ def parse_model(text: str) -> ParsedModel:
             destination=frozenset(_int_list(block["destination"], "problem.destination")),
         )
 
-    direction = None
-    if "direction" in doc:
-        block = doc["direction"]
-        if not isinstance(block, dict):
-            raise ModelSchemaError("direction: expected an object")
-        _require_keys(block, {"weights"}, {"weights"}, "direction")
-        weights = block["weights"]
-        if not isinstance(weights, dict) or not set(map(type, weights.values())) <= {int, float}:
-            raise ModelSchemaError("direction.weights: expected an object of numbers")
-        values = _number_list(list(weights.values()), "direction.weights")
-        direction = Direction(dict(zip(weights, values.tolist())))
-
+    direction = parse_direction(doc["direction"]) if "direction" in doc else None
     return ParsedModel(pmc=pmc, problem=problem, direction=direction)
+
+
+def parse_direction(block, where: str = "direction") -> Direction:
+    """Direction from a decoded ``{"weights": {id: number, ...}}`` object.
+
+    Serves the ``direction`` block of a model file and a direction file
+    alike; ``where`` names the source in error messages.
+
+    Raises:
+        ModelSchemaError: not an object, an unknown or missing field, or a
+            weight that is not a number (bools, strings and ``null`` included).
+        WeightsNotNormalizedError: the weights are not a distribution.
+    """
+    if not isinstance(block, dict):
+        raise ModelSchemaError(f"{where}: expected an object")
+    _require_keys(block, {"weights"}, {"weights"}, where)
+    weights = block["weights"]
+    if not isinstance(weights, dict) or not set(map(type, weights.values())) <= {int, float}:
+        raise ModelSchemaError(f"{where}.weights: expected an object of numbers")
+    values = _number_list(list(weights.values()), f"{where}.weights")
+    return Direction(dict(zip(weights, values.tolist())))
 
 
 def render_model(pmc: Pmc, problem: ReachabilityProblem | None = None,

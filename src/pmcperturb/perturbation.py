@@ -1,10 +1,11 @@
-"""Perturbation analysis: exact deltas, linear coefficients, condition numbers.
+"""Perturbation analysis: linear coefficients and condition numbers.
 
 For a PMC and a canonical problem, the perturbation value of an assignment
 is the exact change of the combined reachability probability relative to
-the references. Near the references that change is differentiable with a
-closed-form linear coefficient vector ``h_i`` per parameter, from which
-absolute condition numbers follow:
+the references (``sampler`` measures it by re-solving). Near the
+references that change is differentiable with a closed-form linear
+coefficient vector ``h_i`` per parameter, from which absolute condition
+numbers follow:
 
   * ``kappa_i = (max(h_i) - min(h_i)) / 2`` bounds the effect of moving
     parameter ``i`` alone by (absolute) distance ``Delta_i``,
@@ -57,7 +58,6 @@ from .reachability import (
     canonicalize,
     constrained_initial,
     extract_system,
-    solve_reachability,
     total_probability,
 )
 
@@ -71,18 +71,23 @@ class GradientSet:
     parameters whose row lies outside the constraint block). ``s`` and
     ``t`` are the cached visit weights and per-state solution described in
     the module docstring; ``t`` equals the reachability solution of the
-    same system.
+    same system. ``mask`` marks the reach-positive constraint states, the
+    block that was factored.
     """
 
     h: Mapping[str, np.ndarray]
     s: np.ndarray
     t: np.ndarray
+    mask: np.ndarray
     references: Mapping[str, np.ndarray]
 
     def __post_init__(self):
         object.__setattr__(self, "h", {k: as_vector(v) for k, v in dict(self.h).items()})
         object.__setattr__(self, "s", as_vector(self.s))
         object.__setattr__(self, "t", as_vector(self.t))
+        mask = np.array(self.mask, dtype=bool)
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "references",
                            {k: as_vector(v) for k, v in dict(self.references).items()})
 
@@ -151,7 +156,7 @@ def gradient_coefficients(pmc: Pmc, cp: CanonicalProblem) -> GradientSet:
     ``h_i`` is then one gather over canonical positions (module docstring).
     """
     system = extract_system(pmc, cp)
-    t, s = _solve_direct(system.a, system.b, constrained_initial(pmc, cp))
+    t, s, mask = _solve_direct(system.a, system.b, constrained_initial(pmc, cp))
 
     nq, d0 = cp.n_constraint, cp.destination_start - 1
     pos = np.asarray(cp.permutation, dtype=np.intp) - 1
@@ -169,7 +174,7 @@ def gradient_coefficients(pmc: Pmc, cp: CanonicalProblem) -> GradientSet:
         in_system = (row < nq) & ((cols < nq) | (cols >= d0))
         h[param.id] = np.where(in_system, visits[row] * x[cols], 0.0)
 
-    return GradientSet(h=h, s=s, t=t,
+    return GradientSet(h=h, s=s, t=t, mask=mask,
                        references={p.id: p.reference for p in pmc.parameters})
 
 
@@ -247,36 +252,6 @@ def link_identity_check(gradients: GradientSet,
     rhs = condition_number_directional(gradients, direction) * total
     return LinkIdentityCheck(lhs=float(lhs), rhs=float(rhs),
                              discrepancy=float(abs(lhs - rhs)))
-
-
-def perturbation_function_exact(pmc: Pmc, cp: CanonicalProblem,
-                                assignment: Assignment) -> float:
-    """Exact perturbation value ``iota_c . (p(assignment) - p(references))``.
-
-    Computed from two direct solves of the extracted systems; numerically
-    identical to differencing the defining series at the fixed point but
-    far more stable.
-    """
-    iota_c = constrained_initial(pmc, cp)
-    p_ref = solve_reachability(extract_system(pmc, cp))
-    p_new = solve_reachability(extract_system(pmc, cp, assignment))
-    return float(iota_c @ p_new - iota_c @ p_ref)
-
-
-def perturbation_function_series(pmc: Pmc, cp: CanonicalProblem,
-                                 assignment: Assignment,
-                                 truncation: int = 100) -> float:
-    """Perturbation value from truncated-series solves of both systems.
-
-    Kept for reproducing reference results computed with a fixed number of
-    series terms; prefer :func:`perturbation_function_exact` otherwise.
-    """
-    iota_c = constrained_initial(pmc, cp)
-    p_ref = solve_reachability(extract_system(pmc, cp),
-                               method="series", truncation=truncation)
-    p_new = solve_reachability(extract_system(pmc, cp, assignment),
-                               method="series", truncation=truncation)
-    return float(iota_c @ p_new - iota_c @ p_ref)
 
 
 def linear_estimate(gradients: GradientSet, assignment: Assignment) -> float:

@@ -12,13 +12,18 @@ where ``A`` is the constraint-block submatrix of the transition matrix and
 destination block. ``p`` is the least fixed point; it equals the limit of
 the non-decreasing partial sums ``sum_j A^j b``.
 
-The direct solver first restricts the system to constraint states with a
-positive probability of reaching the destination (a path in the ``A``-graph
-to a state with ``b > 0``); on that block ``I - A`` is non-singular, and all
+The solver first restricts the system to constraint states with a positive
+probability of reaching the destination (a path in the ``A``-graph to a
+state with ``b > 0``); on that block ``I - A`` is non-singular, and all
 other states get probability exactly zero. The mask comes from one reverse
-frontier search; one LU factorization of that block gives both ``t = N b``
-and, transposed, the visit weights ``s = iota_c N`` (``N = (I - A)^{-1}``).
-The truncated-series solver is kept for reproducing reference results.
+frontier search. One kernel, :func:`_solve_block`, factors the block with
+LAPACK ``getrf`` and solves with ``getrs``: ``t = N b`` and, transposed, the
+visit weights ``s = iota_c N`` (``N = (I - A)^{-1}``). It calls the two
+routines that ``scipy.linalg.lu_factor`` and ``lu_solve`` wrap, without
+their per-call input checks, so results keep their bits. The reference
+solve and every sampled re-solve (``sampler``) go through it; a sample that
+keeps the reference mask patches a copy of the reference block instead of
+gathering a new one.
 """
 
 from __future__ import annotations
@@ -32,17 +37,14 @@ from .errors import (
     ArityMismatchError,
     EmptyDestinationError,
     IndexOutOfRangeError,
-    NonConvergenceError,
     SingularSystemError,
 )
 from .model import Assignment, Pmc, as_vector, instantiate, reference_assignment
 
-#: Residual the solvers aim for.
-RESIDUAL_TARGET = 1e-12
 #: Hard ceiling on the fixed-point residual of any returned solution.
 RESIDUAL_HARD = 1e-10
-#: Series truncation used for reference-result reproduction.
-SERIES_TRUNCATION_DEFAULT = 100
+
+_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -167,72 +169,55 @@ def reach_positive_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return reached
 
 
-def _solve_direct(a: np.ndarray, b: np.ndarray,
-                  weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+def _reach_block(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``I - A`` on the ``mask`` states, gathered from ``A``."""
+    return np.eye(int(mask.sum())) - a[np.ix_(mask, mask)]
+
+
+def _solve_block(a: np.ndarray, b: np.ndarray, mask: np.ndarray, block: np.ndarray,
+                 weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """``t`` with ``(I - A) t = b`` and, given ``weights``, ``s`` with ``s (I - A) = weights``.
 
-    Both come from one LU factorization of the reach-positive block and are
-    zero elsewhere. ``t`` must meet ``RESIDUAL_HARD`` and is clipped to [0, 1].
+    ``block`` must hold ``I - A`` on the ``mask`` states, as
+    :func:`_reach_block` gathers it. It is factored once, in place when it
+    is Fortran-ordered, and ``t`` and ``s`` are zero off the mask. ``t``
+    must meet ``RESIDUAL_HARD`` on the whole system and is clipped to [0, 1].
     """
-    mask = reach_positive_mask(a, b)
     t = np.zeros(b.size)
     s = None if weights is None else np.zeros(b.size)
     if mask.any():
-        lu = scipy.linalg.lu_factor(np.eye(int(mask.sum())) - a[np.ix_(mask, mask)])
-        t[mask] = scipy.linalg.lu_solve(lu, b[mask])
+        lu, piv, _ = _getrf(block, overwrite_a=True)
+        t[mask] = _getrs(lu, piv, b[mask])[0]
         if s is not None:
-            s[mask] = scipy.linalg.lu_solve(lu, weights[mask], trans=1)
-    residual = float(np.max(np.abs(t - (a @ t + b)), initial=0.0))
-    if not residual <= RESIDUAL_HARD:  # a NaN residual (singular block) fails too
+            s[mask] = _getrs(lu, piv, weights[mask], trans=1)[0]
+    residual = float(np.abs(t - (a @ t + b)).max(initial=0.0))
+    if not residual <= RESIDUAL_HARD:  # a NaN residual (singular block, NaN entry) fails too
         raise SingularSystemError(
             f"direct solve residual {residual:.3e} exceeds {RESIDUAL_HARD:.0e}")
-    return as_vector(np.clip(t, 0.0, 1.0)), s
+    t = t.clip(0.0, 1.0)
+    t.flags.writeable = False
+    return t, s
 
 
-def solve_reachability(system: LinearSystem, method: str = "direct",
-                       truncation: int = SERIES_TRUNCATION_DEFAULT) -> np.ndarray:
+def _solve_direct(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """:func:`_solve_block` on the reach-positive mask; returns ``t``, ``s`` and the mask."""
+    mask = reach_positive_mask(a, b)
+    t, s = _solve_block(a, b, mask, _reach_block(a, mask), weights)
+    return t, s, mask
+
+
+def solve_reachability(system: LinearSystem) -> np.ndarray:
     """Per-state constrained-reachability probabilities ``p`` with ``p = Ap + b``.
 
-    Parameters
-    ----------
-    system:
-        Extracted linear system.
-    method:
-        ``"direct"`` restricts to reach-positive states and solves
-        ``(I - A) p = b`` there (states that cannot reach the destination
-        get exactly 0). ``"series"`` evaluates the truncated partial sum
-        ``sum_{j<=truncation} A^j b``.
-    truncation:
-        Number of series terms (series method only).
+    The system is restricted to reach-positive states and ``(I - A) p = b``
+    is solved there; states that cannot reach the destination get exactly 0.
 
     Raises:
-        SingularSystemError: the direct solve violated the residual ceiling
-            (internal error; the restriction should prevent it).
-        NonConvergenceError: the truncated series left a residual above
-            ``RESIDUAL_HARD``; the achieved residual is attached.
+        SingularSystemError: the solve violated the residual ceiling
+            (a NaN entry, or an internal error the restriction should prevent).
     """
-    a, b = system.a, system.b
-    if method == "direct":
-        return _solve_direct(a, b)[0]
-    if method == "series":
-        if truncation < 0:
-            raise ValueError("truncation must be non-negative")
-        p = b.copy()
-        term = b.copy()
-        for _ in range(truncation):
-            term = a @ term
-            p += term
-            # Row sums of A are <= 1, so the sup norm of the terms is
-            # non-increasing; once negligible, further terms cannot change p.
-            if term.max(initial=0.0) < 1e-30:
-                break
-        residual = float(np.max(np.abs(p - (a @ p + b)), initial=0.0))
-        if residual > RESIDUAL_HARD:
-            raise NonConvergenceError(
-                f"series residual {residual:.3e} after {truncation} terms "
-                f"exceeds {RESIDUAL_HARD:.0e}", residual=residual)
-        return as_vector(np.clip(p, 0.0, 1.0))
-    raise ValueError(f"unknown method {method!r}; expected 'direct' or 'series'")
+    return _solve_direct(system.a, system.b)[0]
 
 
 def constrained_initial(pmc: Pmc, cp: CanonicalProblem) -> np.ndarray:

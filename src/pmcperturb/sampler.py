@@ -58,10 +58,11 @@ from .model import Assignment, DistributionParameter, Pmc, as_vector, is_distrib
 from .perturbation import GradientSet, condition_number_basic, gradient_coefficients
 from .reachability import (
     CanonicalProblem,
-    LinearSystem,
+    _reach_block,
+    _solve_block,
     constrained_initial,
     extract_system,
-    solve_reachability,
+    reach_positive_mask,
 )
 
 #: Fraction by which observed deltas may exceed the first-order bound before
@@ -298,7 +299,19 @@ def _exact_deltas(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
     their ``A`` entries are overwritten and their ``b`` entries rebuilt as the
     sum of the destination-ordered row segment, as :func:`extract_system`
     sums it. Each patched ``(A, b)`` is bit-identical to
-    ``extract_system(pmc, cp, assignment)``, and so is its solution.
+    ``extract_system(pmc, cp, assignment)``.
+
+    The reach-positive mask depends only on which entries are positive. A
+    sample with the reference's positive/zero pattern on the patched
+    entries keeps the reference mask (``gradients.mask``); only another
+    pattern costs a new reach search. While the mask is the reference's,
+    the sample copies the reference block ``I - A[mask, mask]``, built once
+    per batch, and writes ``eye - value`` at the patched block positions
+    (1.0 on the diagonal, 0.0 off it, the bits of ``np.eye(m) - a``);
+    another mask gathers a fresh block. Either goes through the kernel
+    ``reachability._solve_block`` with its residual check and clip, so every
+    exact delta is bit-identical to a ``solve_reachability`` re-solve. No
+    block is kept beyond the reference one.
     """
     reference = extract_system(pmc, cp)
     a, b = np.array(reference.a), np.array(reference.b)
@@ -320,18 +333,35 @@ def _exact_deltas(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
         segment[:, cols[outer] - d0] = rows[:, outer]
         b_rows.append(row)
         b_values.append(segment.sum(axis=1, keepdims=True))
-    a_index = (np.array(a_rows, dtype=np.intp), np.array(a_cols, dtype=np.intp))
+    a_rows, a_cols = np.array(a_rows, dtype=np.intp), np.array(a_cols, dtype=np.intp)
     b_index = np.array(b_rows, dtype=np.intp)
     a_values, b_values = np.hstack(a_values), np.hstack(b_values)
+    reference_pattern = np.concatenate([a[a_rows, a_cols] > 0.0, b[b_index] > 0.0])
+    same_pattern = (np.hstack([a_values > 0.0, b_values > 0.0])
+                    == reference_pattern).all(axis=1)
+
+    mask = gradients.mask
+    block = np.asfortranarray(_reach_block(a, mask))
+    in_block = mask[a_rows] & mask[a_cols]
+    order = np.cumsum(mask) - 1
+    block_index = (order[a_rows[in_block]], order[a_cols[in_block]])
+    block_values = (np.where(a_rows[in_block] == a_cols[in_block], 1.0, 0.0)
+                    - a_values[:, in_block])
 
     iota_c = constrained_initial(pmc, cp)
     reference_value = float(iota_c @ gradients.t)
     exact = []
     for k in range(count):
-        a[a_index] = a_values[k]
+        a[a_rows, a_cols] = a_values[k]
         b[b_index] = b_values[k]
-        solution = solve_reachability(LinearSystem(a=a, b=b))
-        exact.append(float(iota_c @ solution) - reference_value)
+        sample_mask = mask if same_pattern[k] else reach_positive_mask(a, b)
+        if sample_mask is mask or np.array_equal(sample_mask, mask):
+            sample_block = block.copy(order="F")
+            sample_block[block_index] = block_values[k]
+        else:
+            sample_block = _reach_block(a, sample_mask)
+        t, _ = _solve_block(a, b, sample_mask, sample_block)
+        exact.append(float(iota_c @ t) - reference_value)
     return exact
 
 

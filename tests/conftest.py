@@ -23,9 +23,9 @@ from pmcperturb import (
     Pmc,
     ReachabilityProblem,
     canonicalize,
-    perturbation_function_exact,
     reference_assignment,
 )
+from oracles import perturbation_function_exact
 
 FD_STEP = 1e-6
 FD_TOL = 1e-6

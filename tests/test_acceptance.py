@@ -18,6 +18,7 @@ from conftest import (
     random_problem,
     zero_sum_direction,
 )
+from oracles import perturbation_function_exact, solve_series
 
 from pmcperturb import (
     Assignment,
@@ -33,7 +34,6 @@ from pmcperturb import (
     gradient_coefficients,
     linear_estimate,
     link_identity_check,
-    perturbation_function_exact,
     solve_reachability,
     total_probability,
 )
@@ -187,8 +187,8 @@ def test_criterion_9_solver_oracle_equivalence():
             problem = random_problem(rng, 10)
             cp = canonicalize(pmc, problem)
             system = extract_system(pmc, cp)
-            direct = solve_reachability(system, method="direct")
-            series = solve_reachability(system, method="series", truncation=10_000)
+            direct = solve_reachability(system)
+            series = solve_series(system, truncation=10_000)
             np.testing.assert_allclose(direct, series, atol=1e-9, rtol=0)
             for p in (direct, series):
                 if p.size:

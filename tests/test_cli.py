@@ -73,6 +73,30 @@ def test_sensitivity_direction_file(capsys, tmp_path):
     assert record["kappa_directional"] == pytest.approx(1.9493158834027365e-3, abs=1e-12)
 
 
+@pytest.mark.parametrize("doc, suffix", [
+    ({"weights": [1]}, ".weights: expected an object of numbers"),
+    ({"weights": {"hop": None}}, ".weights: expected an object of numbers"),
+    ({"weights": {"hop": True}}, ".weights: expected an object of numbers"),
+    ({"weights": {"hop": "2"}}, ".weights: expected an object of numbers"),
+    ({"weights": {"hop": 1.0}, "scale": 2}, ": unknown field(s) ['scale']"),
+    ({}, ": missing field(s) ['weights']"),
+    ([1.0], ": expected an object"),
+])
+def test_sensitivity_direction_file_schema(capsys, tmp_path, doc, suffix):
+    # A file given with --direction passes the checks of a model file's
+    # direction block, and fails them with the same message.
+    path = tmp_path / "dir.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sensitivity", FROG, "--direction", str(path))
+    assert (code, out, err) == (1, "", f"pmcperturb: direction file {str(path)!r}{suffix}\n")
+    model = json.loads(Path(FROG).read_text())
+    model["direction"] = doc
+    path = tmp_path / "dir.model"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "sensitivity", str(path))
+    assert (code, out, err) == (1, "", f"pmcperturb: direction{suffix}\n")
+
+
 def test_validate_json(capsys):
     code, out, _ = run(capsys, "validate", ZEROCONF, "--delta", "0.002",
                        "--samples", "20", "--seed", "5", "--format", "json")
@@ -270,12 +294,11 @@ def test_validate_distance_outside_simplex_diameter(capsys, delta, message):
 
 def test_paper_tables_solve_count(capsys, monkeypatch):
     """Two reference solves (one per model) and one re-solve per table row."""
-    import scipy.linalg
-
     import pmcperturb.perturbation as perturbation
+    import pmcperturb.reachability as reachability
     import pmcperturb.sampler as sampler
 
-    calls = {"gradient_coefficients": 0, "lu_factor": 0}
+    calls = {"gradient_coefficients": 0, "reach_positive_mask": 0, "_getrf": 0}
 
     def counted(name, *modules):
         fn = getattr(modules[0], name)
@@ -287,6 +310,10 @@ def test_paper_tables_solve_count(capsys, monkeypatch):
             monkeypatch.setattr(module, name, wrapper)
 
     counted("gradient_coefficients", perturbation, sampler)
-    counted("lu_factor", scipy.linalg)
+    counted("reach_positive_mask", reachability, sampler)
+    counted("_getrf", reachability)
     assert run(capsys, "paper-tables", "--format", "json")[0] == 0
-    assert calls == {"gradient_coefficients": 2, "lu_factor": 2 + 3 + 6}
+    # Every published perturbed vector keeps the reference's positive
+    # entries, so the table rows reuse the reference reach search.
+    assert calls == {"gradient_coefficients": 2, "reach_positive_mask": 2,
+                     "_getrf": 2 + 3 + 6}

@@ -12,6 +12,7 @@ from conftest import (
     zero_sum_direction,
 )
 from hypothesis import given, strategies as st
+from oracles import perturbation_function_exact, perturbation_function_series
 
 from pmcperturb import (
     Assignment,
@@ -31,8 +32,6 @@ from pmcperturb import (
     gradient_coefficients,
     linear_estimate,
     link_identity_check,
-    perturbation_function_exact,
-    perturbation_function_series,
     reference_assignment,
 )
 
@@ -160,8 +159,8 @@ class TestGather:
         solve = perturbation._solve_direct
 
         def negative_visits(a, b, weights=None):
-            t, s = solve(a, b, weights)
-            return t, np.full_like(s, -4.4e-16)
+            t, s, mask = solve(a, b, weights)
+            return t, np.full_like(s, -4.4e-16), mask
 
         monkeypatch.setattr(perturbation, "_solve_direct", negative_visits)
         pmc, _, cp = frog

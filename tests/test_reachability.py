@@ -6,8 +6,8 @@ from collections import deque
 
 import numpy as np
 import pytest
-import scipy.linalg
 from conftest import random_pmc, random_problem
+from oracles import solve_series
 
 from pmcperturb import (
     ArityMismatchError,
@@ -113,13 +113,12 @@ class TestSolve:
         pmc, _, cp = frog
         system = extract_system(pmc, cp)
         np.testing.assert_allclose(solve_reachability(system), [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(solve_reachability(system, method="series"),
-                                   [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(solve_series(system), [0.5, 0.5], atol=1e-12)
 
     def test_zero_matrix(self):
         b = np.array([0.3, 0.0, 0.7])
         system = LinearSystem(a=np.zeros((3, 3)), b=b)
-        np.testing.assert_allclose(solve_reachability(system, method="series"), b)
+        np.testing.assert_allclose(solve_series(system), b)
         np.testing.assert_allclose(solve_reachability(system), b)
 
     def test_zeroconf_value(self, zeroconf):
@@ -136,7 +135,7 @@ class TestSolve:
         p = solve_reachability(system)
         assert p[1] == 0.0
         assert residual(system, p) <= RESIDUAL_HARD
-        series = solve_reachability(system, method="series", truncation=10_000)
+        series = solve_series(system, truncation=10_000)
         assert series[1] == 0.0
         np.testing.assert_allclose(p, series, atol=1e-9)
 
@@ -149,12 +148,26 @@ class TestSolve:
         with pytest.raises(SingularSystemError):
             solve_reachability(system)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 2), (2, 0), "b"])
+    def test_nan_entry_reported(self, where):
+        # Inside the reach-positive block, on an edge into or out of the
+        # unreachable state 3, and in b: each leaves a NaN residual.
+        a = np.array([[0.2, 0.3, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.5]])
+        b = np.array([0.4, 0.5, 0.0])
+        if where == "b":
+            b[2] = np.nan
+        else:
+            a[where] = np.nan
+        with pytest.raises(SingularSystemError):
+            solve_reachability(LinearSystem(a=a, b=b))
+
     def test_series_non_convergence(self):
         a = np.array([[0.99]])
         b = np.array([0.01])
         system = LinearSystem(a=a, b=b)
         with pytest.raises(NonConvergenceError) as excinfo:
-            solve_reachability(system, method="series", truncation=5)
+            solve_series(system, truncation=5)
         assert excinfo.value.residual > 1e-10
 
     def test_series_iterates_monotone(self, zeroconf):
@@ -171,7 +184,7 @@ class TestSolve:
             term = system.a @ term
             partial = partial + term
         np.testing.assert_allclose(
-            solve_reachability(system, method="series", truncation=60),
+            solve_series(system, truncation=60),
             partial, atol=1e-15)
 
     def test_direct_vs_series_random(self):
@@ -182,7 +195,7 @@ class TestSolve:
             cp = canonicalize(pmc, problem)
             system = extract_system(pmc, cp)
             direct = solve_reachability(system)
-            series = solve_reachability(system, method="series", truncation=10_000)
+            series = solve_series(system, truncation=10_000)
             np.testing.assert_allclose(direct, series, atol=1e-9)
             assert residual(system, direct) <= RESIDUAL_HARD
             assert residual(system, series) <= RESIDUAL_HARD
@@ -274,6 +287,7 @@ class TestReachPositiveMask:
 def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog):
     """``analyze`` and the reference of ``validate_bounds`` each factor once."""
     import pmcperturb.reachability as reachability
+    import pmcperturb.sampler as sampler
 
     calls = {"mask": 0, "lu": 0}
 
@@ -283,14 +297,17 @@ def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(reachability, "reach_positive_mask",
-                        counted("mask", reachability.reach_positive_mask))
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counted("lu", scipy.linalg.lu_factor))
+    mask = counted("mask", reachability.reach_positive_mask)
+    monkeypatch.setattr(reachability, "reach_positive_mask", mask)
+    monkeypatch.setattr(sampler, "reach_positive_mask", mask)
+    monkeypatch.setattr(reachability, "_getrf", counted("lu", reachability._getrf))
     pmc, problem, cp = frog
     analyze(pmc, problem)
     assert calls == {"mask": 1, "lu": 1}
 
     calls.update(mask=0, lu=0)
     report = validate_bounds(pmc, cp, {"hop": 0.01}, n_samples=5, seed=1)
-    # one reference solve, then one re-solve per evaluated sample
-    assert calls == {"mask": 1 + len(report.samples), "lu": 1 + len(report.samples)}
+    # One reference solve, then one factorization per evaluated sample. No
+    # sample moves an entry to or from 0, so none needs its own reach search.
+    assert all((sample.assignment["hop"] > 0.0).all() for sample in report.samples)
+    assert calls == {"mask": 1, "lu": 1 + len(report.samples)}

@@ -309,6 +309,21 @@ def support_moves(rng, reference):
     return raised, cleared
 
 
+def pattern_keeping_move(rng, reference):
+    """Mass moved between two positive entries; zero entries stay zero.
+
+    The reference itself when it has fewer than two positive entries.
+    """
+    moved = reference.copy()
+    positive = np.flatnonzero(reference > 0.0)
+    if positive.size >= 2:
+        i, j = rng.choice(positive, size=2, replace=False)
+        mass = reference[i] * rng.uniform(0.05, 0.5)
+        moved[i] -= mass
+        moved[j] += mass
+    return moved
+
+
 class TestBatchEvaluation:
     def test_published_models_match_direct_resolve(self, frog, zeroconf):
         for pmc, _, cp in (frog, zeroconf):
@@ -355,6 +370,37 @@ class TestBatchEvaluation:
             for sample in samples:
                 assert_sample_matches_direct_resolve(pmc, cp, gradients, sample)
         assert min(mask_changes.values()) >= 10, mask_changes
+
+    def test_mixed_batch_matches_direct_resolve(self, frog):
+        # Samples with the reference's positive/zero pattern before and after a
+        # "raised" and a "cleared" sample, all in one batch: a reference mask or
+        # block left changed by an earlier sample would show in a later one.
+        rng = np.random.default_rng(7614)
+        cases = [frog]
+        for _ in range(150):
+            n = int(rng.integers(3, 12))
+            pmc = random_sparse_pmc(rng, n, int(rng.integers(1, min(n, 4) + 1)))
+            cases.append((pmc, None, canonicalize(pmc, random_problem(rng, n))))
+        labels = ["keep"] * 3 + ["raised", "cleared"] + ["keep"] * 3
+        mask_changes = 0
+        for pmc, _, cp in cases:
+            gradients = gradient_coefficients(pmc, cp)
+            vectors = {}
+            for param in pmc.parameters:
+                raised, cleared = support_moves(rng, param.reference)
+                rows = [pattern_keeping_move(rng, param.reference) for _ in labels]
+                rows[3] = rows[3] if raised is None else raised
+                rows[4] = rows[4] if cleared is None else cleared
+                vectors[param.id] = rows
+            samples = evaluate_assignments(pmc, cp, gradients, labels, vectors)
+            reference_mask = gradients.mask
+            for sample in samples:
+                assert_sample_matches_direct_resolve(pmc, cp, gradients, sample)
+                system = extract_system(pmc, cp, Assignment(sample.assignment.vectors))
+                changed = (reach_positive_mask(system.a, system.b) != reference_mask).any()
+                assert not (changed and sample.label == "keep")
+                mask_changes += bool(changed)
+        assert mask_changes >= 20, mask_changes
 
     def test_batch_checks(self, frog):
         pmc, _, cp = frog
