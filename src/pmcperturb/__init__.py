@@ -20,7 +20,6 @@ from .errors import (
     ModelSchemaError,
     ModelSyntaxError,
     ModelValidationError,
-    NonConvergenceError,
     NonpositiveDeltaError,
     PmcError,
     SimplexViolationError,
@@ -46,8 +45,8 @@ from .model import (
 from .modelfile import ParsedModel, parse_model, render_model
 from .perturbation import (
     Direction,
-    GradientSet,
     LinkIdentityCheck,
+    ReferenceSolve,
     SensitivityReport,
     analyze,
     condition_number_basic,
@@ -86,7 +85,7 @@ __all__ = [
     "DomainError", "EmptyDestinationError", "EmptyVectorError",
     "IndexOutOfRangeError", "InfeasibleDistanceError", "MissingParameterError",
     "ModelSchemaError", "ModelSyntaxError", "ModelValidationError",
-    "NonConvergenceError", "NonpositiveDeltaError", "PmcError",
+    "NonpositiveDeltaError", "PmcError",
     "SimplexViolationError", "SingularSystemError", "UnknownParameterError",
     "WeightsNotNormalizedError",
     "build_frog", "build_zeroconf",
@@ -94,7 +93,7 @@ __all__ = [
     "ValidationResult", "Violation", "ViolationKind", "absolute_distance",
     "instantiate", "model_digest", "reference_assignment", "validate_pmc",
     "ParsedModel", "parse_model", "render_model",
-    "Direction", "GradientSet", "LinkIdentityCheck", "SensitivityReport",
+    "Direction", "LinkIdentityCheck", "ReferenceSolve", "SensitivityReport",
     "analyze", "condition_number_basic", "condition_number_directional",
     "condition_number_parameterwise", "gradient_coefficients",
     "linear_estimate", "link_identity_check",

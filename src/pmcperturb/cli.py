@@ -22,17 +22,11 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import NonConvergenceError, PmcError, SingularSystemError
+from .errors import PmcError, SingularSystemError
 from .model import model_digest
 from .modelfile import parse_direction, parse_model
-from .perturbation import Direction, analyze
-from .reachability import (
-    ReachabilityProblem,
-    canonicalize,
-    extract_system,
-    solve_reachability,
-    total_probability,
-)
+from .perturbation import Direction, analyze, gradient_coefficients
+from .reachability import ReachabilityProblem
 from .report import (
     reference_tables_record,
     render_json,
@@ -132,9 +126,7 @@ def _load_model(args):
 
 def _cmd_check(args) -> int:
     pmc, problem, _ = _load_model(args)
-    cp = canonicalize(pmc, problem)
-    p = solve_reachability(extract_system(pmc, cp))
-    probability = total_probability(pmc.initial, p, cp)
+    probability = gradient_coefficients(pmc, problem).probability
     if args.format == "json":
         record = {
             "model_hash": model_digest(pmc),
@@ -165,7 +157,7 @@ def _cmd_sensitivity(args) -> int:
     direction = file_direction
     if args.direction is not None:
         direction = _direction_from_flag(args.direction)
-    report = analyze(pmc, problem, direction)
+    report = analyze(gradient_coefficients(pmc, problem), direction)
     if args.format == "json":
         sys.stdout.write(render_json(sensitivity_record(report)))
     else:
@@ -191,13 +183,12 @@ def _cmd_validate(args) -> int:
     else:
         raise PmcError("validate requires --delta or --per-parameter")
 
-    cp = canonicalize(pmc, problem)
-    report = validate_bounds(pmc, cp, deltas, n_samples=args.samples, seed=args.seed)
+    report = validate_bounds(gradient_coefficients(pmc, problem), deltas,
+                             n_samples=args.samples, seed=args.seed)
     if args.format == "json":
-        sys.stdout.write(render_json(validation_record(report, model_digest(pmc), problem)))
+        sys.stdout.write(render_json(validation_record(report)))
     else:
-        sys.stdout.write(render_validation_table(report, model_digest(pmc), problem,
-                                                 color=use_color()))
+        sys.stdout.write(render_validation_table(report, color=use_color()))
     return EXIT_OK
 
 
@@ -226,7 +217,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (SingularSystemError, NonConvergenceError) as exc:
+    except SingularSystemError as exc:
         print(f"pmcperturb: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PmcError as exc:

@@ -16,7 +16,7 @@ class MissingParameterError(PmcError):
 
 
 class UnknownParameterError(PmcError):
-    """A parameter id does not exist in the model or gradient set."""
+    """A parameter id does not exist in the model."""
 
 
 class DomainError(PmcError):
@@ -42,19 +42,8 @@ class SingularSystemError(PmcError):
     """
 
 
-class NonConvergenceError(PmcError):
-    """Truncated-series solve did not reach the residual tolerance.
-
-    The achieved residual is stored in :attr:`residual`.
-    """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class DirectionMismatchError(PmcError):
-    """A direction's parameter ids do not match the gradient set's."""
+    """A direction's parameter ids do not match the model's parameters."""
 
 
 class WeightsNotNormalizedError(PmcError):

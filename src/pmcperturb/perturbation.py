@@ -1,6 +1,6 @@
 """Perturbation analysis: linear coefficients and condition numbers.
 
-For a PMC and a canonical problem, the perturbation value of an assignment
+For a PMC and a reachability problem, the perturbation value of an assignment
 is the exact change of the combined reachability probability relative to
 the references (``sampler`` measures it by re-solving). Near the
 references that change is differentiable with a closed-form linear
@@ -27,6 +27,10 @@ so a variable in constraint column ``c`` gets ``s[row_i] * t[c]``, one that
 feeds the destination sum of ``b`` gets ``s[row_i]``, and one in the middle
 block, like every variable of a parameter whose row lies outside the
 constraint block, gets exactly ``+0.0``.
+
+:func:`gradient_coefficients` extracts and solves the reference system once
+per ``(pmc, problem)`` and returns it, with ``h`` and ``kappa``, as one
+:class:`ReferenceSolve`; every other function here takes that object.
 """
 
 from __future__ import annotations
@@ -44,15 +48,10 @@ from .errors import (
     UnknownParameterError,
     WeightsNotNormalizedError,
 )
-from .model import (
-    Assignment,
-    Pmc,
-    STOCHASTIC_TOL,
-    as_vector,
-    model_digest,
-)
+from .model import Assignment, Pmc, STOCHASTIC_TOL, as_vector
 from .reachability import (
     CanonicalProblem,
+    LinearSystem,
     ReachabilityProblem,
     _solve_direct,
     canonicalize,
@@ -63,37 +62,46 @@ from .reachability import (
 
 
 @dataclass(frozen=True)
-class GradientSet:
-    """Linear coefficients of the perturbation value at the references.
+class ReferenceSolve:
+    """The reference chain of one ``(pmc, problem)``, extracted and solved once.
 
-    ``h`` maps each parameter id to its coefficient vector (one entry per
-    support position; exactly zero at middle-block positions and for
-    parameters whose row lies outside the constraint block). ``s`` and
-    ``t`` are the cached visit weights and per-state solution described in
-    the module docstring; ``t`` equals the reachability solution of the
-    same system. ``mask`` marks the reach-positive constraint states, the
-    block that was factored.
+    :func:`gradient_coefficients` builds it; ``check``, :func:`analyze`,
+    the sampler and the paper tables all read from it.
+
+    Attributes:
+        pmc, problem, cp: the model, its problem and the canonical problem.
+        system: the read-only reference ``(A, b)``.
+        mask: the reach-positive constraint states, the block that was factored.
+        t, s: ``N b`` and ``iota_c N`` (module docstring), zero off ``mask``;
+            ``t`` is the reachability solution.
+        iota_c: the initial distribution on the constraint block.
+        rows, columns: each parameter's canonical row and support positions
+            (0-based).
+        h: each parameter's coefficient vector, one entry per support position
+            (exactly zero at middle-block positions and for parameters whose
+            row lies outside the constraint block).
+        kappa: each parameter's condition number.
+        probability: the combined reachability probability.
     """
 
-    h: Mapping[str, np.ndarray]
-    s: np.ndarray
-    t: np.ndarray
+    pmc: Pmc
+    problem: ReachabilityProblem
+    cp: CanonicalProblem
+    system: LinearSystem
     mask: np.ndarray
-    references: Mapping[str, np.ndarray]
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", {k: as_vector(v) for k, v in dict(self.h).items()})
-        object.__setattr__(self, "s", as_vector(self.s))
-        object.__setattr__(self, "t", as_vector(self.t))
-        mask = np.array(self.mask, dtype=bool)
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "references",
-                           {k: as_vector(v) for k, v in dict(self.references).items()})
+    t: np.ndarray
+    s: np.ndarray
+    iota_c: np.ndarray
+    rows: Mapping[str, int]
+    columns: Mapping[str, np.ndarray]
+    h: Mapping[str, np.ndarray]
+    kappa: Mapping[str, float]
+    probability: float
 
     @property
-    def parameter_ids(self) -> tuple[str, ...]:
-        return tuple(self.h)
+    def kappa_sum(self) -> float:
+        """``sum_i kappa_i``, the coefficient of per-parameter distances in the bound."""
+        return float(sum(self.kappa.values()))
 
 
 @dataclass(frozen=True)
@@ -127,36 +135,32 @@ class SensitivityReport:
     """Referential probability plus all condition-number views of one model.
 
     ``kappa_directional`` applies to a total budget split by ``direction``;
-    ``kappa_sum`` is the coefficient of per-parameter distances in the
-    bound ``sum_i kappa_i * Delta_i``. Both are derived from the same
+    ``reference.kappa_sum`` is the coefficient of per-parameter distances in
+    the bound ``sum_i kappa_i * Delta_i``. Both are derived from the same
     per-parameter ``kappa`` values and are reported separately because a
     single unlabeled number would be ambiguous.
     """
 
-    probability: float
-    gradients: GradientSet
-    kappa_by_parameter: Mapping[str, float]
+    reference: ReferenceSolve
     direction: Direction
     kappa_directional: float
-    kappa_sum: float
-    problem: ReachabilityProblem
-    model_hash: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "kappa_by_parameter", dict(self.kappa_by_parameter))
 
 
-def gradient_coefficients(pmc: Pmc, cp: CanonicalProblem) -> GradientSet:
-    """Closed-form linear coefficients ``h_i`` for every parameter.
+def gradient_coefficients(pmc: Pmc, problem: ReachabilityProblem) -> ReferenceSolve:
+    """The :class:`ReferenceSolve` of ``pmc`` and ``problem``.
 
-    The reach-positive mask comes from one frontier search, and one LU
+    The problem is canonicalized and ``(A, b)`` extracted once. The
+    reach-positive mask comes from one frontier search, and one LU
     factorization of the restricted ``I - A`` gives both ``t`` (equal to
     the reachability solution) and, by the transposed solve, the visit
     weights ``s``; both are zero outside the reach-positive states. Each
     ``h_i`` is then one gather over canonical positions (module docstring).
     """
+    cp = canonicalize(pmc, problem)
     system = extract_system(pmc, cp)
-    t, s, mask = _solve_direct(system.a, system.b, constrained_initial(pmc, cp))
+    iota_c = constrained_initial(pmc, cp)
+    t, s, mask = _solve_direct(system.a, system.b, iota_c)
+    s.flags.writeable = mask.flags.writeable = False
 
     nq, d0 = cp.n_constraint, cp.destination_start - 1
     pos = np.asarray(cp.permutation, dtype=np.intp) - 1
@@ -165,17 +169,20 @@ def gradient_coefficients(pmc: Pmc, cp: CanonicalProblem) -> GradientSet:
     x[d0:] = 1.0
     visits = np.zeros(cp.n)
     visits[:nq] = s
-    h: dict[str, np.ndarray] = {}
+    rows, columns, h = {}, {}, {}
     for param in pmc.parameters:
-        row = pos[param.row - 1]
-        cols = pos[np.asarray(param.support, dtype=np.intp) - 1]
+        row = rows[param.id] = int(pos[param.row - 1])
+        cols = columns[param.id] = pos[np.asarray(param.support, dtype=np.intp) - 1]
         # Select, not multiply by x == 0: s can be a rounding-level negative,
         # and a position outside the system must read +0.0, not -0.0.
         in_system = (row < nq) & ((cols < nq) | (cols >= d0))
-        h[param.id] = np.where(in_system, visits[row] * x[cols], 0.0)
+        h[param.id] = as_vector(np.where(in_system, visits[row] * x[cols], 0.0))
 
-    return GradientSet(h=h, s=s, t=t, mask=mask,
-                       references={p.id: p.reference for p in pmc.parameters})
+    return ReferenceSolve(
+        pmc=pmc, problem=problem, cp=cp, system=system, mask=mask, t=t, s=s,
+        iota_c=iota_c, rows=rows, columns=columns, h=h,
+        kappa={pid: condition_number_basic(v) for pid, v in h.items()},
+        probability=total_probability(pmc.initial, t, cp))
 
 
 def condition_number_basic(h) -> float:
@@ -193,30 +200,29 @@ def condition_number_basic(h) -> float:
     return float(0.5 * (h.max() - h.min()))
 
 
-def condition_number_directional(gradients: GradientSet, direction: Direction) -> float:
+def condition_number_directional(reference: ReferenceSolve, direction: Direction) -> float:
     """Directional condition number ``sum_i w(i) * kappa_i``.
 
     Raises:
-        DirectionMismatchError: the direction's ids differ from the
-            gradient set's.
+        DirectionMismatchError: the direction's ids differ from the model's
+            parameter ids.
     """
-    if set(direction.weights) != set(gradients.h):
+    if set(direction.weights) != set(reference.kappa):
         raise DirectionMismatchError(
             f"direction covers {sorted(direction.weights)}, "
-            f"gradients cover {sorted(gradients.h)}")
-    return float(sum(w * condition_number_basic(gradients.h[pid])
-                     for pid, w in direction.weights.items()))
+            f"parameters are {sorted(reference.kappa)}")
+    return float(sum(w * reference.kappa[pid] for pid, w in direction.weights.items()))
 
 
-def condition_number_parameterwise(gradients: GradientSet, pid: str) -> float:
+def condition_number_parameterwise(reference: ReferenceSolve, pid: str) -> float:
     """Condition number of a single parameter (direction concentrated on it).
 
     Raises:
-        UnknownParameterError: ``pid`` is not in the gradient set.
+        UnknownParameterError: ``pid`` is not a parameter of the model.
     """
-    if pid not in gradients.h:
+    if pid not in reference.kappa:
         raise UnknownParameterError(f"no gradient for parameter {pid!r}")
-    return condition_number_basic(gradients.h[pid])
+    return reference.kappa[pid]
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,7 @@ class LinkIdentityCheck:
     discrepancy: float
 
 
-def link_identity_check(gradients: GradientSet,
+def link_identity_check(reference: ReferenceSolve,
                         deltas: Mapping[str, float]) -> LinkIdentityCheck:
     """Evaluate the parameter-wise/directional bound identity.
 
@@ -238,23 +244,23 @@ def link_identity_check(gradients: GradientSet,
 
     Raises:
         NonpositiveDeltaError: some ``Delta_i <= 0``.
-        DirectionMismatchError: ids do not match the gradient set.
+        DirectionMismatchError: ids do not match the model's parameter ids.
     """
     deltas = {str(k): float(v) for k, v in dict(deltas).items()}
     if any(d <= 0.0 for d in deltas.values()):
         raise NonpositiveDeltaError(f"all distances must be positive: {deltas}")
-    if set(deltas) != set(gradients.h):
+    if set(deltas) != set(reference.kappa):
         raise DirectionMismatchError(
-            f"distances cover {sorted(deltas)}, gradients cover {sorted(gradients.h)}")
+            f"distances cover {sorted(deltas)}, parameters are {sorted(reference.kappa)}")
     total = sum(deltas.values())
-    lhs = sum(condition_number_basic(gradients.h[pid]) * d for pid, d in deltas.items())
+    lhs = sum(reference.kappa[pid] * d for pid, d in deltas.items())
     direction = Direction({pid: d / total for pid, d in deltas.items()})
-    rhs = condition_number_directional(gradients, direction) * total
+    rhs = condition_number_directional(reference, direction) * total
     return LinkIdentityCheck(lhs=float(lhs), rhs=float(rhs),
                              discrepancy=float(abs(lhs - rhs)))
 
 
-def linear_estimate(gradients: GradientSet, assignment: Assignment) -> float:
+def linear_estimate(reference: ReferenceSolve, assignment: Assignment) -> float:
     """First-order estimate ``sum_i h_i . (v_i - r_i)`` of the perturbation value.
 
     Raises:
@@ -262,36 +268,25 @@ def linear_estimate(gradients: GradientSet, assignment: Assignment) -> float:
         ArityMismatchError: an assigned vector has the wrong length.
     """
     total = 0.0
-    for pid, h in gradients.h.items():
-        v = assignment[pid]
-        r = gradients.references[pid]
-        if v.size != r.size:
+    for param in reference.pmc.parameters:
+        v = assignment[param.id]
+        if v.size != param.arity:
             raise ArityMismatchError(
-                f"assignment for {pid!r} has {v.size} entries, expected {r.size}")
-        total += float(h @ (v - r))
+                f"assignment for {param.id!r} has {v.size} entries, expected {param.arity}")
+        total += float(reference.h[param.id] @ (v - param.reference))
     return total
 
 
-def analyze(pmc: Pmc, problem: ReachabilityProblem,
+def analyze(reference: ReferenceSolve,
             direction: Direction | None = None) -> SensitivityReport:
-    """Full sensitivity report for a model and problem.
+    """Full sensitivity report of a reference solve.
 
     Uses the uniform direction when none is given.
     """
-    cp = canonicalize(pmc, problem)
-    gradients = gradient_coefficients(pmc, cp)
-    kappas = {p.id: condition_number_basic(gradients.h[p.id]) for p in pmc.parameters}
     if direction is None:
-        direction = Direction.uniform(kappas)
-    kappa_w = condition_number_directional(gradients, direction)
-    probability = total_probability(pmc.initial, gradients.t, cp)
+        direction = Direction.uniform(reference.kappa)
     return SensitivityReport(
-        probability=probability,
-        gradients=gradients,
-        kappa_by_parameter=kappas,
+        reference=reference,
         direction=direction,
-        kappa_directional=kappa_w,
-        kappa_sum=float(sum(kappas.values())),
-        problem=problem,
-        model_hash=model_digest(pmc),
+        kappa_directional=condition_number_directional(reference, direction),
     )

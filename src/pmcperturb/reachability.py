@@ -21,9 +21,9 @@ LAPACK ``getrf`` and solves with ``getrs``: ``t = N b`` and, transposed, the
 visit weights ``s = iota_c N`` (``N = (I - A)^{-1}``). It calls the two
 routines that ``scipy.linalg.lu_factor`` and ``lu_solve`` wrap, without
 their per-call input checks, so results keep their bits. The reference
-solve and every sampled re-solve (``sampler``) go through it; a sample that
-keeps the reference mask patches a copy of the reference block instead of
-gathering a new one.
+solve (kept as ``perturbation.ReferenceSolve``) and every sampled re-solve
+(``sampler``) go through it; a sample that keeps the reference mask patches
+a copy of the reference block instead of gathering a new one.
 """
 
 from __future__ import annotations

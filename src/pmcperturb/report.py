@@ -29,8 +29,9 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .example_models import build_frog, build_zeroconf
-from .perturbation import SensitivityReport, analyze
-from .reachability import ReachabilityProblem, canonicalize
+from .model import model_digest
+from .perturbation import SensitivityReport, gradient_coefficients
+from .reachability import ReachabilityProblem
 from .sampler import ValidationReport, evaluate_assignments
 
 BOUND_CONVENTION = ("per-parameter distances Delta_i bound the exact delta by "
@@ -42,6 +43,8 @@ _INT = int.__repr__
 _PAIR = "{}: {}".format
 #: JSON spellings of the ``float.__repr__`` texts that are not finite numbers.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: Exceeding samples listed by :func:`render_validation_table`.
+MAX_TABLE_ROWS = 20
 
 
 def _fmt(x: float) -> str:
@@ -156,40 +159,42 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
 # sensitivity
 
 def sensitivity_record(report: SensitivityReport) -> dict:
+    reference = report.reference
     return {
-        "model_hash": report.model_hash,
-        "problem": _problem_record(report.problem),
-        "probability": report.probability,
+        "model_hash": model_digest(reference.pmc),
+        "problem": _problem_record(reference.problem),
+        "probability": reference.probability,
         "parameters": [
             {
                 "id": pid,
                 "kappa": kappa,
-                "h": list(map(float, report.gradients.h[pid])),
+                "h": list(map(float, reference.h[pid])),
             }
-            for pid, kappa in report.kappa_by_parameter.items()
+            for pid, kappa in reference.kappa.items()
         ],
         "direction": dict(report.direction.weights),
         "kappa_directional": report.kappa_directional,
-        "kappa_sum": report.kappa_sum,
+        "kappa_sum": reference.kappa_sum,
         "bound_convention": BOUND_CONVENTION,
     }
 
 
 def render_sensitivity_table(report: SensitivityReport) -> str:
+    reference = report.reference
     lines = [
-        f"model {report.model_hash}, problem "
-        f"{sorted(report.problem.constraint)} U {sorted(report.problem.destination)}",
-        f"referential probability: {report.probability:.6f}",
+        f"model {model_digest(reference.pmc)}, problem "
+        f"{sorted(reference.problem.constraint)} U {sorted(reference.problem.destination)}",
+        f"referential probability: {reference.probability:.6f}",
         "",
     ]
     rows = [[pid, _fmt(kappa), f"w={_fmt(report.direction.weights[pid])}",
-             "[" + ", ".join(_fmt(x) for x in report.gradients.h[pid]) + "]"]
-            for pid, kappa in report.kappa_by_parameter.items()]
+             "[" + ", ".join(_fmt(x) for x in reference.h[pid]) + "]"]
+            for pid, kappa in reference.kappa.items()]
     lines.extend(_table(["parameter", "kappa_i", "direction", "h"], rows))
     lines.append("")
     lines.append(f"kappa_w   = {_fmt(report.kappa_directional)}"
                  "  (total budget Delta split by the direction)")
-    lines.append(f"kappa_sum = {_fmt(report.kappa_sum)}"
+    lines.append(f"kappa_sum = {_fmt(reference.kappa_sum)}"
                  "  (per-parameter distances: bound sum_i kappa_i * Delta_i)")
     return "\n".join(lines) + "\n"
 
@@ -197,15 +202,14 @@ def render_sensitivity_table(report: SensitivityReport) -> str:
 # ---------------------------------------------------------------------------
 # validation
 
-def validation_record(report: ValidationReport, model_hash: str,
-                      problem: ReachabilityProblem) -> dict:
+def validation_record(report: ValidationReport) -> dict:
     return {
-        "model_hash": model_hash,
-        "problem": _problem_record(problem),
+        "model_hash": model_digest(report.reference.pmc),
+        "problem": _problem_record(report.reference.problem),
         "requested_distances": dict(report.requested),
         "bound": report.bound,
         "analytic_kappa": report.analytic_kappa,
-        "kappa_sum": report.kappa_sum,
+        "kappa_sum": report.reference.kappa_sum,
         "empirical_kappa": report.empirical_kappa,
         "violations": report.violations,
         "max_excess": report.max_excess,
@@ -229,17 +233,16 @@ def validation_record(report: ValidationReport, model_hash: str,
     }
 
 
-def render_validation_table(report: ValidationReport, model_hash: str,
-                            problem: ReachabilityProblem,
-                            color: bool = False, max_rows: int = 20) -> str:
+def render_validation_table(report: ValidationReport, color: bool = False) -> str:
+    reference = report.reference
     lines = [
-        f"model {model_hash}, problem "
-        f"{sorted(problem.constraint)} U {sorted(problem.destination)}",
+        f"model {model_digest(reference.pmc)}, problem "
+        f"{sorted(reference.problem.constraint)} U {sorted(reference.problem.destination)}",
         f"samples: {len(report.samples)}  seed: {report.seed}",
         f"requested distances: "
         + ", ".join(f"{pid}={_fmt(d)}" for pid, d in report.requested.items()),
         f"bound sum_i kappa_i*Delta_i = {_fmt(report.bound)}"
-        f"  (kappa_w = {_fmt(report.analytic_kappa)}, kappa_sum = {_fmt(report.kappa_sum)})",
+        f"  (kappa_w = {_fmt(report.analytic_kappa)}, kappa_sum = {_fmt(reference.kappa_sum)})",
         f"empirical kappa = {_fmt(report.empirical_kappa)}",
     ]
     if report.violations:
@@ -248,7 +251,7 @@ def render_validation_table(report: ValidationReport, model_hash: str,
         lines.append(flagged)
         rows = [[s.label, _fmt(s.distance), f"{s.exact:+.6g}", f"{s.linear:+.6g}",
                  _fmt(s.bound)]
-                for s in report.samples if s.exceeds][:max_rows]
+                for s in report.samples if s.exceeds][:MAX_TABLE_ROWS]
         lines.append("")
         lines.extend(_table(["sample", "distance", "exact", "linear", "bound"], rows))
     else:
@@ -272,13 +275,10 @@ _FG_PERTURBED = (
 
 def reference_tables_record() -> dict:
     """Both case-study tables as one machine-readable record (values x 1e3)."""
-    zf_pmc, zf_problem = build_zeroconf(a=0.2, loss_ref=0.25)
-    zf = analyze(zf_pmc, zf_problem)
+    zf = gradient_coefficients(*build_zeroconf(a=0.2, loss_ref=0.25))
     zf_vectors = {p.id: [(back, 1.0 - back) for back in _ZF_PERTURBED]
-                  for p in zf_pmc.parameters}
-    zf_samples = evaluate_assignments(zf_pmc, canonicalize(zf_pmc, zf_problem),
-                                      zf.gradients, ["given"] * len(_ZF_PERTURBED),
-                                      zf_vectors)
+                  for p in zf.pmc.parameters}
+    zf_samples = evaluate_assignments(zf, ["given"] * len(_ZF_PERTURBED), zf_vectors)
     zf_rows = []
     for back, sample in zip(_ZF_PERTURBED, zf_samples):
         delta_i = 2.0 * abs(back - 0.75)
@@ -290,10 +290,8 @@ def reference_tables_record() -> dict:
             "exceeds": sample.exceeds,
         })
 
-    fg_pmc, fg_problem = build_frog()
-    fg = analyze(fg_pmc, fg_problem)
-    fg_samples = evaluate_assignments(fg_pmc, canonicalize(fg_pmc, fg_problem),
-                                      fg.gradients, ["given"] * len(_FG_PERTURBED),
+    fg = gradient_coefficients(*build_frog())
+    fg_samples = evaluate_assignments(fg, ["given"] * len(_FG_PERTURBED),
                                       {"hop": _FG_PERTURBED})
     fg_rows = []
     for dist, sample in zip(_FG_PERTURBED, fg_samples):
@@ -310,22 +308,29 @@ def reference_tables_record() -> dict:
         "scale": "all table values are multiplied by 1e3",
         "bound_convention": BOUND_CONVENTION,
         "zeroconf": {
-            "model_hash": zf.model_hash,
-            "problem": _problem_record(zf_problem),
+            "model_hash": model_digest(zf.pmc),
+            "problem": _problem_record(zf.problem),
             "probability_x1e3": zf.probability * 1e3,
             "kappa_sum_x1e3": zf.kappa_sum * 1e3,
-            "kappa_per_parameter_x1e3": {pid: k * 1e3
-                                         for pid, k in zf.kappa_by_parameter.items()},
+            "kappa_per_parameter_x1e3": {pid: k * 1e3 for pid, k in zf.kappa.items()},
             "perturbed": zf_rows,
         },
         "frog": {
-            "model_hash": fg.model_hash,
-            "problem": _problem_record(fg_problem),
+            "model_hash": model_digest(fg.pmc),
+            "problem": _problem_record(fg.problem),
             "probability_x1e3": fg.probability * 1e3,
             "kappa_x1e3": fg.kappa_sum * 1e3,
             "perturbed": fg_rows,
         },
     }
+
+
+def _perturbed_row(index: int, row: dict, model: str, distance: float,
+                   color: bool) -> list[str]:
+    """Table cells of the perturbed model ``M<index>``, described by ``model``."""
+    flag = " *" if row["exceeds"] else ""
+    return [f"M{index}", model, f"{row['delta_x1e3']:+.3f}", f"{distance:.0f}", "-",
+            _mark(f"+-{row['range_x1e3']:.3f}{flag}", color and row["exceeds"])]
 
 
 def render_reference_tables(record: dict, color: bool = False) -> str:
@@ -338,16 +343,9 @@ def render_reference_tables(record: dict, color: bool = False) -> str:
                "Variation Range"]
     rows = [["ref", "750", f"{zf['probability_x1e3']:.3f}", "-",
              f"{zf['kappa_sum_x1e3']:.3f}", "-"]]
-    for index, row in enumerate(zf["perturbed"], start=1):
-        flag = " *" if row["exceeds"] else ""
-        rows.append([
-            f"M{index}",
-            f"{row['back_probability_x1e3']:.0f}",
-            f"{row['delta_x1e3']:+.3f}",
-            f"{row['distance_per_parameter_x1e3']:.0f}",
-            "-",
-            _mark(f"+-{row['range_x1e3']:.3f}{flag}", color and row["exceeds"]),
-        ])
+    rows += [_perturbed_row(index, row, f"{row['back_probability_x1e3']:.0f}",
+                            row["distance_per_parameter_x1e3"], color)
+             for index, row in enumerate(zf["perturbed"], start=1)]
     lines.extend(_table(headers, rows))
     lines.append("")
 
@@ -358,17 +356,10 @@ def render_reference_tables(record: dict, color: bool = False) -> str:
                "Condition Number", "Variation Range"]
     rows = [["ref", "(375, 125, 250, 250)", f"{fg['probability_x1e3']:.3f}", "-",
              f"{fg['kappa_x1e3']:.3f}", "-"]]
-    for index, row in enumerate(fg["perturbed"], start=1):
-        flag = " *" if row["exceeds"] else ""
-        dist = "(" + ", ".join(f"{x:.0f}" for x in row["distribution_x1e3"]) + ")"
-        rows.append([
-            f"M{index}",
-            dist,
-            f"{row['delta_x1e3']:+.3f}",
-            f"{row['distance_x1e3']:.0f}",
-            "-",
-            _mark(f"+-{row['range_x1e3']:.3f}{flag}", color and row["exceeds"]),
-        ])
+    rows += [_perturbed_row(index, row,
+                            "(" + ", ".join(f"{x:.0f}" for x in row["distribution_x1e3"]) + ")",
+                            row["distance_x1e3"], color)
+             for index, row in enumerate(fg["perturbed"], start=1)]
     lines.extend(_table(headers, rows))
     lines.append("")
     lines.append("* exact delta exceeds the first-order variation range")

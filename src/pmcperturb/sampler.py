@@ -27,10 +27,11 @@ supremum is not an underestimate by sampling luck.
 
 Every evaluated assignment, sampled, extremal or given by the caller (the
 published perturbed models), goes through :func:`evaluate_assignments`,
-which takes them as one batch per parameter and measures them against a
-reference solve the caller already holds. Requested distances must lie in
-``(0, 2]``, the diameter of the simplex in this distance; others are
-rejected before anything is sampled.
+which takes them as one batch per parameter and measures them against the
+model's :class:`~pmcperturb.perturbation.ReferenceSolve`, reading its
+reference ``(A, b)``, positions, ``t`` and ``kappa``. Requested distances
+must lie in ``(0, 2]``, the diameter of the simplex in this distance;
+others are rejected before anything is sampled.
 
 Randomness for sample ``k`` of a run derives from ``(seed, k)``, so results
 do not depend on evaluation order or run size, and identical seeds give
@@ -55,15 +56,8 @@ from .errors import (
     SimplexViolationError,
 )
 from .model import Assignment, DistributionParameter, Pmc, as_vector, is_distribution
-from .perturbation import GradientSet, condition_number_basic, gradient_coefficients
-from .reachability import (
-    CanonicalProblem,
-    _reach_block,
-    _solve_block,
-    constrained_initial,
-    extract_system,
-    reach_positive_mask,
-)
+from .perturbation import ReferenceSolve
+from .reachability import _reach_block, _solve_block, reach_positive_mask
 
 #: Fraction by which observed deltas may exceed the first-order bound before
 #: a validation run is considered inconsistent (the bound is asymptotic, not
@@ -95,7 +89,7 @@ class PerturbationSample:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an empirical bound-validation run.
+    """Outcome of an empirical bound-validation run against ``reference``.
 
     ``bound`` and ``analytic_kappa`` refer to the requested per-parameter
     distances (``analytic_kappa`` is the directional condition number for
@@ -103,11 +97,11 @@ class ValidationReport:
     largest observed ``|exact| / distance`` over all samples.
     """
 
+    reference: ReferenceSolve
     samples: tuple[PerturbationSample, ...]
     requested: Mapping[str, float]
     bound: float
     analytic_kappa: float
-    kappa_sum: float
     empirical_kappa: float
     violations: int
     max_excess: float
@@ -256,7 +250,7 @@ def _check_run(pmc: Pmc, n_samples: int, seed: int) -> None:
         raise DomainError(f"seed must be non-negative, got {seed!r}")
 
 
-def empirical_kappa(pmc: Pmc, cp: CanonicalProblem, delta: float,
+def empirical_kappa(reference: ReferenceSolve, delta: float,
                     n_samples: int, seed: int) -> float:
     """Empirical supremum of ``|exact delta| / delta`` at distance ``delta``.
 
@@ -271,39 +265,38 @@ def empirical_kappa(pmc: Pmc, cp: CanonicalProblem, delta: float,
             ``seed`` is negative.
         InfeasibleDistanceError: ``delta`` exceeds 2 or is infinite.
     """
-    _check_run(pmc, n_samples, seed)
+    _check_run(reference.pmc, n_samples, seed)
     if not delta > 0.0:
         raise DomainError(f"perturbation distance must be positive, got {delta!r}")
     if delta > 2.0:
         raise InfeasibleDistanceError(f"no probability vectors at distance {delta!r} > 2")
-    gradients = gradient_coefficients(pmc, cp)
-    params = pmc.parameters
+    params = reference.pmc.parameters
     count = len(params)
     labels = ["extremal+", "extremal-"] * count + ["random"] * n_samples
     vectors = {}
     for j, param in enumerate(params):
         rows = np.tile(param.reference, (len(labels), 1))
-        rows[2 * j:2 * j + 2] = _extremal_rows(param, gradients.h[param.id], delta)
+        rows[2 * j:2 * j + 2] = _extremal_rows(param, reference.h[param.id], delta)
         drawn = _random_rows([param], {param.id: delta}, seed, range(j, n_samples, count))
         rows[2 * count + j::count] = drawn[param.id]
         vectors[param.id] = rows
-    samples = evaluate_assignments(pmc, cp, gradients, labels, vectors)
+    samples = evaluate_assignments(reference, labels, vectors)
     return max(abs(x.exact) / delta for x in samples)
 
 
-def _exact_deltas(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
-                  batch: Mapping[str, np.ndarray], count: int) -> list[float]:
+def _exact_deltas(reference: ReferenceSolve, batch: Mapping[str, np.ndarray],
+                  count: int) -> list[float]:
     """Exact delta of every sample, by one re-solve of the patched reference system.
 
     Only the parameter rows of the constraint block change between samples:
     their ``A`` entries are overwritten and their ``b`` entries rebuilt as the
     sum of the destination-ordered row segment, as :func:`extract_system`
-    sums it. Each patched ``(A, b)`` is bit-identical to
+    sums it. Each patched copy of ``reference.system`` is bit-identical to
     ``extract_system(pmc, cp, assignment)``.
 
     The reach-positive mask depends only on which entries are positive. A
     sample with the reference's positive/zero pattern on the patched
-    entries keeps the reference mask (``gradients.mask``); only another
+    entries keeps the reference mask (``reference.mask``); only another
     pattern costs a new reach search. While the mask is the reference's,
     the sample copies the reference block ``I - A[mask, mask]``, built once
     per batch, and writes ``eye - value`` at the patched block positions
@@ -313,17 +306,15 @@ def _exact_deltas(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
     exact delta is bit-identical to a ``solve_reachability`` re-solve. No
     block is kept beyond the reference one.
     """
-    reference = extract_system(pmc, cp)
-    a, b = np.array(reference.a), np.array(reference.b)
+    cp = reference.cp
+    a, b = np.array(reference.system.a), np.array(reference.system.b)
     nq, d0 = cp.n_constraint, cp.destination_start - 1
-    pos = np.asarray(cp.permutation, dtype=np.intp) - 1
     a_rows, a_cols, b_rows = [], [], []
     a_values, b_values = [np.empty((count, 0))], [np.empty((count, 0))]
-    for param in pmc.parameters:
-        row = pos[param.row - 1]
+    for param in reference.pmc.parameters:
+        row, cols = reference.rows[param.id], reference.columns[param.id]
         if row >= nq:
             continue
-        cols = pos[np.asarray(param.support, dtype=np.intp) - 1]
         rows = batch[param.id]
         inner, outer = cols < nq, cols >= d0
         a_rows += [row] * int(inner.sum())
@@ -340,7 +331,7 @@ def _exact_deltas(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
     same_pattern = (np.hstack([a_values > 0.0, b_values > 0.0])
                     == reference_pattern).all(axis=1)
 
-    mask = gradients.mask
+    mask = reference.mask
     block = np.asfortranarray(_reach_block(a, mask))
     in_block = mask[a_rows] & mask[a_cols]
     order = np.cumsum(mask) - 1
@@ -348,8 +339,7 @@ def _exact_deltas(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
     block_values = (np.where(a_rows[in_block] == a_cols[in_block], 1.0, 0.0)
                     - a_values[:, in_block])
 
-    iota_c = constrained_initial(pmc, cp)
-    reference_value = float(iota_c @ gradients.t)
+    reference_value = float(reference.iota_c @ reference.t)
     exact = []
     for k in range(count):
         a[a_rows, a_cols] = a_values[k]
@@ -361,43 +351,49 @@ def _exact_deltas(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
         else:
             sample_block = _reach_block(a, sample_mask)
         t, _ = _solve_block(a, b, sample_mask, sample_block)
-        exact.append(float(iota_c @ t) - reference_value)
+        exact.append(float(reference.iota_c @ t) - reference_value)
     return exact
 
 
-def evaluate_assignments(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
-                         labels: Sequence[str],
+def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
                          vectors: Mapping[str, object]) -> list[PerturbationSample]:
-    """Measure a batch of labelled assignments against the reference solve in ``gradients``.
+    """Measure a batch of labelled assignments against ``reference``.
 
     ``vectors[pid]`` holds one row per label: the vector assigned to
     parameter ``pid`` in that sample. Each parameter's rows are checked on
     the simplex once, as a batch. For each sample the result holds the
     achieved per-parameter distances, the exact delta (one re-solve), the
     linear estimate and the bound ``sum_i kappa_i * Delta_i`` at those
-    distances. ``gradients`` must come from :func:`gradient_coefficients` on
-    the same ``pmc`` and ``cp``.
+    distances.
 
     Raises:
         MissingParameterError: ``vectors`` misses a parameter.
-        ArityMismatchError: a parameter's rows are not ``len(labels)`` by its arity.
-        SimplexViolationError: some row is not a probability vector.
+        ArityMismatchError: a parameter's rows are not ``len(labels)`` by its
+            arity, or are ragged.
+        SimplexViolationError: some row is not a probability vector, or has
+            an entry that is not a number.
     """
     labels = list(labels)
     count = len(labels)
     if not count:
         return []
-    params = pmc.parameters
+    params = reference.pmc.parameters
     batch = {}
     for param in params:
         if param.id not in vectors:
             raise MissingParameterError(f"assignments miss parameter {param.id!r}")
-        rows = np.array(vectors[param.id], dtype=np.float64)
+        try:
+            rows = np.array(vectors[param.id], dtype=np.float64)
+        except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
+            try:
+                rows = np.array(vectors[param.id], dtype=object)
+            except ValueError:  # nested arrays of unequal shapes
+                rows = np.empty(0, dtype=object)
         if rows.shape != (count, param.arity):
             raise ArityMismatchError(
                 f"assignments for {param.id!r} have shape {rows.shape}, "
                 f"expected {(count, param.arity)}")
-        if not is_distribution(rows):
+        if rows.dtype != np.float64 or not is_distribution(rows):
             raise SimplexViolationError(
                 f"an assignment for parameter {param.id!r} is not a probability vector")
         rows.flags.writeable = False
@@ -410,12 +406,12 @@ def evaluate_assignments(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
     bound = np.zeros(count)
     linear = np.zeros(count)
     for param in params:
-        rows, h = batch[param.id], gradients.h[param.id]
+        rows = batch[param.id]
         distances[param.id] = np.abs(rows - param.reference).sum(axis=1)
         distance = distance + distances[param.id]
-        bound = bound + condition_number_basic(h) * distances[param.id]
-        linear = linear + (rows - param.reference) @ h
-    exact = _exact_deltas(pmc, cp, gradients, batch, count)
+        bound = bound + reference.kappa[param.id] * distances[param.id]
+        linear = linear + (rows - param.reference) @ reference.h[param.id]
+    exact = _exact_deltas(reference, batch, count)
 
     distances = {pid: d.tolist() for pid, d in distances.items()}
     return [
@@ -430,16 +426,15 @@ def evaluate_assignments(pmc: Pmc, cp: CanonicalProblem, gradients: GradientSet,
     ]
 
 
-def validate_bounds(pmc: Pmc, cp: CanonicalProblem, deltas: Mapping[str, float],
-                    n_samples: int, seed: int, *,
-                    slack: float = VIOLATION_SLACK) -> ValidationReport:
+def validate_bounds(reference: ReferenceSolve, deltas: Mapping[str, float],
+                    n_samples: int, seed: int) -> ValidationReport:
     """Empirically validate the first-order bound at given per-parameter distances.
 
     Evaluates the two joint extremal moves and then ``n_samples`` random
     assignments moving every parameter ``i`` by (up to) ``deltas[i]``, all
-    in one :func:`evaluate_assignments` batch against one reference solve,
-    and reports samples whose exact delta exceeds the bound. Violations are
-    reported, never raised.
+    in one :func:`evaluate_assignments` batch against ``reference``, and
+    reports samples whose exact delta exceeds the bound. Violations are
+    reported, never raised; ``slack`` is :data:`VIOLATION_SLACK`.
 
     Raises:
         EmptyVectorError: the model has no distribution parameters.
@@ -448,9 +443,10 @@ def validate_bounds(pmc: Pmc, cp: CanonicalProblem, deltas: Mapping[str, float],
         NonpositiveDeltaError: a requested distance is not positive (or NaN).
         InfeasibleDistanceError: a requested distance exceeds 2 or is infinite.
     """
-    _check_run(pmc, n_samples, seed)
+    params = reference.pmc.parameters
+    _check_run(reference.pmc, n_samples, seed)
     requested = {str(k): float(v) for k, v in dict(deltas).items()}
-    for param in pmc.parameters:
+    for param in params:
         if param.id not in requested:
             raise MissingParameterError(f"no distance requested for parameter {param.id!r}")
     if not all(d > 0.0 for d in requested.values()):
@@ -460,27 +456,25 @@ def validate_bounds(pmc: Pmc, cp: CanonicalProblem, deltas: Mapping[str, float],
             f"requested distances must not exceed 2, the diameter of the simplex: "
             f"{requested}")
 
-    gradients = gradient_coefficients(pmc, cp)
-    drawn = _random_rows(pmc.parameters, requested, seed, range(n_samples))
-    vectors = {p.id: np.concatenate([_extremal_rows(p, gradients.h[p.id], requested[p.id]),
+    drawn = _random_rows(params, requested, seed, range(n_samples))
+    vectors = {p.id: np.concatenate([_extremal_rows(p, reference.h[p.id], requested[p.id]),
                                      drawn[p.id]])
-               for p in pmc.parameters}
+               for p in params}
     labels = ["extremal+", "extremal-"] + ["random"] * n_samples
-    samples = evaluate_assignments(pmc, cp, gradients, labels, vectors)
+    samples = evaluate_assignments(reference, labels, vectors)
 
-    kappas = {p.id: condition_number_basic(gradients.h[p.id]) for p in pmc.parameters}
-    requested_bound = sum(kappas[pid] * requested[pid] for pid in kappas)
+    requested_bound = sum(reference.kappa[pid] * requested[pid] for pid in reference.kappa)
     return ValidationReport(
+        reference=reference,
         samples=tuple(samples),
         requested=requested,
         bound=float(requested_bound),
         analytic_kappa=float(requested_bound / sum(requested.values())),
-        kappa_sum=float(sum(kappas.values())),
         empirical_kappa=float(max((abs(x.exact) / x.distance for x in samples
                                    if x.distance > 0.0), default=0.0)),
         violations=sum(x.exceeds for x in samples),
         max_excess=float(max((abs(x.exact) - x.bound for x in samples if x.exceeds),
                              default=0.0)),
-        slack=float(slack),
+        slack=VIOLATION_SLACK,
         seed=int(seed),
     )

@@ -14,9 +14,12 @@ everything the bounds use.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+import pmcperturb
 from pmcperturb import (
     Assignment,
     DistributionParameter,
@@ -181,6 +184,24 @@ def assert_gradient_matches_fd(pmc: Pmc, cp, gradients, step: float = FD_STEP,
                 assert abs((h[j] - h[k]) / 2.0 - fd) <= tol, (
                     f"parameter {pid!r} pair ({j}, {k}): "
                     f"closed form {(h[j] - h[k]) / 2.0!r} vs oracle {fd!r}")
+
+
+def count_calls(monkeypatch, calls: dict, *sources) -> None:
+    """Count the calls of each function named in ``calls`` into ``calls[name]``.
+
+    The function is taken from the first of ``sources``, then the package,
+    that has the name, and replaced in every ``pmcperturb`` namespace that
+    binds it, so calls through any import of it are counted.
+    """
+    for name in calls:
+        fn = next(getattr(m, name) for m in (*sources, pmcperturb) if hasattr(m, name))
+
+        def wrapper(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "pmcperturb" and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapper)
 
 
 @pytest.fixture

@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from pmcperturb import (
-    NonConvergenceError,
-    constrained_initial,
-    extract_system,
-    solve_reachability,
-)
+from pmcperturb import PmcError, constrained_initial, extract_system, solve_reachability
 from pmcperturb.reachability import RESIDUAL_HARD
+
+
+class NonConvergenceError(PmcError):
+    """Truncated-series solve did not reach the residual tolerance.
+
+    The achieved residual is stored in :attr:`residual`.
+    """
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 def solve_series(system, truncation: int = 100) -> np.ndarray:

@@ -68,8 +68,8 @@ def test_criterion_1_frog_probability():
 
 def test_criterion_2_frog_condition_number():
     with criterion(2, "frog kappa 0.312500 (1e-9) and h vs finite differences (1e-6)"):
-        pmc, _, cp = frog_case()
-        gradients = gradient_coefficients(pmc, cp)
+        pmc, problem, cp = frog_case()
+        gradients = gradient_coefficients(pmc, problem)
         kappa = condition_number_basic(gradients.h["hop"])
         assert kappa == pytest.approx(0.3125, abs=1e-9)
         oracle = fd_reconstruct(pmc, cp, "hop")
@@ -105,8 +105,8 @@ def test_criterion_4_zeroconf_probability():
 
 def test_criterion_5_zeroconf_condition_numbers():
     with criterion(5, "zeroconf kappa_sum 7.797e-3 (5e-7) and variation ranges"):
-        pmc, _, cp = zeroconf_case()
-        gradients = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = zeroconf_case()
+        gradients = gradient_coefficients(pmc, problem)
         kappas = {pid: condition_number_basic(h) for pid, h in gradients.h.items()}
         kappa_sum = sum(kappas.values())
         assert kappa_sum == pytest.approx(7.797e-3, abs=5e-7)
@@ -123,9 +123,9 @@ ZF_TABLE = ((0.749, -0.016e-3), (0.752, +0.031e-3), (0.747, -0.048e-3))
 
 def test_criterion_6_zeroconf_perturbed_models():
     with criterion(6, "zeroconf exact deltas (1e-6), third model flagged"):
-        pmc, _, cp = zeroconf_case()
+        pmc, problem, _ = zeroconf_case()
         vectors = {p.id: [(back, 1.0 - back) for back, _ in ZF_TABLE] for p in pmc.parameters}
-        samples = evaluate_assignments(pmc, cp, gradient_coefficients(pmc, cp),
+        samples = evaluate_assignments(gradient_coefficients(pmc, problem),
                                        ["given"] * len(ZF_TABLE), vectors)
         flags = []
         for (_, expected), sample in zip(ZF_TABLE, samples):
@@ -139,11 +139,11 @@ def test_criterion_7_link_identity():
         rng = np.random.default_rng(2024)
         for _ in range(100):
             n_params = int(rng.integers(2, 5))
-            pmc, _, cp = random_case(rng, n=8, n_params=n_params,
-                                     require_param_in_constraint=False)
-            gradients = gradient_coefficients(pmc, cp)
+            pmc, problem, _ = random_case(rng, n=8, n_params=n_params,
+                                          require_param_in_constraint=False)
+            gradients = gradient_coefficients(pmc, problem)
             deltas = {pid: float(rng.uniform(1e-4, 0.2))
-                      for pid in gradients.parameter_ids}
+                      for pid in gradients.pmc.parameter_ids}
             check = link_identity_check(gradients, deltas)
             assert check.discrepancy <= 1e-12
             total = sum(deltas.values())
@@ -157,9 +157,9 @@ def test_criterion_8_remainder_decay():
         rng = np.random.default_rng(88)
         deltas = (1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
         for _ in range(20):
-            pmc, _, cp = random_case(rng, n=8, n_params=int(rng.integers(1, 4)),
-                                     min_constraint=3)
-            gradients = gradient_coefficients(pmc, cp)
+            pmc, problem, cp = random_case(rng, n=8, n_params=int(rng.integers(1, 4)),
+                                           min_constraint=3)
+            gradients = gradient_coefficients(pmc, problem)
             directions = {p.id: zero_sum_direction(rng, p.arity, 1.0 / len(pmc.parameters))
                           for p in pmc.parameters}
             ratios = []
@@ -202,12 +202,12 @@ def test_criterion_10_empirical_kappa_sandwich():
         delta = 1e-4
         checked = 0
         while checked < 25:
-            pmc, _, cp = random_case(rng, n=int(rng.integers(4, 9)), n_params=1)
-            gradients = gradient_coefficients(pmc, cp)
+            pmc, problem, _ = random_case(rng, n=int(rng.integers(4, 9)), n_params=1)
+            gradients = gradient_coefficients(pmc, problem)
             kappa = condition_number_basic(gradients.h[pmc.parameters[0].id])
             if kappa < 1e-3:
                 continue
             checked += 1
-            value = empirical_kappa(pmc, cp, delta, n_samples=10,
+            value = empirical_kappa(gradients, delta, n_samples=10,
                                     seed=int(rng.integers(0, 2 ** 31)))
             assert 0.99 * kappa <= value <= 1.01 * kappa + 1e-9

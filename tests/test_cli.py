@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import count_calls
 
 import pmcperturb.cli as cli
-from pmcperturb import NonConvergenceError
+from pmcperturb import SingularSystemError
 
 ROOT = Path(__file__).resolve().parent.parent
 FROG = str(ROOT / "models" / "frog.model")
@@ -136,6 +137,20 @@ def test_paper_tables_json_golden(capsys):
     assert record == golden
 
 
+@pytest.mark.parametrize("model", ["frog", "zeroconf"])
+@pytest.mark.parametrize("command", [
+    ["check"],
+    ["sensitivity"],
+    ["validate", "--delta", "0.02", "--samples", "50", "--seed", "4"],
+], ids=["check", "sensitivity", "validate"])
+def test_json_output_golden_bytes(capsys, command, model):
+    """The JSON output of each model command, byte for byte."""
+    code, out, _ = run(capsys, command[0], str(ROOT / "models" / f"{model}.model"),
+                       *command[1:], "--format", "json")
+    assert code == 0
+    assert out.encode("ascii") == (GOLDEN / f"{command[0]}_{model}.json").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     [command, model, *extra]
     for model in (FROG, ZEROCONF)
@@ -183,10 +198,12 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):
-    def boom(*args, **kwargs):
-        raise NonConvergenceError("stalled", residual=1.0)
+    import pmcperturb.perturbation as perturbation
 
-    monkeypatch.setattr(cli, "solve_reachability", boom)
+    def boom(*args, **kwargs):
+        raise SingularSystemError("direct solve residual nan exceeds 1e-10")
+
+    monkeypatch.setattr(perturbation, "_solve_direct", boom)
     code, _, err = run(capsys, "check", FROG)
     assert code == 2
     assert "numerical" in err
@@ -293,27 +310,17 @@ def test_validate_distance_outside_simplex_diameter(capsys, delta, message):
 
 
 def test_paper_tables_solve_count(capsys, monkeypatch):
-    """Two reference solves (one per model) and one re-solve per table row."""
-    import pmcperturb.perturbation as perturbation
+    """Two reference solves (one per model) and one re-solve per table row.
+
+    Each model is canonicalized, extracted (instantiated) and searched once.
+    """
     import pmcperturb.reachability as reachability
-    import pmcperturb.sampler as sampler
 
-    calls = {"gradient_coefficients": 0, "reach_positive_mask": 0, "_getrf": 0}
-
-    def counted(name, *modules):
-        fn = getattr(modules[0], name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        for module in modules:
-            monkeypatch.setattr(module, name, wrapper)
-
-    counted("gradient_coefficients", perturbation, sampler)
-    counted("reach_positive_mask", reachability, sampler)
-    counted("_getrf", reachability)
+    calls = {"gradient_coefficients": 0, "canonicalize": 0, "extract_system": 0,
+             "instantiate": 0, "reach_positive_mask": 0, "_getrf": 0}
+    count_calls(monkeypatch, calls, reachability)
     assert run(capsys, "paper-tables", "--format", "json")[0] == 0
     # Every published perturbed vector keeps the reference's positive
     # entries, so the table rows reuse the reference reach search.
-    assert calls == {"gradient_coefficients": 2, "reach_positive_mask": 2,
-                     "_getrf": 2 + 3 + 6}
+    assert calls == {"gradient_coefficients": 2, "canonicalize": 2, "extract_system": 2,
+                     "instantiate": 2, "reach_positive_mask": 2, "_getrf": 2 + 3 + 6}

@@ -48,27 +48,27 @@ ZF_T = (0.9990243902439024, 0.9951219512195122, 0.9834146341463414,
 
 class TestGradient:
     def test_frog_closed_form(self, frog):
-        pmc, _, cp = frog
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = frog
+        g = gradient_coefficients(pmc, problem)
         np.testing.assert_allclose(g.h["hop"], FROG_H, atol=1e-14)
         np.testing.assert_allclose(g.s, (0.625, 0.375), atol=1e-14)
         np.testing.assert_allclose(g.t, (0.5, 0.5), atol=1e-14)
 
     def test_frog_matches_oracle(self, frog):
-        pmc, _, cp = frog
-        assert_gradient_matches_fd(pmc, cp, gradient_coefficients(pmc, cp))
+        pmc, problem, cp = frog
+        assert_gradient_matches_fd(pmc, cp, gradient_coefficients(pmc, problem))
 
     def test_zeroconf_closed_form(self, zeroconf):
-        pmc, _, cp = zeroconf
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = zeroconf
+        g = gradient_coefficients(pmc, problem)
         np.testing.assert_allclose(g.s, ZF_S, atol=1e-13)
         np.testing.assert_allclose(g.t, ZF_T, atol=1e-13)
         np.testing.assert_allclose(g.h["probe4"], (ZF_S[4] * ZF_T[0], 0.0), atol=1e-13)
         assert g.h["probe4"][1] == 0.0
 
     def test_zeroconf_matches_oracle(self, zeroconf):
-        pmc, _, cp = zeroconf
-        assert_gradient_matches_fd(pmc, cp, gradient_coefficients(pmc, cp))
+        pmc, problem, cp = zeroconf
+        assert_gradient_matches_fd(pmc, cp, gradient_coefficients(pmc, problem))
 
     def test_parameter_outside_constraint_is_zero(self):
         pmc = Pmc(n=3, initial=(0.5, 0.5, 0.0),
@@ -76,25 +76,25 @@ class TestGradient:
                   parameters=(DistributionParameter("q", 3, (1, 2), (0.5, 0.5)),))
         problem = ReachabilityProblem(frozenset({1}), frozenset({2}))
         cp = canonicalize(pmc, problem)
-        g = gradient_coefficients(pmc, cp)
+        g = gradient_coefficients(pmc, problem)
         np.testing.assert_array_equal(g.h["q"], np.zeros(2))
         assert_gradient_matches_fd(pmc, cp, g)
 
     def test_t_equals_reachability_solution(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            pmc, _, cp = random_case(rng, n=6, n_params=2)
+            pmc, problem, cp = random_case(rng, n=6, n_params=2)
             from pmcperturb import extract_system, solve_reachability
 
-            g = gradient_coefficients(pmc, cp)
+            g = gradient_coefficients(pmc, problem)
             p = solve_reachability(extract_system(pmc, cp))
             np.testing.assert_allclose(g.t, p, atol=1e-10)
 
     def test_random_models_match_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(3):
-            pmc, _, cp = random_case(rng, n=5, n_params=2)
-            assert_gradient_matches_fd(pmc, cp, gradient_coefficients(pmc, cp))
+            pmc, problem, cp = random_case(rng, n=5, n_params=2)
+            assert_gradient_matches_fd(pmc, cp, gradient_coefficients(pmc, problem))
 
 
 def loop_coefficients(pmc, cp, gradients):
@@ -115,9 +115,9 @@ def loop_coefficients(pmc, cp, gradients):
     return h
 
 
-def assert_gather_matches_loop(pmc, cp):
-    gradients = gradient_coefficients(pmc, cp)
-    expected = loop_coefficients(pmc, cp, gradients)
+def assert_gather_matches_loop(pmc, problem):
+    gradients = gradient_coefficients(pmc, problem)
+    expected = loop_coefficients(pmc, gradients.cp, gradients)
     for pid, h in gradients.h.items():
         assert h.tobytes() == expected[pid].tobytes(), (pid, h, expected[pid])
 
@@ -138,7 +138,7 @@ class TestGather:
             if index % 10 == 0:  # constraint block empty
                 problem = ReachabilityProblem(frozenset(), problem.destination)
             cp = canonicalize(pmc, problem)
-            assert_gather_matches_loop(pmc, cp)
+            assert_gather_matches_loop(pmc, problem)
 
             nq, d0 = cp.n_constraint, cp.destination_start
             seen["empty_constraint"] += nq == 0
@@ -163,9 +163,9 @@ class TestGather:
             return t, np.full_like(s, -4.4e-16), mask
 
         monkeypatch.setattr(perturbation, "_solve_direct", negative_visits)
-        pmc, _, cp = frog
-        assert_gather_matches_loop(pmc, cp)
-        h = gradient_coefficients(pmc, cp).h["hop"]
+        pmc, problem, _ = frog
+        assert_gather_matches_loop(pmc, problem)
+        h = gradient_coefficients(pmc, problem).h["hop"]
         assert not np.signbit(h[2]) and h[2] == 0.0
         assert np.signbit(h[[0, 1, 3]]).all()
 
@@ -191,15 +191,15 @@ class TestConditionNumbers:
             condition_number_basic(h), rel=1e-9, abs=1e-9)
 
     def test_directional_zeroconf_uniform(self, zeroconf):
-        pmc, _, cp = zeroconf
-        g = gradient_coefficients(pmc, cp)
-        kappa_w = condition_number_directional(g, Direction.uniform(g.parameter_ids))
+        pmc, problem, _ = zeroconf
+        g = gradient_coefficients(pmc, problem)
+        kappa_w = condition_number_directional(g, Direction.uniform(g.pmc.parameter_ids))
         assert kappa_w == pytest.approx(ZF_KAPPA_EACH, abs=1e-12)
         assert 4 * kappa_w == pytest.approx(ZF_KAPPA_SUM, abs=1e-12)
 
     def test_directional_single_parameter(self, frog):
-        pmc, _, cp = frog
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = frog
+        g = gradient_coefficients(pmc, problem)
         assert condition_number_directional(g, Direction({"hop": 1.0})) == \
             pytest.approx(FROG_KAPPA, abs=1e-15)
 
@@ -207,13 +207,12 @@ class TestConditionNumbers:
         pmc = Pmc(n=3, initial=(0.5, 0.5, 0.0),
                   concrete_rows={1: (0.2, 0.4, 0.4), 2: (0.3, 0.3, 0.4)},
                   parameters=(DistributionParameter("q", 3, (1, 2), (0.5, 0.5)),))
-        cp = canonicalize(pmc, ReachabilityProblem(frozenset({1}), frozenset({2})))
-        g = gradient_coefficients(pmc, cp)
+        g = gradient_coefficients(pmc, ReachabilityProblem(frozenset({1}), frozenset({2})))
         assert condition_number_directional(g, Direction({"q": 1.0})) == 0.0
 
     def test_directional_errors(self, zeroconf):
-        pmc, _, cp = zeroconf
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = zeroconf
+        g = gradient_coefficients(pmc, problem)
         with pytest.raises(DirectionMismatchError):
             condition_number_directional(g, Direction({"probe1": 1.0}))
         with pytest.raises(WeightsNotNormalizedError):
@@ -228,58 +227,58 @@ class TestConditionNumbers:
         assert Direction.uniform([]).weights == {}
 
     def test_parameterwise(self, frog, zeroconf):
-        pmc, _, cp = frog
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = frog
+        g = gradient_coefficients(pmc, problem)
         assert condition_number_parameterwise(g, "hop") == pytest.approx(FROG_KAPPA)
         with pytest.raises(UnknownParameterError):
             condition_number_parameterwise(g, "nope")
-        pmc, _, cp = zeroconf
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = zeroconf
+        g = gradient_coefficients(pmc, problem)
         assert condition_number_parameterwise(g, "probe1") == \
             pytest.approx(ZF_KAPPA_EACH, abs=1e-12)
 
     def test_directional_equals_weighted_sum_random(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            pmc, _, cp = random_case(rng, n=6, n_params=3,
-                                     require_param_in_constraint=False)
-            g = gradient_coefficients(pmc, cp)
+            pmc, problem, _ = random_case(rng, n=6, n_params=3,
+                                          require_param_in_constraint=False)
+            g = gradient_coefficients(pmc, problem)
             raw = rng.dirichlet(np.ones(3))
-            direction = Direction(dict(zip(g.parameter_ids, map(float, raw))))
+            direction = Direction(dict(zip(g.pmc.parameter_ids, map(float, raw))))
             expected = sum(direction.weights[pid] * condition_number_basic(g.h[pid])
-                           for pid in g.parameter_ids)
+                           for pid in g.pmc.parameter_ids)
             assert condition_number_directional(g, direction) == pytest.approx(
                 expected, abs=1e-15)
 
 
 class TestLinkIdentity:
     def test_zeroconf_uniform_distances(self, zeroconf):
-        pmc, _, cp = zeroconf
-        g = gradient_coefficients(pmc, cp)
-        check = link_identity_check(g, {pid: 0.002 for pid in g.parameter_ids})
+        pmc, problem, _ = zeroconf
+        g = gradient_coefficients(pmc, problem)
+        check = link_identity_check(g, {pid: 0.002 for pid in g.pmc.parameter_ids})
         assert check.lhs == pytest.approx(1.5594527067221858e-05, abs=1e-12)
         assert check.discrepancy <= 1e-15
 
     def test_single_parameter(self, frog):
-        pmc, _, cp = frog
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = frog
+        g = gradient_coefficients(pmc, problem)
         check = link_identity_check(g, {"hop": 0.37})
         assert check.lhs == pytest.approx(check.rhs, abs=1e-15)
 
     def test_random_gradient_sets(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            pmc, _, cp = random_case(rng, n=5, n_params=int(rng.integers(2, 5)),
-                                     require_param_in_constraint=False)
-            g = gradient_coefficients(pmc, cp)
-            deltas = {pid: float(rng.uniform(1e-4, 0.3)) for pid in g.parameter_ids}
+            pmc, problem, _ = random_case(rng, n=5, n_params=int(rng.integers(2, 5)),
+                                          require_param_in_constraint=False)
+            g = gradient_coefficients(pmc, problem)
+            deltas = {pid: float(rng.uniform(1e-4, 0.3)) for pid in g.pmc.parameter_ids}
             assert link_identity_check(g, deltas).discrepancy <= 1e-12
 
     def test_nonpositive_delta(self, zeroconf):
-        pmc, _, cp = zeroconf
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = zeroconf
+        g = gradient_coefficients(pmc, problem)
         with pytest.raises(NonpositiveDeltaError):
-            link_identity_check(g, {pid: 0.0 for pid in g.parameter_ids})
+            link_identity_check(g, {pid: 0.0 for pid in g.pmc.parameter_ids})
 
 
 # frozen exact deltas for the six published frog assignments
@@ -314,8 +313,8 @@ class TestExactPerturbation:
 
 class TestLinearEstimate:
     def test_frog_values(self, frog):
-        pmc, _, cp = frog
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = frog
+        g = gradient_coefficients(pmc, problem)
         assert linear_estimate(g, Assignment({"hop": (0.374, 0.124, 0.250, 0.252)})) == \
             pytest.approx(6.25e-4, abs=1e-15)
         assert linear_estimate(g, Assignment({"hop": (0.374, 0.124, 0.251, 0.251)})) == \
@@ -323,8 +322,8 @@ class TestLinearEstimate:
         assert linear_estimate(g, reference_assignment(pmc)) == 0.0
 
     def test_supremum_bound(self, frog):
-        pmc, _, cp = frog
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = frog
+        g = gradient_coefficients(pmc, problem)
         kappa = condition_number_basic(g.h["hop"])
         delta = 1e-4
         from pmcperturb import sample_on_simplex
@@ -346,9 +345,9 @@ class TestRemainderDecay:
         deltas = [1e-3 / 2 ** i for i in range(11)]  # down to ~1e-6
         checked = 0
         while checked < 5:
-            pmc, _, cp = random_case(rng, n=8, n_params=int(rng.integers(1, 4)),
-                                     min_constraint=3)
-            g = gradient_coefficients(pmc, cp)
+            pmc, problem, cp = random_case(rng, n=8, n_params=int(rng.integers(1, 4)),
+                                           min_constraint=3)
+            g = gradient_coefficients(pmc, problem)
             directions = {p.id: zero_sum_direction(rng, p.arity, 1.0 / len(pmc.parameters))
                           for p in pmc.parameters}
             ratios = []
@@ -365,8 +364,8 @@ class TestRemainderDecay:
                 assert smaller <= larger / 1.9 + 1e-13
 
     def test_extremal_realizes_kappa(self, frog):
-        pmc, _, cp = frog
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, cp = frog
+        g = gradient_coefficients(pmc, problem)
         kappa = condition_number_basic(g.h["hop"])
         delta = 1e-4
         from pmcperturb import extremal_perturbation

@@ -6,8 +6,8 @@ from collections import deque
 
 import numpy as np
 import pytest
-from conftest import random_pmc, random_problem
-from oracles import solve_series
+from conftest import count_calls, random_pmc, random_problem
+from oracles import NonConvergenceError, solve_series
 
 from pmcperturb import (
     ArityMismatchError,
@@ -15,7 +15,6 @@ from pmcperturb import (
     EmptyDestinationError,
     IndexOutOfRangeError,
     LinearSystem,
-    NonConvergenceError,
     Pmc,
     ReachabilityProblem,
     SingularSystemError,
@@ -70,11 +69,11 @@ class TestCanonicalize:
 
 class TestExtract:
     def test_frog_system(self, frog):
-        pmc, _, cp = frog
+        pmc, problem, cp = frog
         system = extract_system(pmc, cp)
         np.testing.assert_allclose(system.a, [[0.375, 0.125], [0.375, 0.125]])
         np.testing.assert_allclose(system.b, [0.25, 0.25])
-        g = gradient_coefficients(pmc, cp)
+        g = gradient_coefficients(pmc, problem)
         # support (1, 2, 3, 4): two constraint columns, the middle state 3
         # (in neither A nor b) and the destination sum
         np.testing.assert_array_equal(g.h["hop"][:2], g.s[0] * g.t)
@@ -82,7 +81,7 @@ class TestExtract:
         assert g.h["hop"][3] == g.s[0]
 
     def test_zeroconf_system(self, zeroconf):
-        pmc, _, cp = zeroconf
+        pmc, problem, cp = zeroconf
         system = extract_system(pmc, cp)
         expected = np.array([
             [0.0, 0.2, 0.0, 0.0, 0.0],
@@ -93,7 +92,7 @@ class TestExtract:
         ])
         np.testing.assert_allclose(system.a, expected)
         np.testing.assert_allclose(system.b, [0.8, 0, 0, 0, 0])
-        g = gradient_coefficients(pmc, cp)
+        g = gradient_coefficients(pmc, problem)
         # probe4 (row 5) returns to state 1, a constraint column, or moves
         # on to the failure state 6 in the middle block
         assert g.h["probe4"][0] == g.s[4] * g.t[0]
@@ -103,8 +102,8 @@ class TestExtract:
         pmc = Pmc(n=3, initial=(0.5, 0.5, 0.0),
                   concrete_rows={1: (0.2, 0.4, 0.4), 2: (0.3, 0.3, 0.4)},
                   parameters=(DistributionParameter("q", 3, (1, 2), (0.5, 0.5)),))
-        cp = canonicalize(pmc, ReachabilityProblem(frozenset({1}), frozenset({2})))
-        h = gradient_coefficients(pmc, cp).h["q"]
+        problem = ReachabilityProblem(frozenset({1}), frozenset({2}))
+        h = gradient_coefficients(pmc, problem).h["q"]
         assert h.tobytes() == np.zeros(2).tobytes()
 
 
@@ -285,29 +284,25 @@ class TestReachPositiveMask:
 
 
 def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog):
-    """``analyze`` and the reference of ``validate_bounds`` each factor once."""
+    """``analyze`` and ``validate_bounds`` each build and factor the reference once.
+
+    One ``canonicalize``, one ``extract_system`` (one ``instantiate``), one
+    reach search and one factorization per reference solve.
+    """
     import pmcperturb.reachability as reachability
-    import pmcperturb.sampler as sampler
 
-    calls = {"mask": 0, "lu": 0}
+    calls = {"canonicalize": 0, "extract_system": 0, "instantiate": 0,
+             "reach_positive_mask": 0, "_getrf": 0}
+    count_calls(monkeypatch, calls, reachability)
+    once = dict.fromkeys(calls, 1)
+    pmc, problem, _ = frog
+    analyze(gradient_coefficients(pmc, problem))
+    assert calls == once
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    mask = counted("mask", reachability.reach_positive_mask)
-    monkeypatch.setattr(reachability, "reach_positive_mask", mask)
-    monkeypatch.setattr(sampler, "reach_positive_mask", mask)
-    monkeypatch.setattr(reachability, "_getrf", counted("lu", reachability._getrf))
-    pmc, problem, cp = frog
-    analyze(pmc, problem)
-    assert calls == {"mask": 1, "lu": 1}
-
-    calls.update(mask=0, lu=0)
-    report = validate_bounds(pmc, cp, {"hop": 0.01}, n_samples=5, seed=1)
+    calls.update(dict.fromkeys(calls, 0))
+    report = validate_bounds(gradient_coefficients(pmc, problem), {"hop": 0.01},
+                             n_samples=5, seed=1)
     # One reference solve, then one factorization per evaluated sample. No
     # sample moves an entry to or from 0, so none needs its own reach search.
     assert all((sample.assignment["hop"] > 0.0).all() for sample in report.samples)
-    assert calls == {"mask": 1, "lu": 1 + len(report.samples)}
+    assert calls == {**once, "_getrf": 1 + len(report.samples)}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import random_case, random_problem, random_sparse_pmc
+from conftest import count_calls, random_case, random_problem, random_sparse_pmc
 
 from pmcperturb import (
     ArityMismatchError,
@@ -108,54 +108,61 @@ class TestSampleOnSimplex:
 
 class TestEmpiricalKappa:
     def test_frog_small_delta_sandwich(self, frog):
-        pmc, _, cp = frog
-        value = empirical_kappa(pmc, cp, delta=1e-4, n_samples=20, seed=3)
+        pmc, problem, _ = frog
+        reference = gradient_coefficients(pmc, problem)
+        value = empirical_kappa(reference, delta=1e-4, n_samples=20, seed=3)
         assert value >= 0.99 * FROG_KAPPA
         assert value <= 1.01 * FROG_KAPPA + 1e-9
 
     def test_frog_published_distance(self, frog):
-        pmc, _, cp = frog
-        value = empirical_kappa(pmc, cp, delta=0.004, n_samples=10_000, seed=4)
+        pmc, problem, _ = frog
+        reference = gradient_coefficients(pmc, problem)
+        value = empirical_kappa(reference, delta=0.004, n_samples=10_000, seed=4)
         assert value <= FROG_KAPPA * 1.05
 
     def test_insensitive_chain(self):
         # the single parameter sits outside the constraint block, so h = 0
         # and any measured effect is pure higher-order remainder (here: none)
-        from pmcperturb import DistributionParameter, Pmc, ReachabilityProblem, canonicalize
+        from pmcperturb import DistributionParameter, Pmc, ReachabilityProblem
 
         pmc = Pmc(n=3, initial=(0.5, 0.5, 0.0),
                   concrete_rows={1: (0.2, 0.4, 0.4), 2: (0.3, 0.3, 0.4)},
                   parameters=(DistributionParameter("q", 3, (1, 2), (0.5, 0.5)),))
-        cp = canonicalize(pmc, ReachabilityProblem(frozenset({1}), frozenset({2})))
-        assert empirical_kappa(pmc, cp, delta=1e-3, n_samples=50, seed=5) <= 1e-12
+        reference = gradient_coefficients(
+            pmc, ReachabilityProblem(frozenset({1}), frozenset({2})))
+        assert empirical_kappa(reference, delta=1e-3, n_samples=50, seed=5) <= 1e-12
 
     def test_rejects_parameter_free_model_and_negative_samples(self, frog):
-        pmc, _, cp = frog
+        pmc, problem, _ = frog
+        reference = gradient_coefficients(pmc, problem)
         fixed = Pmc(n=pmc.n, initial=pmc.initial,
                     concrete_rows={**pmc.concrete_rows, 1: pmc.parameters[0].reference},
                     parameters=())
+        fixed_reference = gradient_coefficients(fixed, problem)
         with pytest.raises(EmptyVectorError):
-            empirical_kappa(fixed, cp, delta=1e-3, n_samples=5, seed=0)
+            empirical_kappa(fixed_reference, delta=1e-3, n_samples=5, seed=0)
         with pytest.raises(EmptyVectorError):
-            validate_bounds(fixed, cp, {}, n_samples=5, seed=0)
+            validate_bounds(fixed_reference, {}, n_samples=5, seed=0)
         with pytest.raises(DomainError):
-            empirical_kappa(pmc, cp, delta=1e-3, n_samples=-1, seed=0)
+            empirical_kappa(reference, delta=1e-3, n_samples=-1, seed=0)
         with pytest.raises(DomainError):
-            validate_bounds(pmc, cp, {"hop": 1e-3}, n_samples=-1, seed=0)
+            validate_bounds(reference, {"hop": 1e-3}, n_samples=-1, seed=0)
 
     @pytest.mark.parametrize("n_samples", [0, 3])
     def test_rejects_negative_seed(self, frog, n_samples):
-        pmc, _, cp = frog
+        pmc, problem, _ = frog
+        reference = gradient_coefficients(pmc, problem)
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
-            empirical_kappa(pmc, cp, delta=1e-3, n_samples=n_samples, seed=-1)
+            empirical_kappa(reference, delta=1e-3, n_samples=n_samples, seed=-1)
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
-            validate_bounds(pmc, cp, {"hop": 1e-3}, n_samples=n_samples, seed=-1)
+            validate_bounds(reference, {"hop": 1e-3}, n_samples=n_samples, seed=-1)
 
 
 class TestValidateBounds:
     def test_zeroconf_published_violation(self, zeroconf):
-        pmc, _, cp = zeroconf
-        [sample] = evaluate_assignments(pmc, cp, gradient_coefficients(pmc, cp), ["given"],
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
+        [sample] = evaluate_assignments(reference, ["given"],
                                         {p.id: [(0.747, 0.253)] for p in pmc.parameters})
         assert sample.label == "given"
         assert sample.exact == pytest.approx(-4.763017175250e-05, abs=1e-11)
@@ -163,15 +170,17 @@ class TestValidateBounds:
         assert sample.exceeds
 
     def test_small_distances_no_hard_violations(self, zeroconf):
-        pmc, _, cp = zeroconf
-        report = validate_bounds(pmc, cp, {p.id: 1e-5 for p in pmc.parameters},
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
+        report = validate_bounds(reference, {p.id: 1e-5 for p in pmc.parameters},
                                  n_samples=100, seed=6)
         for sample in report.samples:
             assert abs(sample.exact) <= sample.bound * (1.0 + report.slack)
 
     def test_linear_never_exceeds_bound(self, zeroconf):
-        pmc, _, cp = zeroconf
-        report = validate_bounds(pmc, cp, {p.id: 0.004 for p in pmc.parameters},
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
+        report = validate_bounds(reference, {p.id: 0.004 for p in pmc.parameters},
                                  n_samples=200, seed=7)
         for sample in report.samples:
             assert abs(sample.linear) <= sample.bound + 1e-15
@@ -179,8 +188,9 @@ class TestValidateBounds:
                 assert vec.min() >= 0.0 and abs(vec.sum() - 1.0) <= 1e-12
 
     def test_sample_distances_recorded(self, zeroconf):
-        pmc, _, cp = zeroconf
-        report = validate_bounds(pmc, cp, {p.id: 0.002 for p in pmc.parameters},
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
+        report = validate_bounds(reference, {p.id: 0.002 for p in pmc.parameters},
                                  n_samples=20, seed=8)
         for sample in report.samples:
             for p in pmc.parameters:
@@ -190,10 +200,11 @@ class TestValidateBounds:
                                                     abs=1e-15)
 
     def test_reproducible(self, zeroconf):
-        pmc, _, cp = zeroconf
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
         deltas = {p.id: 0.003 for p in pmc.parameters}
-        first = validate_bounds(pmc, cp, deltas, n_samples=50, seed=99)
-        second = validate_bounds(pmc, cp, deltas, n_samples=50, seed=99)
+        first = validate_bounds(reference, deltas, n_samples=50, seed=99)
+        second = validate_bounds(reference, deltas, n_samples=50, seed=99)
         assert first.empirical_kappa == second.empirical_kappa
         assert first.violations == second.violations
         for a, b in zip(first.samples, second.samples):
@@ -203,26 +214,29 @@ class TestValidateBounds:
 
     def test_samples_indexed_by_seed(self, zeroconf):
         # sample k's randomness depends only on (seed, k), not on the run size
-        pmc, _, cp = zeroconf
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
         deltas = {p.id: 0.003 for p in pmc.parameters}
-        long = validate_bounds(pmc, cp, deltas, n_samples=30, seed=12)
-        short = validate_bounds(pmc, cp, deltas, n_samples=5, seed=12)
+        long = validate_bounds(reference, deltas, n_samples=30, seed=12)
+        short = validate_bounds(reference, deltas, n_samples=5, seed=12)
         for a, b in zip(short.samples, long.samples):
             for pid in a.assignment.vectors:
                 np.testing.assert_array_equal(a.assignment[pid], b.assignment[pid])
 
     def test_errors(self, zeroconf):
-        pmc, _, cp = zeroconf
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
         with pytest.raises(NonpositiveDeltaError):
-            validate_bounds(pmc, cp, {p.id: 0.0 for p in pmc.parameters},
+            validate_bounds(reference, {p.id: 0.0 for p in pmc.parameters},
                             n_samples=1, seed=0)
         with pytest.raises(MissingParameterError):
-            validate_bounds(pmc, cp, {"probe1": 0.01}, n_samples=1, seed=0)
+            validate_bounds(reference, {"probe1": 0.01}, n_samples=1, seed=0)
 
     @pytest.mark.parametrize("n_samples", [0, 3])
     def test_distance_outside_simplex_diameter(self, zeroconf, n_samples):
         # rejected before any sampling, whatever the sample count
-        pmc, _, cp = zeroconf
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
         for bad, error in ((float("nan"), NonpositiveDeltaError),
                            (-0.5, NonpositiveDeltaError),
                            (float("inf"), InfeasibleDistanceError),
@@ -230,41 +244,33 @@ class TestValidateBounds:
             deltas = {p.id: 0.01 for p in pmc.parameters}
             deltas["probe3"] = bad
             with pytest.raises(error, match="probe3"):
-                validate_bounds(pmc, cp, deltas, n_samples=n_samples, seed=0)
+                validate_bounds(reference, deltas, n_samples=n_samples, seed=0)
             with pytest.raises(DomainError if error is NonpositiveDeltaError else error):
-                empirical_kappa(pmc, cp, delta=bad, n_samples=n_samples, seed=0)
+                empirical_kappa(reference, delta=bad, n_samples=n_samples, seed=0)
         # the diameter itself is a feasible distance
-        validate_bounds(pmc, cp, {p.id: 2.0 for p in pmc.parameters}, n_samples=1, seed=0)
+        validate_bounds(reference, {p.id: 2.0 for p in pmc.parameters}, n_samples=1, seed=0)
 
     def test_one_reference_solve_and_one_evaluation(self, zeroconf, monkeypatch):
-        import pmcperturb.sampler as sampler
-
+        # The caller's reference solve is the only one: validate_bounds
+        # builds none of its own and evaluates every sample in one batch.
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
         calls = {"gradient_coefficients": 0, "evaluate_assignments": 0}
-
-        def counted(name):
-            fn = getattr(sampler, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(sampler, name, wrapper)
-
-        counted("gradient_coefficients")
-        counted("evaluate_assignments")
-        pmc, _, cp = zeroconf
-        report = validate_bounds(pmc, cp, {p.id: 0.01 for p in pmc.parameters},
+        count_calls(monkeypatch, calls)
+        report = validate_bounds(reference, {p.id: 0.01 for p in pmc.parameters},
                                  n_samples=7, seed=3)
-        assert calls == {"gradient_coefficients": 1, "evaluate_assignments": 1}
+        assert calls == {"gradient_coefficients": 0, "evaluate_assignments": 1}
+        assert report.reference is reference
         assert [s.label for s in report.samples] == ["extremal+", "extremal-"] + ["random"] * 7
 
     def test_random_case_consistency(self):
         rng = np.random.default_rng(31)
-        pmc, _, cp = random_case(rng, n=6, n_params=2)
-        g = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = random_case(rng, n=6, n_params=2)
+        g = gradient_coefficients(pmc, problem)
         kappa_sum = sum(condition_number_basic(h) for h in g.h.values())
-        report = validate_bounds(pmc, cp, {p.id: 1e-4 for p in pmc.parameters},
+        report = validate_bounds(g, {p.id: 1e-4 for p in pmc.parameters},
                                  n_samples=50, seed=13)
-        assert report.kappa_sum == pytest.approx(kappa_sum, abs=1e-15)
+        assert report.reference.kappa_sum == pytest.approx(kappa_sum, abs=1e-15)
         assert report.empirical_kappa <= kappa_sum * (1 + report.slack) + 1e-12
 
 
@@ -326,9 +332,9 @@ def pattern_keeping_move(rng, reference):
 
 class TestBatchEvaluation:
     def test_published_models_match_direct_resolve(self, frog, zeroconf):
-        for pmc, _, cp in (frog, zeroconf):
-            gradients = gradient_coefficients(pmc, cp)
-            report = validate_bounds(pmc, cp, {p.id: 0.02 for p in pmc.parameters},
+        for pmc, problem, cp in (frog, zeroconf):
+            gradients = gradient_coefficients(pmc, problem)
+            report = validate_bounds(gradients, {p.id: 0.02 for p in pmc.parameters},
                                      n_samples=40, seed=17)
             for sample in report.samples:
                 assert_sample_matches_direct_resolve(pmc, cp, gradients, sample)
@@ -349,10 +355,10 @@ class TestBatchEvaluation:
                 problem = ReachabilityProblem(frozenset(states[:n // 2].tolist()),
                                               frozenset(states[n // 2:].tolist()))
             cp = canonicalize(pmc, problem)
-            gradients = gradient_coefficients(pmc, cp)
+            gradients = gradient_coefficients(pmc, problem)
             reference = extract_system(pmc, cp)
             reference_mask = reach_positive_mask(reference.a, reference.b)
-            report = validate_bounds(pmc, cp, {p.id: 0.1 for p in pmc.parameters},
+            report = validate_bounds(gradients, {p.id: 0.1 for p in pmc.parameters},
                                      n_samples=3, seed=draw)
             samples = list(report.samples)
             for param in pmc.parameters:
@@ -362,7 +368,7 @@ class TestBatchEvaluation:
                         continue
                     vectors = {p.id: [moved if p is param else p.reference]
                                for p in pmc.parameters}
-                    [sample] = evaluate_assignments(pmc, cp, gradients, [kind], vectors)
+                    [sample] = evaluate_assignments(gradients, [kind], vectors)
                     samples.append(sample)
                     system = extract_system(pmc, cp, Assignment(sample.assignment.vectors))
                     if (reach_positive_mask(system.a, system.b) != reference_mask).any():
@@ -380,11 +386,12 @@ class TestBatchEvaluation:
         for _ in range(150):
             n = int(rng.integers(3, 12))
             pmc = random_sparse_pmc(rng, n, int(rng.integers(1, min(n, 4) + 1)))
-            cases.append((pmc, None, canonicalize(pmc, random_problem(rng, n))))
+            problem = random_problem(rng, n)
+            cases.append((pmc, problem, canonicalize(pmc, problem)))
         labels = ["keep"] * 3 + ["raised", "cleared"] + ["keep"] * 3
         mask_changes = 0
-        for pmc, _, cp in cases:
-            gradients = gradient_coefficients(pmc, cp)
+        for pmc, problem, cp in cases:
+            gradients = gradient_coefficients(pmc, problem)
             vectors = {}
             for param in pmc.parameters:
                 raised, cleared = support_moves(rng, param.reference)
@@ -392,7 +399,7 @@ class TestBatchEvaluation:
                 rows[3] = rows[3] if raised is None else raised
                 rows[4] = rows[4] if cleared is None else cleared
                 vectors[param.id] = rows
-            samples = evaluate_assignments(pmc, cp, gradients, labels, vectors)
+            samples = evaluate_assignments(gradients, labels, vectors)
             reference_mask = gradients.mask
             for sample in samples:
                 assert_sample_matches_direct_resolve(pmc, cp, gradients, sample)
@@ -403,19 +410,26 @@ class TestBatchEvaluation:
         assert mask_changes >= 20, mask_changes
 
     def test_batch_checks(self, frog):
-        pmc, _, cp = frog
-        gradients = gradient_coefficients(pmc, cp)
+        pmc, problem, _ = frog
+        gradients = gradient_coefficients(pmc, problem)
         with pytest.raises(MissingParameterError):
-            evaluate_assignments(pmc, cp, gradients, ["given"], {})
+            evaluate_assignments(gradients, ["given"], {})
         with pytest.raises(ArityMismatchError):
-            evaluate_assignments(pmc, cp, gradients, ["given"], {"hop": [(0.5, 0.5)]})
+            evaluate_assignments(gradients, ["given"], {"hop": [(0.5, 0.5)]})
+        with pytest.raises(ArityMismatchError, match="hop"):  # ragged rows
+            evaluate_assignments(gradients, ["ok", "short"], {"hop": [FROG_REFERENCE, (0.5, 0.5)]})
+        with pytest.raises(ArityMismatchError, match="hop"):  # rows of nested arrays
+            evaluate_assignments(gradients, ["a", "b"],
+                                 {"hop": [np.zeros((2, 2)), np.zeros((2, 3))]})
+        with pytest.raises(SimplexViolationError, match="hop"):  # an entry that is no number
+            evaluate_assignments(gradients, ["word"], {"hop": [(0.375, "x", 0.25, 0.25)]})
         with pytest.raises(SimplexViolationError, match="hop"):
-            evaluate_assignments(pmc, cp, gradients, ["ok", "bad"],
+            evaluate_assignments(gradients, ["ok", "bad"],
                                  {"hop": [FROG_REFERENCE, (0.5, 0.5, 0.5, -0.5)]})
         with pytest.raises(SimplexViolationError, match="hop"):
-            evaluate_assignments(pmc, cp, gradients, ["nan"],
+            evaluate_assignments(gradients, ["nan"],
                                  {"hop": [(0.375, 0.125, 0.25, float("nan"))]})
-        assert evaluate_assignments(pmc, cp, gradients, [], {}) == []
+        assert evaluate_assignments(gradients, [], {}) == []
 
     def test_per_vector_work_does_not_grow_with_samples(self, zeroconf, monkeypatch):
         import pmcperturb.model as model
@@ -432,12 +446,13 @@ class TestBatchEvaluation:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
 
-        pmc, _, cp = zeroconf
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
         counts = []
         for n_samples in (5, 50):
             for name in calls:
                 calls[name] = 0
-            validate_bounds(pmc, cp, {p.id: 0.01 for p in pmc.parameters},
+            validate_bounds(reference, {p.id: 0.01 for p in pmc.parameters},
                             n_samples=n_samples, seed=1)
             counts.append(dict(calls))
         assert counts[0] == counts[1]
@@ -445,9 +460,10 @@ class TestBatchEvaluation:
     def test_sample_on_simplex_is_the_batch_of_one(self, frog):
         # With one parameter, the batched draw of sample k equals
         # sample_on_simplex on the generator keyed (seed, k), bit for bit.
-        pmc, _, cp = frog
+        pmc, problem, _ = frog
+        reference = gradient_coefficients(pmc, problem)
         [param] = pmc.parameters
-        report = validate_bounds(pmc, cp, {param.id: 0.1}, n_samples=20, seed=5)
+        report = validate_bounds(reference, {param.id: 0.1}, n_samples=20, seed=5)
         for k, sample in enumerate(report.samples[2:]):
             expected = sample_on_simplex(param.reference, 0.1, np.random.default_rng([5, k]))
             np.testing.assert_array_equal(sample.assignment[param.id], expected)
