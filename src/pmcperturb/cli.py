@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_model(args):
     try:
         text = args.model.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PmcError(f"cannot read {args.model}: {exc}") from None
     parsed = parse_model(text)
     problem = parsed.problem
@@ -145,7 +145,7 @@ def _direction_from_flag(flag: str) -> Direction | None:
         return None  # resolved against the model's parameter ids later
     try:
         doc = json.loads(Path(flag).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PmcError(f"cannot read direction file {flag!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise PmcError(f"direction file {flag!r}: {exc}") from None

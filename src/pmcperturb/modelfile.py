@@ -93,7 +93,7 @@ def parse_model(text: str) -> ParsedModel:
         raise ModelSchemaError("top level: expected an object")
     _require_keys(doc, {"version", "states", "initial", "rows", "problem", "direction"},
                   {"version", "states", "initial", "rows"}, "top level")
-    if doc["version"] != SCHEMA_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != SCHEMA_VERSION:
         raise ModelSchemaError(f"version: expected {SCHEMA_VERSION}, got {doc['version']!r}")
     if not isinstance(doc["states"], int) or isinstance(doc["states"], bool) \
             or doc["states"] < 1:
@@ -132,6 +132,7 @@ def parse_model(text: str) -> ParsedModel:
             ))
         else:
             raise ModelSchemaError(f"{where}: expected 'concrete' or 'parameter'")
+        rows[index] = None  # free the decoded row now, so it and its array never coexist
 
     pmc = Pmc(n=n, initial=initial, concrete_rows=concrete_rows,
               parameters=tuple(parameters))

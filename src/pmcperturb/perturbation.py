@@ -53,10 +53,11 @@ from .reachability import (
     CanonicalProblem,
     LinearSystem,
     ReachabilityProblem,
+    SparseSystem,
+    _reference_system,
     _solve_direct,
     canonicalize,
     constrained_initial,
-    extract_system,
     total_probability,
 )
 
@@ -70,7 +71,8 @@ class ReferenceSolve:
 
     Attributes:
         pmc, problem, cp: the model, its problem and the canonical problem.
-        system: the read-only reference ``(A, b)``.
+        system: the read-only reference ``(A, b)``: a :class:`LinearSystem`,
+            or a :class:`SparseSystem` on the sparse kernel (``reachability``).
         mask: the reach-positive constraint states, the block that was factored.
         t, s: ``N b`` and ``iota_c N`` (module docstring), zero off ``mask``;
             ``t`` is the reachability solution.
@@ -87,7 +89,7 @@ class ReferenceSolve:
     pmc: Pmc
     problem: ReachabilityProblem
     cp: CanonicalProblem
-    system: LinearSystem
+    system: LinearSystem | SparseSystem
     mask: np.ndarray
     t: np.ndarray
     s: np.ndarray
@@ -149,15 +151,16 @@ class SensitivityReport:
 def gradient_coefficients(pmc: Pmc, problem: ReachabilityProblem) -> ReferenceSolve:
     """The :class:`ReferenceSolve` of ``pmc`` and ``problem``.
 
-    The problem is canonicalized and ``(A, b)`` extracted once. The
-    reach-positive mask comes from one frontier search, and one LU
-    factorization of the restricted ``I - A`` gives both ``t`` (equal to
-    the reachability solution) and, by the transposed solve, the visit
-    weights ``s``; both are zero outside the reach-positive states. Each
-    ``h_i`` is then one gather over canonical positions (module docstring).
+    The problem is canonicalized and ``(A, b)`` extracted once, dense or
+    sparse as ``reachability`` chooses. The reach-positive mask comes from
+    one search, and one LU factorization of the restricted ``I - A`` gives
+    both ``t`` (equal to the reachability solution) and, by the transposed
+    solve, the visit weights ``s``; both are zero outside the reach-positive
+    states. Each ``h_i`` is then one gather over canonical positions (module
+    docstring).
     """
     cp = canonicalize(pmc, problem)
-    system = extract_system(pmc, cp)
+    system = _reference_system(pmc, cp)
     iota_c = constrained_initial(pmc, cp)
     t, s, mask = _solve_direct(system.a, system.b, iota_c)
     s.flags.writeable = mask.flags.writeable = False

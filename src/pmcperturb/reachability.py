@@ -13,17 +13,38 @@ destination block. ``p`` is the least fixed point; it equals the limit of
 the non-decreasing partial sums ``sum_j A^j b``.
 
 The solver first restricts the system to constraint states with a positive
-probability of reaching the destination (a path in the ``A``-graph to a
-state with ``b > 0``); on that block ``I - A`` is non-singular, and all
-other states get probability exactly zero. The mask comes from one reverse
-frontier search. One kernel, :func:`_solve_block`, factors the block with
-LAPACK ``getrf`` and solves with ``getrs``: ``t = N b`` and, transposed, the
-visit weights ``s = iota_c N`` (``N = (I - A)^{-1}``). It calls the two
-routines that ``scipy.linalg.lu_factor`` and ``lu_solve`` wrap, without
-their per-call input checks, so results keep their bits. The reference
-solve (kept as ``perturbation.ReferenceSolve``) and every sampled re-solve
-(``sampler``) go through it; a sample that keeps the reference mask patches
-a copy of the reference block instead of gathering a new one.
+probability of reaching the destination (a path along positive ``A``
+entries to a state with ``b > 0``; explicit zeros are not edges); on that
+block ``I - A`` is non-singular, and all other states get probability
+exactly zero. Both kernels below factor that block once and give ``t = N b``
+and, transposed, the visit weights ``s = iota_c N`` (``N = (I - A)^{-1}``);
+both hold ``t`` to the residual ceiling ``RESIDUAL_HARD`` on the whole
+system and clip it to [0, 1].
+
+* The dense kernel, :func:`_solve_block`, takes a dense ``A``
+  (:class:`LinearSystem`, from :func:`extract_system`). The mask comes from
+  a frontier search, and LAPACK ``getrf``/``getrs`` factor and solve, called
+  as ``scipy.linalg.lu_factor``/``lu_solve`` call them but without their
+  per-call input checks, so results keep their bits.
+* The sparse kernel, :func:`_solve_sparse`, takes a CSR ``A``
+  (:class:`SparseSystem`), read straight from the model rows without an
+  ``n x n`` matrix. The mask comes from one breadth-first search from a
+  virtual state joined to every state with ``b > 0``, and SuperLU
+  (``scipy.sparse.linalg.splu``) factors and solves.
+
+``_reference_system`` is the one place that picks the kernel, for the
+reference solve (kept as ``perturbation.ReferenceSolve``); every sampled
+re-solve (``sampler``) takes the reference's kernel. The sparse kernel is
+chosen when the constraint block has at least ``SPARSE_MIN_STATES`` states
+and its bandwidth in canonical order (the largest ``|i - j|`` over stored
+entries) is at most its size over ``SPARSE_BANDWIDTH_DIVISOR``. Fill-in of
+the LU factors grows with the bandwidth, and at these bounds SuperLU beat
+the dense LU at every size measured even on a full band; a random sparse
+pattern of the same size has a bandwidth near ``n`` and fills in far more,
+so it stays dense. Below ``SPARSE_MIN_STATES`` a dense factorization costs
+a few milliseconds at most. ``scipy.sparse`` is imported inside the sparse
+branch only: it is a noticeable import, and a model that stays dense never
+pays for it.
 """
 
 from __future__ import annotations
@@ -43,6 +64,13 @@ from .model import Assignment, Pmc, as_vector, instantiate, reference_assignment
 
 #: Hard ceiling on the fixed-point residual of any returned solution.
 RESIDUAL_HARD = 1e-10
+
+#: Smallest constraint block that the sparse kernel is chosen for.
+SPARSE_MIN_STATES = 512
+#: The sparse kernel needs a bandwidth of at most the block size over this.
+SPARSE_BANDWIDTH_DIVISOR = 32
+#: Entries of concrete rows scanned at once by the sparse extraction (512 kB).
+_SCAN_ENTRIES = 1 << 16
 
 _getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -135,10 +163,40 @@ class LinearSystem:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=np.float64)
-        a.flags.writeable = False
+        a = self.a
+        # The rule of ``as_vector``: a read-only float64 array that owns its
+        # data is shared; anything else, a writable array included, is copied.
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.base is None and not a.flags.writeable):
+            a = np.array(a, dtype=np.float64)
+            a.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", as_vector(self.b))
+
+
+@dataclass(frozen=True)
+class SparseSystem:
+    """The pair ``(A, b)`` of a canonical problem, ``A`` in CSR form.
+
+    ``a`` is a read-only ``scipy.sparse.csr_matrix`` with sorted column
+    indices and no duplicates. It stores the non-zero entries of the concrete
+    rows and every support position of a parameter row inside the constraint
+    block, reference zeros included, so that an assignment only overwrites
+    ``a.data`` (see :meth:`slots`).
+    """
+
+    a: object
+    b: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", as_vector(self.b))
+
+    def slots(self, rows, cols) -> np.ndarray:
+        """Index into ``a.data`` of each stored entry ``(rows[k], cols[k])``."""
+        n = self.a.shape[1]
+        keys = np.repeat(np.arange(self.a.shape[0]), np.diff(self.a.indptr)) * n \
+            + self.a.indices
+        return np.searchsorted(keys, np.asarray(rows) * n + np.asarray(cols))
 
 
 def extract_system(pmc: Pmc, cp: CanonicalProblem,
@@ -154,12 +212,115 @@ def extract_system(pmc: Pmc, cp: CanonicalProblem,
     matrix = instantiate(pmc, assignment)
     constraint = np.asarray(cp.constraint_states, dtype=np.intp) - 1
     destination = np.asarray(cp.destination_states, dtype=np.intp) - 1
-    return LinearSystem(a=matrix[np.ix_(constraint, constraint)],
-                        b=matrix[np.ix_(constraint, destination)].sum(axis=1))
+    a = matrix[np.ix_(constraint, constraint)]
+    a.flags.writeable = False  # fresh, so LinearSystem keeps it without a copy
+    return LinearSystem(a=a, b=matrix[np.ix_(constraint, destination)].sum(axis=1))
 
 
-def reach_positive_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean mask of states with an ``A``-graph path to some ``b[i] > 0``."""
+def _destination_mass(values: np.ndarray, cols: np.ndarray, cp: CanonicalProblem) -> np.ndarray:
+    """Each row's mass in the destination block; ``cols`` are the canonical positions of a row.
+
+    Sums the whole destination-ordered segment of the row, zeros included,
+    as :func:`extract_system` sums a row of the instantiated matrix, so the
+    result has the same bits.
+    """
+    d0 = cp.destination_start - 1
+    outer = cols >= d0
+    segment = np.zeros((values.shape[0], cp.n - d0))
+    segment[:, cols[outer] - d0] = values[:, outer]
+    return segment.sum(axis=1)
+
+
+def _constraint_entries(pmc: Pmc, cp: CanonicalProblem):
+    """The reference ``A`` as canonical ``(rows, cols, values)`` entries, and ``b``.
+
+    Read from the model rows without instantiating the chain: the non-zero
+    entries of each concrete constraint row, scanned a block of rows at a
+    time, and every support position of each parameter row of the
+    constraint block, reference zeros included. Destination entries are
+    summed into ``b``, in column order for a concrete row and by
+    :func:`_destination_mass` for a parameter row; middle-block entries drop out.
+
+    Raises:
+        ArityMismatchError: a concrete row does not have ``n`` entries.
+    """
+    n, nq = cp.n, cp.n_constraint
+    pos = np.asarray(cp.permutation, dtype=np.intp) - 1
+    states = [s for s in cp.constraint_states if s in pmc.concrete_rows]
+    canonical = pos[np.asarray(states, dtype=np.intp) - 1]
+    for state in states:
+        if pmc.concrete_rows[state].size != n:
+            raise ArityMismatchError(f"concrete row {state} has "
+                                     f"{pmc.concrete_rows[state].size} entries, expected {n}")
+    rows, cols, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    step = max(1, _SCAN_ENTRIES // n)
+    for start in range(0, len(states), step):
+        block = np.concatenate([pmc.concrete_rows[s] for s in states[start:start + step]])
+        index = np.flatnonzero(block != 0.0)
+        rows.append(canonical[start + index // n])
+        cols.append(pos[index % n])
+        values.append(block[index])
+    rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+    outer = cols >= cp.destination_start - 1
+    # astype: with no destination entries at all, bincount returns integers
+    b = np.bincount(rows[outer], weights=values[outer], minlength=nq).astype(np.float64)
+    inner = cols < nq
+    rows, cols, values = [rows[inner]], [cols[inner]], [values[inner]]
+    for param in pmc.parameters:
+        row = pos[param.row - 1]
+        if row < nq:
+            support = pos[np.asarray(param.support, dtype=np.intp) - 1]
+            b[row] = _destination_mass(param.reference[None, :], support, cp)[0]
+            inner = support < nq
+            rows.append(np.full(int(inner.sum()), row))
+            cols.append(support[inner])
+            values.append(param.reference[inner])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values), b
+
+
+def _reference_system(pmc: Pmc, cp: CanonicalProblem) -> LinearSystem | SparseSystem:
+    """The reference ``(A, b)``, dense or sparse: the one place that picks the kernel.
+
+    Sparse when the constraint block has at least ``SPARSE_MIN_STATES``
+    states and a bandwidth of at most its size over
+    ``SPARSE_BANDWIDTH_DIVISOR`` (module docstring); :func:`extract_system`
+    otherwise.
+    """
+    nq = cp.n_constraint
+    if nq >= SPARSE_MIN_STATES:
+        rows, cols, values, b = _constraint_entries(pmc, cp)
+        if np.abs(rows - cols).max(initial=0) * SPARSE_BANDWIDTH_DIVISOR <= nq:
+            from scipy.sparse import csr_matrix
+
+            order = np.lexsort((cols, rows))
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nq))])
+            a = csr_matrix((values[order], cols[order], indptr), shape=(nq, nq))
+            for array in (a.data, a.indices, a.indptr):
+                array.flags.writeable = False
+            return SparseSystem(a=a, b=b)
+    return extract_system(pmc, cp)
+
+
+def reach_positive_mask(a, b: np.ndarray) -> np.ndarray:
+    """Boolean mask of states with a path along positive ``A`` entries to some ``b[i] > 0``.
+
+    A dense ``a`` is searched one frontier at a time; a CSR ``a`` (of a
+    :class:`SparseSystem`) by one breadth-first search over the reversed
+    edges from a virtual state joined to every state with ``b > 0``.
+    """
+    if not isinstance(a, np.ndarray):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import breadth_first_order
+
+        n = b.size
+        edge = a.data > 0.0
+        sources = np.flatnonzero(b > 0.0)
+        heads = np.concatenate([a.indices[edge], np.full(sources.size, n)])
+        tails = np.concatenate([np.repeat(np.arange(n), np.diff(a.indptr))[edge], sources])
+        graph = csr_matrix((np.ones(heads.size), (heads, tails)), shape=(n + 1, n + 1))
+        reached = np.zeros(n + 1, dtype=bool)
+        reached[breadth_first_order(graph, n, return_predecessors=False)] = True
+        return reached[:n]
     adjacency = a > 0.0
     reached = b > 0.0
     frontier = reached.copy()
@@ -190,24 +351,56 @@ def _solve_block(a: np.ndarray, b: np.ndarray, mask: np.ndarray, block: np.ndarr
         t[mask] = _getrs(lu, piv, b[mask])[0]
         if s is not None:
             s[mask] = _getrs(lu, piv, weights[mask], trans=1)[0]
+    return _checked(a, b, t), s
+
+
+def _solve_sparse(a, b: np.ndarray, mask: np.ndarray, weights: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_solve_block` for a CSR ``a``: one SuperLU factorization of ``I - A[mask, mask]``."""
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.linalg import splu
+
+    t = np.zeros(b.size)
+    s = None if weights is None else np.zeros(b.size)
+    if mask.any():
+        block = csc_matrix(identity(int(mask.sum())) - a[mask][:, mask])
+        try:
+            lu = splu(block)
+        except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+            raise SingularSystemError(f"sparse LU failed: {exc}") from None
+        t[mask] = lu.solve(b[mask])
+        if s is not None:
+            s[mask] = lu.solve(weights[mask], trans="T")
+    return _checked(a, b, t), s
+
+
+def _checked(a, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``t`` held to ``RESIDUAL_HARD`` on the whole system, clipped to [0, 1], read-only."""
     residual = float(np.abs(t - (a @ t + b)).max(initial=0.0))
     if not residual <= RESIDUAL_HARD:  # a NaN residual (singular block, NaN entry) fails too
         raise SingularSystemError(
             f"direct solve residual {residual:.3e} exceeds {RESIDUAL_HARD:.0e}")
     t = t.clip(0.0, 1.0)
     t.flags.writeable = False
-    return t, s
+    return t
 
 
-def _solve_direct(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None = None
+def _solve_direct(a, b: np.ndarray, weights: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """:func:`_solve_block` on the reach-positive mask; returns ``t``, ``s`` and the mask."""
+    """``t``, ``s`` and the reach-positive mask, by the kernel of ``a``'s form.
+
+    A dense ``a`` goes through :func:`_solve_block`, a CSR ``a`` through
+    :func:`_solve_sparse`.
+    """
     mask = reach_positive_mask(a, b)
-    t, s = _solve_block(a, b, mask, _reach_block(a, mask), weights)
+    if isinstance(a, np.ndarray):
+        t, s = _solve_block(a, b, mask, _reach_block(a, mask), weights)
+    else:
+        t, s = _solve_sparse(a, b, mask, weights)
     return t, s, mask
 
 
-def solve_reachability(system: LinearSystem) -> np.ndarray:
+def solve_reachability(system: LinearSystem | SparseSystem) -> np.ndarray:
     """Per-state constrained-reachability probabilities ``p`` with ``p = Ap + b``.
 
     The system is restricted to reach-positive states and ``(I - A) p = b``

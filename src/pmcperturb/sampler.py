@@ -57,7 +57,14 @@ from .errors import (
 )
 from .model import Assignment, DistributionParameter, Pmc, as_vector, is_distribution
 from .perturbation import ReferenceSolve
-from .reachability import _reach_block, _solve_block, reach_positive_mask
+from .reachability import (
+    SparseSystem,
+    _destination_mass,
+    _reach_block,
+    _solve_block,
+    _solve_sparse,
+    reach_positive_mask,
+)
 
 #: Fraction by which observed deltas may exceed the first-order bound before
 #: a validation run is considered inconsistent (the bound is asymptotic, not
@@ -289,26 +296,29 @@ def _exact_deltas(reference: ReferenceSolve, batch: Mapping[str, np.ndarray],
     """Exact delta of every sample, by one re-solve of the patched reference system.
 
     Only the parameter rows of the constraint block change between samples:
-    their ``A`` entries are overwritten and their ``b`` entries rebuilt as the
-    sum of the destination-ordered row segment, as :func:`extract_system`
-    sums it. Each patched copy of ``reference.system`` is bit-identical to
-    ``extract_system(pmc, cp, assignment)``.
+    their ``A`` entries are overwritten and their ``b`` entries rebuilt by
+    ``reachability._destination_mass``, as ``extract_system`` sums them.
+    A dense reference is patched in a copy of its array, so each patched
+    system is bit-identical to ``extract_system(pmc, cp, assignment)``; a
+    sparse one in a copy of its CSR data, which stores every support
+    position.
 
     The reach-positive mask depends only on which entries are positive. A
     sample with the reference's positive/zero pattern on the patched
     entries keeps the reference mask (``reference.mask``); only another
-    pattern costs a new reach search. While the mask is the reference's,
-    the sample copies the reference block ``I - A[mask, mask]``, built once
-    per batch, and writes ``eye - value`` at the patched block positions
-    (1.0 on the diagonal, 0.0 off it, the bits of ``np.eye(m) - a``);
-    another mask gathers a fresh block. Either goes through the kernel
-    ``reachability._solve_block`` with its residual check and clip, so every
-    exact delta is bit-identical to a ``solve_reachability`` re-solve. No
-    block is kept beyond the reference one.
+    pattern costs a new reach search. Every sample is re-solved by the
+    reference's kernel, with its residual check and clip, so every exact
+    delta equals a ``solve_reachability`` re-solve of the patched system. A
+    sparse sample goes through ``reachability._solve_sparse``. A dense one
+    goes through ``reachability._solve_block``: while the mask is the
+    reference's, it copies the reference block ``I - A[mask, mask]``, built
+    once per batch, and writes ``eye - value`` at the patched block
+    positions (1.0 on the diagonal, 0.0 off it, the bits of
+    ``np.eye(m) - a``); another mask gathers a fresh block. No block is
+    kept beyond the reference one.
     """
     cp = reference.cp
-    a, b = np.array(reference.system.a), np.array(reference.system.b)
-    nq, d0 = cp.n_constraint, cp.destination_start - 1
+    nq = cp.n_constraint
     a_rows, a_cols, b_rows = [], [], []
     a_values, b_values = [np.empty((count, 0))], [np.empty((count, 0))]
     for param in reference.pmc.parameters:
@@ -316,41 +326,53 @@ def _exact_deltas(reference: ReferenceSolve, batch: Mapping[str, np.ndarray],
         if row >= nq:
             continue
         rows = batch[param.id]
-        inner, outer = cols < nq, cols >= d0
+        inner = cols < nq
         a_rows += [row] * int(inner.sum())
         a_cols += cols[inner].tolist()
         a_values.append(rows[:, inner])
-        segment = np.zeros((count, cp.n - d0))
-        segment[:, cols[outer] - d0] = rows[:, outer]
         b_rows.append(row)
-        b_values.append(segment.sum(axis=1, keepdims=True))
+        b_values.append(_destination_mass(rows, cols, cp)[:, None])
     a_rows, a_cols = np.array(a_rows, dtype=np.intp), np.array(a_cols, dtype=np.intp)
     b_index = np.array(b_rows, dtype=np.intp)
     a_values, b_values = np.hstack(a_values), np.hstack(b_values)
-    reference_pattern = np.concatenate([a[a_rows, a_cols] > 0.0, b[b_index] > 0.0])
+
+    system = reference.system
+    sparse = isinstance(system, SparseSystem)
+    b = np.array(system.b)
+    if sparse:
+        a = system.a.copy()
+        entries, index = a.data, system.slots(a_rows, a_cols)
+    else:
+        a = np.array(system.a, order="C")
+        entries, index = a.reshape(-1), a_rows * nq + a_cols
+    reference_pattern = np.concatenate([entries[index] > 0.0, b[b_index] > 0.0])
     same_pattern = (np.hstack([a_values > 0.0, b_values > 0.0])
                     == reference_pattern).all(axis=1)
 
     mask = reference.mask
-    block = np.asfortranarray(_reach_block(a, mask))
-    in_block = mask[a_rows] & mask[a_cols]
-    order = np.cumsum(mask) - 1
-    block_index = (order[a_rows[in_block]], order[a_cols[in_block]])
-    block_values = (np.where(a_rows[in_block] == a_cols[in_block], 1.0, 0.0)
-                    - a_values[:, in_block])
+    if not sparse:
+        block = np.asfortranarray(_reach_block(a, mask))
+        in_block = mask[a_rows] & mask[a_cols]
+        order = np.cumsum(mask) - 1
+        block_index = (order[a_rows[in_block]], order[a_cols[in_block]])
+        block_values = (np.where(a_rows[in_block] == a_cols[in_block], 1.0, 0.0)
+                        - a_values[:, in_block])
 
     reference_value = float(reference.iota_c @ reference.t)
     exact = []
     for k in range(count):
-        a[a_rows, a_cols] = a_values[k]
+        entries[index] = a_values[k]
         b[b_index] = b_values[k]
         sample_mask = mask if same_pattern[k] else reach_positive_mask(a, b)
-        if sample_mask is mask or np.array_equal(sample_mask, mask):
-            sample_block = block.copy(order="F")
-            sample_block[block_index] = block_values[k]
+        if sparse:
+            t, _ = _solve_sparse(a, b, sample_mask)
         else:
-            sample_block = _reach_block(a, sample_mask)
-        t, _ = _solve_block(a, b, sample_mask, sample_block)
+            if sample_mask is mask or np.array_equal(sample_mask, mask):
+                sample_block = block.copy(order="F")
+                sample_block[block_index] = block_values[k]
+            else:
+                sample_block = _reach_block(a, sample_mask)
+            t, _ = _solve_block(a, b, sample_mask, sample_block)
         exact.append(float(reference.iota_c @ t) - reference_value)
     return exact
 

@@ -174,6 +174,23 @@ def test_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_model_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "utf16.model"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"pmcperturb: cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_direction_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "sensitivity", FROG, "--direction", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"pmcperturb: cannot read direction file {str(path)!r}: "
+                          "'utf-8' codec can't decode")
+
+
 def test_invalid_model_file(capsys, tmp_path):
     path = tmp_path / "bad.model"
     path.write_text("{not json")

@@ -101,6 +101,14 @@ def test_bad_version():
         parse_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_version_must_be_the_integer_1(version):
+    doc = frog_doc()
+    doc["version"] = version
+    with pytest.raises(ModelSchemaError, match="version"):
+        parse_model(json.dumps(doc))
+
+
 def test_wrong_row_count():
     doc = frog_doc()
     doc["rows"].pop()

@@ -107,6 +107,36 @@ class TestExtract:
         assert h.tobytes() == np.zeros(2).tobytes()
 
 
+    def test_extraction_is_kept_without_a_copy(self, frog, monkeypatch):
+        given = []
+        post_init = LinearSystem.__post_init__
+
+        def spy(system):
+            given.append(system.a)
+            post_init(system)
+        monkeypatch.setattr(LinearSystem, "__post_init__", spy)
+        pmc, _, cp = frog
+        a = extract_system(pmc, cp).a
+        assert a is given[0] and a.base is None and not a.flags.writeable
+
+    def test_read_only_owned_array_is_shared(self):
+        a = np.random.default_rng(3).random((5, 5))
+        a.flags.writeable = False
+        assert LinearSystem(a=a, b=np.zeros(5)).a is a
+
+    def test_writable_or_borrowed_array_is_copied(self):
+        a = np.random.default_rng(4).random((5, 5))
+        system = LinearSystem(a=a, b=np.zeros(5))
+        assert not np.shares_memory(system.a, a) and not system.a.flags.writeable
+        a[0, 0] = 7.0
+        assert system.a[0, 0] != 7.0
+        view = a.T  # read-only, but it does not own its data
+        view.flags.writeable = False
+        system = LinearSystem(a=view, b=np.zeros(5))
+        assert not np.shares_memory(system.a, a)
+        np.testing.assert_array_equal(system.a, a.T)
+
+
 class TestSolve:
     def test_frog_direct_and_series(self, frog):
         pmc, _, cp = frog
