@@ -36,7 +36,7 @@ class IndexOutOfRangeError(PmcError):
 
 
 class SingularSystemError(PmcError):
-    """The restricted direct solve failed its residual check.
+    """The restricted direct solve met an exactly singular block or failed its residual check.
 
     A NaN entry in the system causes this; otherwise it is an internal error.
     """

@@ -51,13 +51,14 @@ from .errors import (
 from .model import Assignment, Pmc, STOCHASTIC_TOL, as_vector
 from .reachability import (
     CanonicalProblem,
+    Factor,
     LinearSystem,
     ReachabilityProblem,
     SparseSystem,
     _reference_system,
-    _solve_direct,
     canonicalize,
     constrained_initial,
+    reach_positive_mask,
     total_probability,
 )
 
@@ -73,9 +74,10 @@ class ReferenceSolve:
         pmc, problem, cp: the model, its problem and the canonical problem.
         system: the read-only reference ``(A, b)``: a :class:`LinearSystem`,
             or a :class:`SparseSystem` on the sparse kernel (``reachability``).
-        mask: the reach-positive constraint states, the block that was factored.
-        t, s: ``N b`` and ``iota_c N`` (module docstring), zero off ``mask``;
-            ``t`` is the reachability solution.
+        factor: the :class:`Factor` of ``I - A`` on the reach-positive
+            constraint states (``factor.mask``, read-only), kept for sampling.
+        t, s: ``N b`` and ``iota_c N`` (module docstring) by ``factor``, zero
+            off its mask; ``t`` is the reachability solution.
         iota_c: the initial distribution on the constraint block.
         rows, columns: each parameter's canonical row and support positions
             (0-based).
@@ -90,7 +92,7 @@ class ReferenceSolve:
     problem: ReachabilityProblem
     cp: CanonicalProblem
     system: LinearSystem | SparseSystem
-    mask: np.ndarray
+    factor: Factor
     t: np.ndarray
     s: np.ndarray
     iota_c: np.ndarray
@@ -153,17 +155,18 @@ def gradient_coefficients(pmc: Pmc, problem: ReachabilityProblem) -> ReferenceSo
 
     The problem is canonicalized and ``(A, b)`` extracted once, dense or
     sparse as ``reachability`` chooses. The reach-positive mask comes from
-    one search, and one LU factorization of the restricted ``I - A`` gives
-    both ``t`` (equal to the reachability solution) and, by the transposed
-    solve, the visit weights ``s``; both are zero outside the reach-positive
-    states. Each ``h_i`` is then one gather over canonical positions (module
-    docstring).
+    one search, and the one :class:`Factor` of the restricted ``I - A``
+    gives both ``t`` (equal to the reachability solution) and, by the
+    transposed solve, the visit weights ``s``; both are zero outside the
+    reach-positive states. Each ``h_i`` is then one gather over canonical
+    positions (module docstring).
     """
     cp = canonicalize(pmc, problem)
     system = _reference_system(pmc, cp)
     iota_c = constrained_initial(pmc, cp)
-    t, s, mask = _solve_direct(system.a, system.b, iota_c)
-    s.flags.writeable = mask.flags.writeable = False
+    factor = Factor(system.a, reach_positive_mask(system.a, system.b))
+    t, s = factor.solve(system.a, system.b, iota_c)
+    s.flags.writeable = factor.mask.flags.writeable = False
 
     nq, d0 = cp.n_constraint, cp.destination_start - 1
     pos = np.asarray(cp.permutation, dtype=np.intp) - 1
@@ -182,7 +185,7 @@ def gradient_coefficients(pmc: Pmc, problem: ReachabilityProblem) -> ReferenceSo
         h[param.id] = as_vector(np.where(in_system, visits[row] * x[cols], 0.0))
 
     return ReferenceSolve(
-        pmc=pmc, problem=problem, cp=cp, system=system, mask=mask, t=t, s=s,
+        pmc=pmc, problem=problem, cp=cp, system=system, factor=factor, t=t, s=s,
         iota_c=iota_c, rows=rows, columns=columns, h=h,
         kappa={pid: condition_number_basic(v) for pid, v in h.items()},
         probability=total_probability(pmc.initial, t, cp))

@@ -16,26 +16,30 @@ The solver first restricts the system to constraint states with a positive
 probability of reaching the destination (a path along positive ``A``
 entries to a state with ``b > 0``; explicit zeros are not edges); on that
 block ``I - A`` is non-singular, and all other states get probability
-exactly zero. Both kernels below factor that block once and give ``t = N b``
-and, transposed, the visit weights ``s = iota_c N`` (``N = (I - A)^{-1}``);
-both hold ``t`` to the residual ceiling ``RESIDUAL_HARD`` on the whole
-system and clip it to [0, 1].
+exactly zero. :class:`Factor` is the one solver interface: built from
+``A`` and that mask, it factors ``I - A`` on the mask once, then gives
+``t = N b`` and, transposed, the visit weights ``s = iota_c N``
+(``N = (I - A)^{-1}``), both zero off the mask, with ``t`` held to the
+residual ceiling ``RESIDUAL_HARD`` on the whole system and clipped to
+[0, 1]. An exactly singular block raises :class:`SingularSystemError`. The
+kernel follows the form of ``A``; no caller branches on it:
 
-* The dense kernel, :func:`_solve_block`, takes a dense ``A``
-  (:class:`LinearSystem`, from :func:`extract_system`). The mask comes from
-  a frontier search, and LAPACK ``getrf``/``getrs`` factor and solve, called
-  as ``scipy.linalg.lu_factor``/``lu_solve`` call them but without their
-  per-call input checks, so results keep their bits.
-* The sparse kernel, :func:`_solve_sparse`, takes a CSR ``A``
-  (:class:`SparseSystem`), read straight from the model rows without an
-  ``n x n`` matrix. The mask comes from one breadth-first search from a
-  virtual state joined to every state with ``b > 0``, and SuperLU
+* A dense ``A`` (:class:`LinearSystem`, from :func:`extract_system`): the
+  mask comes from a frontier search, and LAPACK ``getrf``/``getrs`` factor
+  and solve, called as ``scipy.linalg.lu_factor``/``lu_solve`` call them
+  but without their per-call input checks, so results keep their bits. The
+  gathered block is kept, and a sampled system is factored from a copy of
+  it (:meth:`Factor.patcher`).
+* A CSR ``A`` (:class:`SparseSystem`), read straight from the model rows
+  without an ``n x n`` matrix: the mask comes from one breadth-first search
+  from a virtual state joined to every state with ``b > 0``, and SuperLU
   (``scipy.sparse.linalg.splu``) factors and solves.
 
-``_reference_system`` is the one place that picks the kernel, for the
-reference solve (kept as ``perturbation.ReferenceSolve``); every sampled
-re-solve (``sampler``) takes the reference's kernel. The sparse kernel is
-chosen when the constraint block has at least ``SPARSE_MIN_STATES`` states
+``_reference_system`` is the one place that picks the form, for the
+reference solve (kept, with its factor, as ``perturbation.ReferenceSolve``);
+every sampled re-solve (``sampler``) patches a copy of the reference ``A``
+and keeps its form. The sparse form is chosen when the constraint block has
+at least ``SPARSE_MIN_STATES`` states
 and its bandwidth in canonical order (the largest ``|i - j|`` over stored
 entries) is at most its size over ``SPARSE_BANDWIDTH_DIVISOR``. Fill-in of
 the LU factors grows with the bandwidth, and at these bounds SuperLU beat
@@ -182,7 +186,7 @@ class SparseSystem:
     indices and no duplicates. It stores the non-zero entries of the concrete
     rows and every support position of a parameter row inside the constraint
     block, reference zeros included, so that an assignment only overwrites
-    ``a.data`` (see :meth:`slots`).
+    stored entries.
     """
 
     a: object
@@ -190,13 +194,6 @@ class SparseSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "b", as_vector(self.b))
-
-    def slots(self, rows, cols) -> np.ndarray:
-        """Index into ``a.data`` of each stored entry ``(rows[k], cols[k])``."""
-        n = self.a.shape[1]
-        keys = np.repeat(np.arange(self.a.shape[0]), np.diff(self.a.indptr)) * n \
-            + self.a.indices
-        return np.searchsorted(keys, np.asarray(rows) * n + np.asarray(cols))
 
 
 def extract_system(pmc: Pmc, cp: CanonicalProblem,
@@ -330,74 +327,91 @@ def reach_positive_mask(a, b: np.ndarray) -> np.ndarray:
     return reached
 
 
-def _reach_block(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``I - A`` on the ``mask`` states, gathered from ``A``."""
-    return np.eye(int(mask.sum())) - a[np.ix_(mask, mask)]
+class Factor:
+    """``I - A`` on the ``mask`` states, factored once (module docstring).
 
+    A dense ``a`` is factored by ``getrf``, and its gathered block kept,
+    read-only, for :meth:`patcher`; a CSR ``a`` by SuperLU. ``block`` (from
+    :meth:`patcher` only) is a dense block already gathered, factored in
+    place and not kept.
 
-def _solve_block(a: np.ndarray, b: np.ndarray, mask: np.ndarray, block: np.ndarray,
-                 weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """``t`` with ``(I - A) t = b`` and, given ``weights``, ``s`` with ``s (I - A) = weights``.
-
-    ``block`` must hold ``I - A`` on the ``mask`` states, as
-    :func:`_reach_block` gathers it. It is factored once, in place when it
-    is Fortran-ordered, and ``t`` and ``s`` are zero off the mask. ``t``
-    must meet ``RESIDUAL_HARD`` on the whole system and is clipped to [0, 1].
+    Raises:
+        SingularSystemError: the block is exactly singular.
     """
-    t = np.zeros(b.size)
-    s = None if weights is None else np.zeros(b.size)
-    if mask.any():
-        lu, piv, _ = _getrf(block, overwrite_a=True)
-        t[mask] = _getrs(lu, piv, b[mask])[0]
-        if s is not None:
-            s[mask] = _getrs(lu, piv, weights[mask], trans=1)[0]
-    return _checked(a, b, t), s
 
+    def __init__(self, a, mask: np.ndarray, block: np.ndarray | None = None):
+        self.mask, self._block, self._apply = mask, None, None
+        dense = isinstance(a, np.ndarray)
+        if block is None and dense and mask.any():
+            block = np.subtract(np.eye(int(mask.sum())), a[np.ix_(mask, mask)], order="F")
+            block.flags.writeable = False
+            self._block = block
+        if block is not None:
+            # getrf copies the kept, read-only block and overwrites a patched one
+            lu, piv, info = _getrf(block, overwrite_a=block.flags.writeable)
+            if info > 0:
+                raise SingularSystemError(f"dense LU failed: pivot U[{info}, {info}] "
+                                          f"of the reach-positive block is exactly 0")
+            self._apply = lambda rhs, trans: _getrs(lu, piv, rhs, trans=trans)[0]
+        elif not dense and mask.any():
+            from scipy.sparse import csc_matrix, identity
+            from scipy.sparse.linalg import splu
 
-def _solve_sparse(a, b: np.ndarray, mask: np.ndarray, weights: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`_solve_block` for a CSR ``a``: one SuperLU factorization of ``I - A[mask, mask]``."""
-    from scipy.sparse import csc_matrix, identity
-    from scipy.sparse.linalg import splu
+            try:
+                lu = splu(csc_matrix(identity(int(mask.sum())) - a[mask][:, mask]))
+            except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+                raise SingularSystemError(f"sparse LU failed: {exc}") from None
+            self._apply = lambda rhs, trans: lu.solve(rhs, trans="NT"[trans])
 
-    t = np.zeros(b.size)
-    s = None if weights is None else np.zeros(b.size)
-    if mask.any():
-        block = csc_matrix(identity(int(mask.sum())) - a[mask][:, mask])
-        try:
-            lu = splu(block)
-        except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-            raise SingularSystemError(f"sparse LU failed: {exc}") from None
-        t[mask] = lu.solve(b[mask])
-        if s is not None:
-            s[mask] = lu.solve(weights[mask], trans="T")
-    return _checked(a, b, t), s
+    def solve(self, a, b: np.ndarray, weights: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``t`` with ``(I - A) t = b`` and, given ``weights``, ``s`` with ``s (I - A) = weights``.
+
+        ``(a, b)`` is the system whose ``A`` was factored. ``t`` and ``s``
+        are zero off the mask; ``t`` goes through :func:`_checked`.
+        """
+        t = np.zeros(b.size)
+        s = None if weights is None else np.zeros(b.size)
+        if self._apply is not None:
+            t[self.mask] = self._apply(b[self.mask], 0)
+            if s is not None:
+                s[self.mask] = self._apply(weights[self.mask], 1)
+        return _checked(a, b, t), s
+
+    def patcher(self, rows: np.ndarray, cols: np.ndarray):
+        """A function from a system's ``a`` to its :class:`Factor` on this mask.
+
+        ``a`` may differ from the factored ``A`` only at ``(rows, cols)``. A
+        dense factor copies its kept block and writes ``eye - a`` at the
+        positions inside it, found once here (1.0 on the diagonal, 0.0 off
+        it: the bits of a fresh gather). Without a kept block (sparse, or
+        itself patched), ``a`` is gathered again.
+        """
+        mask = self.mask
+        if self._block is None:
+            return lambda a: Factor(a, mask)
+        inside = mask[rows] & mask[cols]
+        rows, cols = rows[inside], cols[inside]
+        order = np.cumsum(mask) - 1
+        at, eye = (order[rows], order[cols]), np.where(rows == cols, 1.0, 0.0)
+        flat = rows * mask.size + cols  # into the C-ordered square ``a``
+
+        def patched(a) -> Factor:
+            block = self._block.copy(order="F")
+            block[at] = eye - a.take(flat)
+            return Factor(a, mask, block)
+        return patched
 
 
 def _checked(a, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``t`` held to ``RESIDUAL_HARD`` on the whole system, clipped to [0, 1], read-only."""
     residual = float(np.abs(t - (a @ t + b)).max(initial=0.0))
-    if not residual <= RESIDUAL_HARD:  # a NaN residual (singular block, NaN entry) fails too
+    if not residual <= RESIDUAL_HARD:  # a NaN residual (NaN entry, say) fails too
         raise SingularSystemError(
             f"direct solve residual {residual:.3e} exceeds {RESIDUAL_HARD:.0e}")
     t = t.clip(0.0, 1.0)
     t.flags.writeable = False
     return t
-
-
-def _solve_direct(a, b: np.ndarray, weights: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """``t``, ``s`` and the reach-positive mask, by the kernel of ``a``'s form.
-
-    A dense ``a`` goes through :func:`_solve_block`, a CSR ``a`` through
-    :func:`_solve_sparse`.
-    """
-    mask = reach_positive_mask(a, b)
-    if isinstance(a, np.ndarray):
-        t, s = _solve_block(a, b, mask, _reach_block(a, mask), weights)
-    else:
-        t, s = _solve_sparse(a, b, mask, weights)
-    return t, s, mask
 
 
 def solve_reachability(system: LinearSystem | SparseSystem) -> np.ndarray:
@@ -407,10 +421,12 @@ def solve_reachability(system: LinearSystem | SparseSystem) -> np.ndarray:
     is solved there; states that cannot reach the destination get exactly 0.
 
     Raises:
-        SingularSystemError: the solve violated the residual ceiling
-            (a NaN entry, or an internal error the restriction should prevent).
+        SingularSystemError: the block is exactly singular, or the solve
+            violated the residual ceiling (a NaN entry, or an internal error
+            the restriction should prevent).
     """
-    return _solve_direct(system.a, system.b)[0]
+    a, b = system.a, system.b
+    return Factor(a, reach_positive_mask(a, b)).solve(a, b)[0]
 
 
 def constrained_initial(pmc: Pmc, cp: CanonicalProblem) -> np.ndarray:

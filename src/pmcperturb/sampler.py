@@ -57,14 +57,7 @@ from .errors import (
 )
 from .model import Assignment, DistributionParameter, Pmc, as_vector, is_distribution
 from .perturbation import ReferenceSolve
-from .reachability import (
-    SparseSystem,
-    _destination_mass,
-    _reach_block,
-    _solve_block,
-    _solve_sparse,
-    reach_positive_mask,
-)
+from .reachability import Factor, _destination_mass, reach_positive_mask
 
 #: Fraction by which observed deltas may exceed the first-order bound before
 #: a validation run is considered inconsistent (the bound is asymptotic, not
@@ -296,83 +289,54 @@ def _exact_deltas(reference: ReferenceSolve, batch: Mapping[str, np.ndarray],
     """Exact delta of every sample, by one re-solve of the patched reference system.
 
     Only the parameter rows of the constraint block change between samples:
-    their ``A`` entries are overwritten and their ``b`` entries rebuilt by
-    ``reachability._destination_mass``, as ``extract_system`` sums them.
-    A dense reference is patched in a copy of its array, so each patched
-    system is bit-identical to ``extract_system(pmc, cp, assignment)``; a
-    sparse one in a copy of its CSR data, which stores every support
-    position.
+    their entries are overwritten in a copy of the reference ``A``, which
+    stores every support position in either form, and their ``b`` entries
+    rebuilt by ``reachability._destination_mass``, so each patched system
+    is the one ``extract_system(pmc, cp, assignment)`` gives.
 
-    The reach-positive mask depends only on which entries are positive. A
-    sample with the reference's positive/zero pattern on the patched
-    entries keeps the reference mask (``reference.mask``); only another
-    pattern costs a new reach search. Every sample is re-solved by the
-    reference's kernel, with its residual check and clip, so every exact
-    delta equals a ``solve_reachability`` re-solve of the patched system. A
-    sparse sample goes through ``reachability._solve_sparse``. A dense one
-    goes through ``reachability._solve_block``: while the mask is the
-    reference's, it copies the reference block ``I - A[mask, mask]``, built
-    once per batch, and writes ``eye - value`` at the patched block
-    positions (1.0 on the diagonal, 0.0 off it, the bits of
-    ``np.eye(m) - a``); another mask gathers a fresh block. No block is
-    kept beyond the reference one.
+    The reach-positive mask depends only on which entries are positive, so a
+    sample with the reference's positive/zero pattern on the patched entries
+    keeps the reference mask, and only another pattern costs a reach search.
+    A sample on the reference mask is factored by ``reference.factor``'s
+    ``patcher``, one on another mask by a fresh ``reachability.Factor``.
+    Either way it is solved with the residual check and clip of every solve,
+    so each exact delta equals a ``solve_reachability`` re-solve of the
+    patched system.
     """
     cp = reference.cp
     nq = cp.n_constraint
+    system, factor = reference.system, reference.factor
     a_rows, a_cols, b_rows = [], [], []
     a_values, b_values = [np.empty((count, 0))], [np.empty((count, 0))]
+    same_pattern = np.ones(count, dtype=bool)
     for param in reference.pmc.parameters:
         row, cols = reference.rows[param.id], reference.columns[param.id]
         if row >= nq:
             continue
         rows = batch[param.id]
         inner = cols < nq
+        mass = _destination_mass(rows, cols, cp)
+        same_pattern &= ((rows > 0.0) == (param.reference > 0.0))[:, inner].all(axis=1)
+        same_pattern &= (mass > 0.0) == (system.b[row] > 0.0)
         a_rows += [row] * int(inner.sum())
         a_cols += cols[inner].tolist()
         a_values.append(rows[:, inner])
         b_rows.append(row)
-        b_values.append(_destination_mass(rows, cols, cp)[:, None])
+        b_values.append(mass[:, None])
     a_rows, a_cols = np.array(a_rows, dtype=np.intp), np.array(a_cols, dtype=np.intp)
     b_index = np.array(b_rows, dtype=np.intp)
     a_values, b_values = np.hstack(a_values), np.hstack(b_values)
 
-    system = reference.system
-    sparse = isinstance(system, SparseSystem)
-    b = np.array(system.b)
-    if sparse:
-        a = system.a.copy()
-        entries, index = a.data, system.slots(a_rows, a_cols)
-    else:
-        a = np.array(system.a, order="C")
-        entries, index = a.reshape(-1), a_rows * nq + a_cols
-    reference_pattern = np.concatenate([entries[index] > 0.0, b[b_index] > 0.0])
-    same_pattern = (np.hstack([a_values > 0.0, b_values > 0.0])
-                    == reference_pattern).all(axis=1)
-
-    mask = reference.mask
-    if not sparse:
-        block = np.asfortranarray(_reach_block(a, mask))
-        in_block = mask[a_rows] & mask[a_cols]
-        order = np.cumsum(mask) - 1
-        block_index = (order[a_rows[in_block]], order[a_cols[in_block]])
-        block_values = (np.where(a_rows[in_block] == a_cols[in_block], 1.0, 0.0)
-                        - a_values[:, in_block])
-
+    a, b = system.a.copy(), np.array(system.b)
+    patched = factor.patcher(a_rows, a_cols)
     reference_value = float(reference.iota_c @ reference.t)
     exact = []
     for k in range(count):
-        entries[index] = a_values[k]
+        a[a_rows, a_cols] = a_values[k]
         b[b_index] = b_values[k]
-        sample_mask = mask if same_pattern[k] else reach_positive_mask(a, b)
-        if sparse:
-            t, _ = _solve_sparse(a, b, sample_mask)
-        else:
-            if sample_mask is mask or np.array_equal(sample_mask, mask):
-                sample_block = block.copy(order="F")
-                sample_block[block_index] = block_values[k]
-            else:
-                sample_block = _reach_block(a, sample_mask)
-            t, _ = _solve_block(a, b, sample_mask, sample_block)
+        mask = None if same_pattern[k] else reach_positive_mask(a, b)
+        same = mask is None or np.array_equal(mask, factor.mask)
+        t, _ = (patched(a) if same else Factor(a, mask)).solve(a, b)
         exact.append(float(reference.iota_c @ t) - reference_value)
     return exact
 

@@ -117,6 +117,55 @@ def random_case(rng: np.random.Generator, n: int, n_params: int,
         return pmc, problem, cp
 
 
+def birth_death_chain(n: int, seed: int = 0, jump: int = 0):
+    """Gambler's-ruin chain on ``1..n`` (1 ruin, ``n`` goal) and its probability.
+
+    Interior state ``i`` moves down with ``q_i``, stays with ``r_i`` and up
+    with ``p_i``. Four interior rows are parameters, the last one next to
+    the goal; the first also has a support position three states up whose
+    reference is 0. With ``jump``,
+    state 2 also moves ``jump`` states up with a small probability, which
+    sets the bandwidth of the constraint block and voids the closed form
+    (returned as ``None`` then).
+    """
+    rng = np.random.default_rng([seed, n])
+    stay = rng.uniform(0.1, 0.3, size=n)
+    up = (1.0 - stay) * rng.uniform(0.45, 0.55, size=n)
+    down = 1.0 - stay - up
+    param_rows = (n // 4, n // 2, 3 * n // 4, n - 1)
+    concrete, parameters = {}, []
+    for state in range(1, n + 1):
+        row = np.zeros(n)
+        triple = (down[state - 1], stay[state - 1], up[state - 1])
+        if state in (1, n):
+            row[state - 1] = 1.0
+        elif state == param_rows[0]:
+            parameters.append(DistributionParameter(
+                id=f"row{state}", row=state,
+                support=(state - 1, state, state + 1, state + 3), reference=(*triple, 0.0)))
+            continue
+        elif state in param_rows:
+            parameters.append(DistributionParameter(
+                id=f"row{state}", row=state, support=(state - 1, state, state + 1),
+                reference=triple))
+            continue
+        else:
+            row[state - 2:state + 1] = triple
+            if jump and state == 2:
+                row[state - 1] -= 0.01
+                row[state - 1 + jump] += 0.01
+        concrete[state] = row
+    start = n // 3
+    initial = np.zeros(n)
+    initial[start - 1] = 1.0
+    pmc = Pmc(n=n, initial=initial, concrete_rows=concrete, parameters=tuple(parameters))
+    problem = ReachabilityProblem(frozenset(range(2, n)), frozenset({n}))
+    # P(reach n from k) = sum_{j<k} prod_{2<=i<=j} rho_i / sum_{j<n} prod_{2<=i<=j} rho_i
+    weights = np.concatenate([[1.0], np.cumprod(down[1:n - 1] / up[1:n - 1])])
+    closed_form = None if jump else float(weights[:start - 1].sum() / weights.sum())
+    return pmc, problem, closed_form
+
+
 def zero_sum_direction(rng: np.random.Generator, k: int, budget: float) -> np.ndarray:
     """Random zero-sum vector with absolute norm ``budget``."""
     while True:
@@ -190,8 +239,9 @@ def count_calls(monkeypatch, calls: dict, *sources) -> None:
     """Count the calls of each function named in ``calls`` into ``calls[name]``.
 
     The function is taken from the first of ``sources``, then the package,
-    that has the name, and replaced in every ``pmcperturb`` namespace that
-    binds it, so calls through any import of it are counted.
+    that has the name, and replaced in ``sources`` and in every
+    ``pmcperturb`` namespace that binds it, so calls through any import of
+    it are counted.
     """
     for name in calls:
         fn = next(getattr(m, name) for m in (*sources, pmcperturb) if hasattr(m, name))
@@ -199,8 +249,9 @@ def count_calls(monkeypatch, calls: dict, *sources) -> None:
         def wrapper(*args, _name=name, _fn=fn, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        for key, module in list(sys.modules.items()):
-            if key.split(".")[0] == "pmcperturb" and getattr(module, name, None) is fn:
+        package = [m for key, m in sys.modules.items() if key.split(".")[0] == "pmcperturb"]
+        for module in (*sources, *package):
+            if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, wrapper)
 
 

@@ -215,12 +215,12 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):
-    import pmcperturb.perturbation as perturbation
+    from pmcperturb.reachability import Factor
 
     def boom(*args, **kwargs):
         raise SingularSystemError("direct solve residual nan exceeds 1e-10")
 
-    monkeypatch.setattr(perturbation, "_solve_direct", boom)
+    monkeypatch.setattr(Factor, "solve", boom)
     code, _, err = run(capsys, "check", FROG)
     assert code == 2
     assert "numerical" in err

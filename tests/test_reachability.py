@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from conftest import count_calls, random_pmc, random_problem
+from conftest import birth_death_chain, count_calls, random_pmc, random_problem
 from oracles import NonConvergenceError, solve_series
 
 from pmcperturb import (
@@ -18,6 +18,7 @@ from pmcperturb import (
     Pmc,
     ReachabilityProblem,
     SingularSystemError,
+    SparseSystem,
     analyze,
     build_frog,
     canonicalize,
@@ -28,6 +29,7 @@ from pmcperturb import (
     total_probability,
     validate_bounds,
 )
+from pmcperturb.reachability import SPARSE_MIN_STATES
 
 RESIDUAL_HARD = 1e-10
 
@@ -168,13 +170,19 @@ class TestSolve:
         assert series[1] == 0.0
         np.testing.assert_allclose(p, series, atol=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning",
-                                "ignore::scipy.linalg.LinAlgWarning")
-    def test_singular_block_reported(self):
+    @pytest.mark.parametrize("kernel, message", [
+        ("dense", r"pivot U\[2, 2\] of the reach-positive block is exactly 0"),
+        ("sparse", "sparse LU failed"),
+    ], ids=["dense", "sparse"])
+    def test_singular_block_reported(self, kernel, message):
         # not a stochastic system: I - A is exactly singular on the
-        # reach-positive block, and the non-finite residual must be caught
-        system = LinearSystem(a=np.array([[1.0]]), b=np.array([0.5]))
-        with pytest.raises(SingularSystemError):
+        # reach-positive block, and each kernel's LU must report it
+        from scipy.sparse import csr_matrix
+
+        a, b = np.full((2, 2), 0.5), np.array([0.5, 0.0])
+        system = LinearSystem(a=a, b=b) if kernel == "dense" else \
+            SparseSystem(a=csr_matrix(a), b=b)
+        with pytest.raises(SingularSystemError, match=message):
             solve_reachability(system)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -313,26 +321,35 @@ class TestReachPositiveMask:
         assert int(mask.sum()) == (2000 if broken_at is None else 1000)
 
 
-def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog):
+@pytest.mark.parametrize("kernel", ["dense", "sparse"])
+def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog, kernel):
     """``analyze`` and ``validate_bounds`` each build and factor the reference once.
 
-    One ``canonicalize``, one ``extract_system`` (one ``instantiate``), one
-    reach search and one factorization per reference solve.
+    One ``canonicalize``, one extraction, one reach search and one
+    factorization per reference solve: ``getrf`` on the dense frog, SuperLU
+    on a sparse birth-death chain, which is read without ``extract_system``.
     """
+    import scipy.sparse.linalg
+
     import pmcperturb.reachability as reachability
 
+    dense = kernel == "dense"
+    pmc, problem, _ = frog if dense else birth_death_chain(SPARSE_MIN_STATES + 2)
+    lu = "_getrf" if dense else "splu"
     calls = {"canonicalize": 0, "extract_system": 0, "instantiate": 0,
-             "reach_positive_mask": 0, "_getrf": 0}
-    count_calls(monkeypatch, calls, reachability)
-    once = dict.fromkeys(calls, 1)
-    pmc, problem, _ = frog
+             "reach_positive_mask": 0, lu: 0}
+    count_calls(monkeypatch, calls, reachability, scipy.sparse.linalg)
+    once = {**dict.fromkeys(calls, 1), "extract_system": int(dense), "instantiate": int(dense)}
     analyze(gradient_coefficients(pmc, problem))
     assert calls == once
 
     calls.update(dict.fromkeys(calls, 0))
-    report = validate_bounds(gradient_coefficients(pmc, problem), {"hop": 0.01},
-                             n_samples=5, seed=1)
-    # One reference solve, then one factorization per evaluated sample. No
-    # sample moves an entry to or from 0, so none needs its own reach search.
-    assert all((sample.assignment["hop"] > 0.0).all() for sample in report.samples)
-    assert calls == {**once, "_getrf": 1 + len(report.samples)}
+    report = validate_bounds(gradient_coefficients(pmc, problem),
+                             {p.id: 0.01 for p in pmc.parameters}, n_samples=5, seed=1)
+    # One reference solve, then one factorization per evaluated sample. Only
+    # a sample that moves an entry to or from 0 needs its own reach search:
+    # none on the frog, and on the chain those that raise its reference zero.
+    moved = sum(any(((sample.assignment[p.id] > 0.0) != (p.reference > 0.0)).any()
+                    for p in pmc.parameters) for sample in report.samples)
+    assert moved == 0 if dense else moved > 0
+    assert calls == {**once, "reach_positive_mask": 1 + moved, lu: 1 + len(report.samples)}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import count_calls, random_case, random_problem, random_sparse_pmc
+from conftest import count_calls, random_case, random_pmc, random_problem, random_sparse_pmc
 
 from pmcperturb import (
     ArityMismatchError,
@@ -400,7 +400,7 @@ class TestBatchEvaluation:
                 rows[4] = rows[4] if cleared is None else cleared
                 vectors[param.id] = rows
             samples = evaluate_assignments(gradients, labels, vectors)
-            reference_mask = gradients.mask
+            reference_mask = gradients.factor.mask
             for sample in samples:
                 assert_sample_matches_direct_resolve(pmc, cp, gradients, sample)
                 system = extract_system(pmc, cp, Assignment(sample.assignment.vectors))
@@ -408,6 +408,43 @@ class TestBatchEvaluation:
                 assert not (changed and sample.label == "keep")
                 mask_changes += bool(changed)
         assert mask_changes >= 20, mask_changes
+
+    def test_clipped_samples_patch_the_reference_block(self, monkeypatch):
+        # The traffic of a validate run on a dense chain with small entries:
+        # samples clip an entry to 0, so each runs a reach search, but keep
+        # the reference mask. Each is then factored once, from a copy of the
+        # reference block with its parameter entries rewritten: no sample
+        # gathers its own I - A block.
+        import pmcperturb.reachability as reachability
+
+        rng = np.random.default_rng(0)
+        pmc = random_pmc(rng, 12, 3, min_entry=0.001)
+        problem = ReachabilityProblem(frozenset(range(1, 12)), frozenset({12}))
+        cp = canonicalize(pmc, problem)
+        reference = gradient_coefficients(pmc, problem)
+        gathers = []
+        init = reachability.Factor.__init__
+
+        def spy(self, a, mask, block=None):
+            gathers.append(block is None)
+            init(self, a, mask, block)
+        monkeypatch.setattr(reachability.Factor, "__init__", spy)
+        calls = {"reach_positive_mask": 0, "_getrf": 0}
+        count_calls(monkeypatch, calls, reachability)
+        report = validate_bounds(reference, {p.id: 0.05 for p in pmc.parameters},
+                                 n_samples=8, seed=0)
+        monkeypatch.undo()
+
+        clipped = sum(any((sample.assignment[p.id] == 0.0).any() for p in pmc.parameters)
+                      for sample in report.samples)
+        assert clipped >= len(report.samples) // 2
+        assert calls == {"reach_positive_mask": clipped, "_getrf": len(report.samples)}
+        assert gathers == [False] * len(report.samples)
+        for sample in report.samples:
+            assert_sample_matches_direct_resolve(pmc, cp, reference, sample)
+            system = extract_system(pmc, cp, Assignment(sample.assignment.vectors))
+            np.testing.assert_array_equal(reach_positive_mask(system.a, system.b),
+                                          reference.factor.mask)
 
     def test_batch_checks(self, frog):
         pmc, problem, _ = frog

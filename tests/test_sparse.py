@@ -14,12 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_pmc, random_problem, random_sparse_pmc
+from conftest import birth_death_chain, random_pmc, random_problem, random_sparse_pmc
 
 from pmcperturb import (
     ArityMismatchError,
     Assignment,
-    DistributionParameter,
     LinearSystem,
     Pmc,
     ReachabilityProblem,
@@ -43,55 +42,6 @@ RTOL = 1e-10
 #: Exact deltas are differences of probabilities of order 1, solved by two
 #: kernels whose results agree to a few 1e-12 on this chain.
 DELTA_ATOL = 1e-10
-
-
-def birth_death_chain(n: int, seed: int = 0, jump: int = 0):
-    """Gambler's-ruin chain on ``1..n`` (1 ruin, ``n`` goal) and its probability.
-
-    Interior state ``i`` moves down with ``q_i``, stays with ``r_i`` and up
-    with ``p_i``. Four interior rows are parameters, the last one next to
-    the goal; the first also has a support position three states up whose
-    reference is 0. With ``jump``,
-    state 2 also moves ``jump`` states up with a small probability, which
-    sets the bandwidth of the constraint block and voids the closed form
-    (returned as ``None`` then).
-    """
-    rng = np.random.default_rng([seed, n])
-    stay = rng.uniform(0.1, 0.3, size=n)
-    up = (1.0 - stay) * rng.uniform(0.45, 0.55, size=n)
-    down = 1.0 - stay - up
-    param_rows = (n // 4, n // 2, 3 * n // 4, n - 1)
-    concrete, parameters = {}, []
-    for state in range(1, n + 1):
-        row = np.zeros(n)
-        triple = (down[state - 1], stay[state - 1], up[state - 1])
-        if state in (1, n):
-            row[state - 1] = 1.0
-        elif state == param_rows[0]:
-            parameters.append(DistributionParameter(
-                id=f"row{state}", row=state,
-                support=(state - 1, state, state + 1, state + 3), reference=(*triple, 0.0)))
-            continue
-        elif state in param_rows:
-            parameters.append(DistributionParameter(
-                id=f"row{state}", row=state, support=(state - 1, state, state + 1),
-                reference=triple))
-            continue
-        else:
-            row[state - 2:state + 1] = triple
-            if jump and state == 2:
-                row[state - 1] -= 0.01
-                row[state - 1 + jump] += 0.01
-        concrete[state] = row
-    start = n // 3
-    initial = np.zeros(n)
-    initial[start - 1] = 1.0
-    pmc = Pmc(n=n, initial=initial, concrete_rows=concrete, parameters=tuple(parameters))
-    problem = ReachabilityProblem(frozenset(range(2, n)), frozenset({n}))
-    # P(reach n from k) = sum_{j<k} prod_{2<=i<=j} rho_i / sum_{j<n} prod_{2<=i<=j} rho_i
-    weights = np.concatenate([[1.0], np.cumprod(down[1:n - 1] / up[1:n - 1])])
-    closed_form = None if jump else float(weights[:start - 1].sum() / weights.sum())
-    return pmc, problem, closed_form
 
 
 @pytest.fixture(scope="module")
