@@ -324,11 +324,11 @@ def model_digest(pmc: Pmc) -> str:
     """
     digest = hashlib.sha256(b"pmc-digest-v2")
     digest.update(np.array([pmc.n, pmc.initial.size], dtype="<i8").tobytes())
-    digest.update(pmc.initial.astype("<f8").tobytes())
+    digest.update(np.ascontiguousarray(pmc.initial, dtype="<f8"))
     rows = [(row, 0, b"", (), vec) for row, vec in pmc.concrete_rows.items()]
     rows += [(p.row, 1, p.id.encode("utf-8"), p.support, p.reference) for p in pmc.parameters]
     for row, kind, ident, support, vec in sorted(rows, key=lambda r: r[:2]):
         header = [row, kind, len(ident), len(support), *support, vec.size]
         digest.update(np.array(header, dtype="<i8").tobytes() + ident)
-        digest.update(vec.astype("<f8").tobytes())
+        digest.update(np.ascontiguousarray(vec, dtype="<f8"))  # the row itself, no copy
     return digest.hexdigest()[:12]

@@ -21,8 +21,14 @@ A model file is a JSON document:
 
 ``rows[i]`` is the outgoing row of state ``i + 1`` and is either concrete
 or parameterized, never both. ``problem`` and ``direction`` are optional.
-Unknown fields are rejected. Parsing validates the resulting model and
-rendering is the exact inverse of parsing on the data model.
+Unknown fields are rejected. Parsing validates the resulting model, and the
+ids of a ``direction`` must be the model's parameter ids. Rendering is the
+exact inverse of parsing on the data model.
+
+Each row's ``concrete`` or ``reference`` numbers become a read-only float64
+array while the JSON decoder runs, as soon as that row is decoded, so the
+document never holds all n² numbers as Python floats. The peak memory of a
+parse is therefore the text plus the final arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +38,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelSchemaError, ModelSyntaxError, ModelValidationError
+from .errors import (
+    DirectionMismatchError,
+    ModelSchemaError,
+    ModelSyntaxError,
+    ModelValidationError,
+)
 from .model import DistributionParameter, Pmc, validate_pmc
 from .perturbation import Direction
 from .reachability import ReachabilityProblem
@@ -56,16 +67,46 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ModelSchemaError(f"{where}: missing field(s) {sorted(missing)}")
 
 
-def _number_list(value, where: str) -> np.ndarray:
+def _float_array(value) -> np.ndarray:
+    """Read-only float64 array of a decoded list of numbers.
+
+    Raises:
+        ModelSchemaError: not a list of numbers, or an integer literal beyond
+            the double range; the message lacks the location.
+    """
     # json.loads yields only builtin types, so exact types reject bools too.
     if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
-        raise ModelSchemaError(f"{where}: expected a list of numbers")
+        raise ModelSchemaError("expected a list of numbers")
     try:
         arr = np.array(value, dtype=np.float64)
-    except OverflowError:  # an integer literal beyond the double range
-        raise ModelSchemaError(f"{where}: a number is too large for a double") from None
+    except OverflowError:
+        raise ModelSchemaError("a number is too large for a double") from None
     arr.flags.writeable = False  # read-only, so the model shares it instead of copying
     return arr
+
+
+def _number_list(value, where: str) -> np.ndarray:
+    if isinstance(value, np.ndarray):  # converted by _rows_to_arrays while decoding
+        return value
+    try:
+        return _float_array(value)
+    except ModelSchemaError as exc:
+        raise ModelSchemaError(f"{where}: {exc}") from None
+
+
+def _rows_to_arrays(obj: dict) -> dict:
+    """``object_hook`` that converts a row's numbers as soon as it is decoded.
+
+    Anything ``_float_array`` rejects stays as decoded, for the parse loop to
+    report with its location.
+    """
+    for key in ("concrete", "reference"):
+        if key in obj:
+            try:
+                obj[key] = _float_array(obj[key])
+            except ModelSchemaError:
+                pass
+    return obj
 
 
 def _int_list(value, where: str) -> list[int]:
@@ -82,9 +123,11 @@ def parse_model(text: str) -> ParsedModel:
         ModelSchemaError: well-formed but schema-violating (field named).
         ModelValidationError: schema-conforming but semantically invalid;
             the individual violations are attached.
+        DirectionMismatchError: the ``direction`` block's ids are not the
+            model's parameter ids.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_rows_to_arrays)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
@@ -132,7 +175,6 @@ def parse_model(text: str) -> ParsedModel:
             ))
         else:
             raise ModelSchemaError(f"{where}: expected 'concrete' or 'parameter'")
-        rows[index] = None  # free the decoded row now, so it and its array never coexist
 
     pmc = Pmc(n=n, initial=initial, concrete_rows=concrete_rows,
               parameters=tuple(parameters))
@@ -156,7 +198,13 @@ def parse_model(text: str) -> ParsedModel:
             destination=frozenset(_int_list(block["destination"], "problem.destination")),
         )
 
-    direction = parse_direction(doc["direction"]) if "direction" in doc else None
+    direction = None
+    if "direction" in doc:
+        direction = parse_direction(doc["direction"])
+        if set(direction.weights) != set(pmc.parameter_ids):
+            raise DirectionMismatchError(
+                f"direction.weights: covers {sorted(direction.weights)}, "
+                f"parameters are {sorted(pmc.parameter_ids)}")
     return ParsedModel(pmc=pmc, problem=problem, direction=direction)
 
 

@@ -98,6 +98,59 @@ def test_sensitivity_direction_file_schema(capsys, tmp_path, doc, suffix):
     assert (code, out, err) == (1, "", f"pmcperturb: direction{suffix}\n")
 
 
+def model_file(tmp_path, change):
+    """Path of the frog model file after ``change`` edits its decoded document."""
+    doc = json.loads(Path(FROG).read_text())
+    change(doc)
+    path = tmp_path / "edited.model"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["sensitivity"], ["validate", "--delta", "0.02", "--samples", "5"],
+], ids=["check", "sensitivity", "validate"])
+def test_direction_ids_checked_at_parse_time(capsys, tmp_path, command):
+    model = model_file(tmp_path, lambda doc: doc.__setitem__("direction",
+                                                             {"weights": {"zz": 1.0}}))
+    code, out, err = run(capsys, command[0], model, *command[1:])
+    assert (code, out, err) == (
+        1, "", "pmcperturb: direction.weights: covers ['zz'], parameters are ['hop']\n")
+
+
+BAD_NUMBERS = {"bool": True, "string": "0.5", "null": None,
+               "object": {"concrete": [0.5]}, "400_digits": 10 ** 400}
+
+
+@pytest.mark.parametrize("kind", BAD_NUMBERS)
+@pytest.mark.parametrize("row, field", [(2, "concrete"), (0, "reference")])
+def test_bad_row_number_message(capsys, tmp_path, kind, row, field):
+    # Rows become arrays while the JSON is decoded; a row the decoder leaves
+    # alone fails later with its location, as when rows were converted after.
+    model = model_file(tmp_path, lambda doc: doc["rows"][row][field].__setitem__(
+        1, BAD_NUMBERS[kind]))
+    problem = ("a number is too large for a double" if kind == "400_digits"
+               else "expected a list of numbers")
+    code, out, err = run(capsys, "check", model)
+    assert (code, out, err) == (1, "", f"pmcperturb: rows[{row}].{field}: {problem}\n")
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc.__setitem__("direction", {"weights": {"hop": 1.0,
+                                                           "concrete": [0.5, 0.5]}}),
+     "direction.weights: expected an object of numbers"),
+    (lambda doc: doc["problem"].__setitem__("reference", [1.0, 0.0]),
+     "problem: unknown field(s) ['reference']"),
+    (lambda doc: doc.__setitem__("concrete", [0.5, 0.5]),
+     "top level: unknown field(s) ['concrete']"),
+    (lambda doc: doc["rows"][0].__setitem__("concrete", doc["rows"][0]["reference"]),
+     "rows[0]: row is both concrete and parameterized"),
+], ids=["direction.weights", "problem", "top-level", "row"])
+def test_number_list_under_a_row_key_elsewhere(capsys, tmp_path, change, message):
+    code, out, err = run(capsys, "check", model_file(tmp_path, change))
+    assert (code, out, err) == (1, "", f"pmcperturb: {message}\n")
+
+
 def test_validate_json(capsys):
     code, out, _ = run(capsys, "validate", ZEROCONF, "--delta", "0.002",
                        "--samples", "20", "--seed", "5", "--format", "json")

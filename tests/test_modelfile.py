@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_pmc
+from conftest import birth_death_chain, random_pmc
 
 from pmcperturb import (
     Direction,
@@ -174,3 +175,20 @@ def test_integer_beyond_double_range(field, place):
     place(doc, 10 ** 400)
     with pytest.raises(ModelSchemaError, match=rf"^{field}: a number is too large"):
         parse_model(json.dumps(doc))
+
+
+def test_parse_peak_memory_is_the_final_arrays():
+    # Rows become arrays while decoding, so the parse never holds the n²
+    # numbers as Python floats (about 4x the arrays' size when it did).
+    pmc, problem, _ = birth_death_chain(1000)
+    text = render_model(pmc, problem)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        parsed = parse_model(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows = [*parsed.pmc.concrete_rows.values(), *(p.reference for p in parsed.pmc.parameters)]
+    assert peak <= 1.25 * sum(row.nbytes for row in rows)
