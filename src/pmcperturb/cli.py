@@ -23,11 +23,11 @@ import sys
 from pathlib import Path
 
 from .errors import PmcError, SingularSystemError
-from .model import model_digest
 from .modelfile import parse_direction, parse_model
 from .perturbation import Direction, analyze, gradient_coefficients
 from .reachability import ReachabilityProblem
 from .report import (
+    check_record,
     reference_tables_record,
     render_json,
     render_reference_tables,
@@ -126,17 +126,11 @@ def _load_model(args):
 
 def _cmd_check(args) -> int:
     pmc, problem, _ = _load_model(args)
-    probability = gradient_coefficients(pmc, problem).probability
+    reference = gradient_coefficients(pmc, problem)
     if args.format == "json":
-        record = {
-            "model_hash": model_digest(pmc),
-            "problem": {"constraint": sorted(problem.constraint),
-                        "destination": sorted(problem.destination)},
-            "probability": probability,
-        }
-        sys.stdout.write(render_json(record))
+        sys.stdout.write(render_json(check_record(reference)))
     else:
-        print(f"{probability:.6f}")
+        print(f"{reference.probability:.6f}")
     return EXIT_OK
 
 

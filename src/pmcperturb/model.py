@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     ArityMismatchError,
+    IndexOutOfRangeError,
     MissingParameterError,
     SimplexViolationError,
     UnknownParameterError,
@@ -288,6 +289,31 @@ def validate_pmc(pmc: Pmc) -> ValidationResult:
     return ValidationResult(ok=not out, violations=tuple(out))
 
 
+def _checked_vectors(pmc: Pmc, assignment: Assignment | None) -> list[np.ndarray]:
+    """Each parameter's vector at ``assignment`` (the references if None), in order.
+
+    Checks first that the rows can be indexed. Raises as :func:`instantiate`.
+    """
+    n = pmc.n
+    for row, vec in pmc.concrete_rows.items():
+        if not 1 <= row <= n:
+            raise IndexOutOfRangeError(f"concrete row {row} outside 1..{n}")
+        if vec.size != n:
+            raise ArityMismatchError(f"concrete row {row} has {vec.size} entries, expected {n}")
+    vectors = []
+    for param in pmc.parameters:
+        states = (param.row, *param.support)
+        if not (1 <= min(states) and max(states) <= n):
+            raise IndexOutOfRangeError(f"parameter {param.id!r}: row {param.row} or support "
+                                       f"{param.support} outside 1..{n}")
+        vec = param.reference if assignment is None else assignment[param.id]
+        if vec.size != param.arity:
+            raise ArityMismatchError(f"assignment for {param.id!r} has {vec.size} entries, "
+                                     f"support has {param.arity}")
+        vectors.append(vec)
+    return vectors
+
+
 def instantiate(pmc: Pmc, assignment: Assignment) -> np.ndarray:
     """Concrete ``n x n`` transition matrix of the PMC at the given assignment.
 
@@ -295,23 +321,16 @@ def instantiate(pmc: Pmc, assignment: Assignment) -> np.ndarray:
     elsewhere. The assignment must cover every parameter id.
 
     Raises:
+        IndexOutOfRangeError: a row or support index lies outside ``1..n``.
         MissingParameterError: a parameter id is not assigned.
-        ArityMismatchError: an assigned vector does not match its support.
+        ArityMismatchError: a row or an assigned vector has the wrong size.
     """
+    vectors = _checked_vectors(pmc, assignment)
     matrix = np.zeros((pmc.n, pmc.n), dtype=np.float64)
     for row, vec in pmc.concrete_rows.items():
-        if vec.size != pmc.n:
-            raise ArityMismatchError(
-                f"concrete row {row} has {vec.size} entries, expected {pmc.n}")
         matrix[row - 1, :] = vec
-    for param in pmc.parameters:
-        vec = assignment[param.id]
-        if vec.size != param.arity:
-            raise ArityMismatchError(
-                f"assignment for {param.id!r} has {vec.size} entries, "
-                f"support has {param.arity}")
-        cols = np.asarray(param.support, dtype=np.intp) - 1
-        matrix[param.row - 1, cols] = vec
+    for param, vec in zip(pmc.parameters, vectors):
+        matrix[param.row - 1, np.asarray(param.support, dtype=np.intp) - 1] = vec
     return matrix
 
 

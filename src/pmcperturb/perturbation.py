@@ -55,9 +55,9 @@ from .reachability import (
     LinearSystem,
     ReachabilityProblem,
     SparseSystem,
-    _reference_system,
     canonicalize,
     constrained_initial,
+    extract_system,
     reach_positive_mask,
     total_probability,
 )
@@ -153,16 +153,16 @@ class SensitivityReport:
 def gradient_coefficients(pmc: Pmc, problem: ReachabilityProblem) -> ReferenceSolve:
     """The :class:`ReferenceSolve` of ``pmc`` and ``problem``.
 
-    The problem is canonicalized and ``(A, b)`` extracted once, dense or
-    sparse as ``reachability`` chooses. The reach-positive mask comes from
-    one search, and the one :class:`Factor` of the restricted ``I - A``
-    gives both ``t`` (equal to the reachability solution) and, by the
-    transposed solve, the visit weights ``s``; both are zero outside the
-    reach-positive states. Each ``h_i`` is then one gather over canonical
-    positions (module docstring).
+    The problem is canonicalized and ``(A, b)`` read from the model rows
+    once, dense or sparse as :func:`extract_system` chooses. The
+    reach-positive mask comes from one search, and the one :class:`Factor`
+    of the restricted ``I - A`` gives both ``t`` (equal to the reachability
+    solution) and, by the transposed solve, the visit weights ``s``; both
+    are zero outside the reach-positive states. Each ``h_i`` is then one
+    gather over canonical positions (module docstring).
     """
     cp = canonicalize(pmc, problem)
-    system = _reference_system(pmc, cp)
+    system = extract_system(pmc, cp)
     iota_c = constrained_initial(pmc, cp)
     factor = Factor(system.a, reach_positive_mask(system.a, system.b))
     t, s = factor.solve(system.a, system.b, iota_c)

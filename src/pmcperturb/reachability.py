@@ -24,31 +24,31 @@ residual ceiling ``RESIDUAL_HARD`` on the whole system and clipped to
 [0, 1]. An exactly singular block raises :class:`SingularSystemError`. The
 kernel follows the form of ``A``; no caller branches on it:
 
-* A dense ``A`` (:class:`LinearSystem`, from :func:`extract_system`): the
-  mask comes from a frontier search, and LAPACK ``getrf``/``getrs`` factor
-  and solve, called as ``scipy.linalg.lu_factor``/``lu_solve`` call them
-  but without their per-call input checks, so results keep their bits. The
-  gathered block is kept, and a sampled system is factored from a copy of
-  it (:meth:`Factor.patcher`).
-* A CSR ``A`` (:class:`SparseSystem`), read straight from the model rows
-  without an ``n x n`` matrix: the mask comes from one breadth-first search
-  from a virtual state joined to every state with ``b > 0``, and SuperLU
-  (``scipy.sparse.linalg.splu``) factors and solves.
+* A dense ``A`` (:class:`LinearSystem`): the mask comes from a frontier
+  search, and LAPACK ``getrf``/``getrs`` factor and solve, called as
+  ``scipy.linalg.lu_factor``/``lu_solve`` call them but without their
+  per-call input checks, so results keep their bits. The gathered block is
+  kept, and a sampled system is factored from a copy of it
+  (:meth:`Factor.patcher`).
+* A CSR ``A`` (:class:`SparseSystem`): the mask comes from one
+  breadth-first search from a virtual state joined to every state with
+  ``b > 0``, and SuperLU (``scipy.sparse.linalg.splu``) factors and solves.
 
-``_reference_system`` is the one place that picks the form, for the
-reference solve (kept, with its factor, as ``perturbation.ReferenceSolve``);
-every sampled re-solve (``sampler``) patches a copy of the reference ``A``
-and keeps its form. The sparse form is chosen when the constraint block has
-at least ``SPARSE_MIN_STATES`` states
-and its bandwidth in canonical order (the largest ``|i - j|`` over stored
-entries) is at most its size over ``SPARSE_BANDWIDTH_DIVISOR``. Fill-in of
-the LU factors grows with the bandwidth, and at these bounds SuperLU beat
-the dense LU at every size measured even on a full band; a random sparse
-pattern of the same size has a bandwidth near ``n`` and fills in far more,
-so it stays dense. Below ``SPARSE_MIN_STATES`` a dense factorization costs
-a few milliseconds at most. ``scipy.sparse`` is imported inside the sparse
-branch only: it is a noticeable import, and a model that stays dense never
-pays for it.
+:func:`extract_system` is the one extraction and the one place that picks
+the form; it reads both forms from the model rows, never through the
+``n x n`` transition matrix. The reference is kept, with its factor, as
+``perturbation.ReferenceSolve``; every sampled re-solve (``sampler``)
+patches a copy of the reference ``A`` and keeps its form. The sparse form
+is chosen when the constraint block has at least ``SPARSE_MIN_STATES``
+states and its bandwidth in canonical order (the largest ``|i - j|`` over
+stored entries) is at most its size over ``SPARSE_BANDWIDTH_DIVISOR``.
+Fill-in of the LU factors grows with the bandwidth, and at these bounds
+SuperLU beat the dense LU at every size measured even on a full band; a
+random sparse pattern of the same size has a bandwidth near ``n`` and
+fills in far more, so it stays dense. Below ``SPARSE_MIN_STATES`` a dense
+factorization costs a few milliseconds at most. ``scipy.sparse`` is
+imported inside the sparse branch only: it is a noticeable import, and a
+model that stays dense never pays for it.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .errors import (
     IndexOutOfRangeError,
     SingularSystemError,
 )
-from .model import Assignment, Pmc, as_vector, instantiate, reference_assignment
+from .model import Assignment, Pmc, _checked_vectors, as_vector
 
 #: Hard ceiling on the fixed-point residual of any returned solution.
 RESIDUAL_HARD = 1e-10
@@ -73,7 +73,7 @@ RESIDUAL_HARD = 1e-10
 SPARSE_MIN_STATES = 512
 #: The sparse kernel needs a bandwidth of at most the block size over this.
 SPARSE_BANDWIDTH_DIVISOR = 32
-#: Entries of concrete rows scanned at once by the sparse extraction (512 kB).
+#: Entries of concrete rows scanned at once by the extraction (512 kB).
 _SCAN_ENTRIES = 1 << 16
 
 _getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
@@ -197,29 +197,39 @@ class SparseSystem:
 
 
 def extract_system(pmc: Pmc, cp: CanonicalProblem,
-                   assignment: Assignment | None = None) -> LinearSystem:
-    """Extract ``(A, b)`` for a canonical problem.
+                   assignment: Assignment | None = None) -> LinearSystem | SparseSystem:
+    """``(A, b)`` of a canonical problem, at ``assignment`` (the references if None).
 
-    ``A`` is the constraint-block submatrix of the instantiated transition
-    matrix (at the references unless ``assignment`` is given) and
-    ``b[i]`` sums row ``i``'s mass over the destination block.
+    The one extraction and kernel dispatch (module docstring): the entries
+    that :func:`_constraint_entries` reads from the model rows, packed into
+    a :class:`SparseSystem` for a large banded block and scattered into a
+    fresh dense :class:`LinearSystem` otherwise. A bad index, size or
+    parameter id raises as ``model._checked_vectors`` says.
     """
-    if assignment is None:
-        assignment = reference_assignment(pmc)
-    matrix = instantiate(pmc, assignment)
-    constraint = np.asarray(cp.constraint_states, dtype=np.intp) - 1
-    destination = np.asarray(cp.destination_states, dtype=np.intp) - 1
-    a = matrix[np.ix_(constraint, constraint)]
+    nq = cp.n_constraint
+    rows, cols, values, b = _constraint_entries(pmc, cp, assignment)
+    if nq >= SPARSE_MIN_STATES \
+            and np.abs(rows - cols).max(initial=0) * SPARSE_BANDWIDTH_DIVISOR <= nq:
+        from scipy.sparse import csr_matrix
+
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nq))])
+        a = csr_matrix((values[order], cols[order], indptr), shape=(nq, nq))
+        for array in (a.data, a.indices, a.indptr):
+            array.flags.writeable = False
+        return SparseSystem(a=a, b=b)
+    a = np.zeros((nq, nq))
+    a[rows, cols] = values
     a.flags.writeable = False  # fresh, so LinearSystem keeps it without a copy
-    return LinearSystem(a=a, b=matrix[np.ix_(constraint, destination)].sum(axis=1))
+    return LinearSystem(a=a, b=b)
 
 
 def _destination_mass(values: np.ndarray, cols: np.ndarray, cp: CanonicalProblem) -> np.ndarray:
     """Each row's mass in the destination block; ``cols`` are the canonical positions of a row.
 
     Sums the whole destination-ordered segment of the row, zeros included,
-    as :func:`extract_system` sums a row of the instantiated matrix, so the
-    result has the same bits.
+    for concrete and parameter rows alike, so the result has the bits of the
+    same sum over a row of the ``n x n`` transition matrix.
     """
     d0 = cp.destination_start - 1
     outer = cols >= d0
@@ -228,74 +238,44 @@ def _destination_mass(values: np.ndarray, cols: np.ndarray, cp: CanonicalProblem
     return segment.sum(axis=1)
 
 
-def _constraint_entries(pmc: Pmc, cp: CanonicalProblem):
-    """The reference ``A`` as canonical ``(rows, cols, values)`` entries, and ``b``.
+def _constraint_entries(pmc: Pmc, cp: CanonicalProblem, assignment: Assignment | None):
+    """``A`` as canonical ``(rows, cols, values)`` entries, and ``b``, at ``assignment``.
 
-    Read from the model rows without instantiating the chain: the non-zero
-    entries of each concrete constraint row, scanned a block of rows at a
-    time, and every support position of each parameter row of the
-    constraint block, reference zeros included. Destination entries are
-    summed into ``b``, in column order for a concrete row and by
-    :func:`_destination_mass` for a parameter row; middle-block entries drop out.
-
-    Raises:
-        ArityMismatchError: a concrete row does not have ``n`` entries.
+    Read from the model rows for both kernels, without an ``n x n`` matrix:
+    the non-zero entries of each concrete constraint row, scanned a block of
+    rows at a time, and every support position of each parameter row of the
+    constraint block, reference zeros included. ``b`` sums each row by
+    :func:`_destination_mass`; middle-block entries drop out.
     """
+    vectors = _checked_vectors(pmc, assignment)
     n, nq = cp.n, cp.n_constraint
     pos = np.asarray(cp.permutation, dtype=np.intp) - 1
+    constraint = pos < nq  # whether each state lies in the constraint block
     states = [s for s in cp.constraint_states if s in pmc.concrete_rows]
     canonical = pos[np.asarray(states, dtype=np.intp) - 1]
-    for state in states:
-        if pmc.concrete_rows[state].size != n:
-            raise ArityMismatchError(f"concrete row {state} has "
-                                     f"{pmc.concrete_rows[state].size} entries, expected {n}")
+    b = np.zeros(nq)
     rows, cols, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     step = max(1, _SCAN_ENTRIES // n)
     for start in range(0, len(states), step):
         block = np.concatenate([pmc.concrete_rows[s] for s in states[start:start + step]])
-        index = np.flatnonzero(block != 0.0)
-        rows.append(canonical[start + index // n])
-        cols.append(pos[index % n])
-        values.append(block[index])
-    rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-    outer = cols >= cp.destination_start - 1
-    # astype: with no destination entries at all, bincount returns integers
-    b = np.bincount(rows[outer], weights=values[outer], minlength=nq).astype(np.float64)
-    inner = cols < nq
-    rows, cols, values = [rows[inner]], [cols[inner]], [values[inner]]
-    for param in pmc.parameters:
+        block = block.reshape(-1, n)
+        at = canonical[start:start + step]
+        b[at] = _destination_mass(block, pos, cp)
+        index = np.flatnonzero((block != 0.0) & constraint)
+        row, col = np.divmod(index, n)
+        rows.append(at[row])
+        cols.append(pos[col])
+        values.append(block.ravel()[index])
+    for param, vec in zip(pmc.parameters, vectors):
         row = pos[param.row - 1]
         if row < nq:
             support = pos[np.asarray(param.support, dtype=np.intp) - 1]
-            b[row] = _destination_mass(param.reference[None, :], support, cp)[0]
+            b[row] = _destination_mass(vec[None, :], support, cp)[0]
             inner = support < nq
             rows.append(np.full(int(inner.sum()), row))
             cols.append(support[inner])
-            values.append(param.reference[inner])
+            values.append(vec[inner])
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(values), b
-
-
-def _reference_system(pmc: Pmc, cp: CanonicalProblem) -> LinearSystem | SparseSystem:
-    """The reference ``(A, b)``, dense or sparse: the one place that picks the kernel.
-
-    Sparse when the constraint block has at least ``SPARSE_MIN_STATES``
-    states and a bandwidth of at most its size over
-    ``SPARSE_BANDWIDTH_DIVISOR`` (module docstring); :func:`extract_system`
-    otherwise.
-    """
-    nq = cp.n_constraint
-    if nq >= SPARSE_MIN_STATES:
-        rows, cols, values, b = _constraint_entries(pmc, cp)
-        if np.abs(rows - cols).max(initial=0) * SPARSE_BANDWIDTH_DIVISOR <= nq:
-            from scipy.sparse import csr_matrix
-
-            order = np.lexsort((cols, rows))
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nq))])
-            a = csr_matrix((values[order], cols[order], indptr), shape=(nq, nq))
-            for array in (a.data, a.indices, a.indptr):
-                array.flags.writeable = False
-            return SparseSystem(a=a, b=b)
-    return extract_system(pmc, cp)
 
 
 def reach_positive_mask(a, b: np.ndarray) -> np.ndarray:

@@ -30,8 +30,7 @@ from json.encoder import encode_basestring_ascii
 
 from .example_models import build_frog, build_zeroconf
 from .model import model_digest
-from .perturbation import SensitivityReport, gradient_coefficients
-from .reachability import ReachabilityProblem
+from .perturbation import ReferenceSolve, SensitivityReport, gradient_coefficients
 from .sampler import ValidationReport, evaluate_assignments
 
 BOUND_CONVENTION = ("per-parameter distances Delta_i bound the exact delta by "
@@ -52,9 +51,17 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _problem_record(problem: ReachabilityProblem) -> dict:
-    return {"constraint": sorted(problem.constraint),
-            "destination": sorted(problem.destination)}
+def _source_record(reference: ReferenceSolve) -> dict:
+    """The model hash and the problem, which every record starts with."""
+    problem = reference.problem
+    return {"model_hash": model_digest(reference.pmc),
+            "problem": {"constraint": sorted(problem.constraint),
+                        "destination": sorted(problem.destination)}}
+
+
+def _heading(reference: ReferenceSolve) -> str:
+    return (f"model {model_digest(reference.pmc)}, problem "
+            f"{sorted(reference.problem.constraint)} U {sorted(reference.problem.destination)}")
 
 
 def use_color(stream=None) -> bool:
@@ -156,14 +163,16 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# sensitivity
+# check and sensitivity
+
+def check_record(reference: ReferenceSolve) -> dict:
+    return {**_source_record(reference), "probability": reference.probability}
+
 
 def sensitivity_record(report: SensitivityReport) -> dict:
     reference = report.reference
     return {
-        "model_hash": model_digest(reference.pmc),
-        "problem": _problem_record(reference.problem),
-        "probability": reference.probability,
+        **check_record(reference),
         "parameters": [
             {
                 "id": pid,
@@ -182,8 +191,7 @@ def sensitivity_record(report: SensitivityReport) -> dict:
 def render_sensitivity_table(report: SensitivityReport) -> str:
     reference = report.reference
     lines = [
-        f"model {model_digest(reference.pmc)}, problem "
-        f"{sorted(reference.problem.constraint)} U {sorted(reference.problem.destination)}",
+        _heading(reference),
         f"referential probability: {reference.probability:.6f}",
         "",
     ]
@@ -204,8 +212,7 @@ def render_sensitivity_table(report: SensitivityReport) -> str:
 
 def validation_record(report: ValidationReport) -> dict:
     return {
-        "model_hash": model_digest(report.reference.pmc),
-        "problem": _problem_record(report.reference.problem),
+        **_source_record(report.reference),
         "requested_distances": dict(report.requested),
         "bound": report.bound,
         "analytic_kappa": report.analytic_kappa,
@@ -236,8 +243,7 @@ def validation_record(report: ValidationReport) -> dict:
 def render_validation_table(report: ValidationReport, color: bool = False) -> str:
     reference = report.reference
     lines = [
-        f"model {model_digest(reference.pmc)}, problem "
-        f"{sorted(reference.problem.constraint)} U {sorted(reference.problem.destination)}",
+        _heading(reference),
         f"samples: {len(report.samples)}  seed: {report.seed}",
         f"requested distances: "
         + ", ".join(f"{pid}={_fmt(d)}" for pid, d in report.requested.items()),
@@ -308,16 +314,14 @@ def reference_tables_record() -> dict:
         "scale": "all table values are multiplied by 1e3",
         "bound_convention": BOUND_CONVENTION,
         "zeroconf": {
-            "model_hash": model_digest(zf.pmc),
-            "problem": _problem_record(zf.problem),
+            **_source_record(zf),
             "probability_x1e3": zf.probability * 1e3,
             "kappa_sum_x1e3": zf.kappa_sum * 1e3,
             "kappa_per_parameter_x1e3": {pid: k * 1e3 for pid, k in zf.kappa.items()},
             "perturbed": zf_rows,
         },
         "frog": {
-            "model_hash": model_digest(fg.pmc),
-            "problem": _problem_record(fg.problem),
+            **_source_record(fg),
             "probability_x1e3": fg.probability * 1e3,
             "kappa_x1e3": fg.kappa_sum * 1e3,
             "perturbed": fg_rows,

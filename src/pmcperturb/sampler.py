@@ -291,8 +291,9 @@ def _exact_deltas(reference: ReferenceSolve, batch: Mapping[str, np.ndarray],
     Only the parameter rows of the constraint block change between samples:
     their entries are overwritten in a copy of the reference ``A``, which
     stores every support position in either form, and their ``b`` entries
-    rebuilt by ``reachability._destination_mass``, so each patched system
-    is the one ``extract_system(pmc, cp, assignment)`` gives.
+    rebuilt by ``reachability._destination_mass``, the sum ``extract_system``
+    takes over every row, so each patched system is the one
+    ``extract_system(pmc, cp, assignment)`` reads from the rows, bit for bit.
 
     The reach-positive mask depends only on which entries are positive, so a
     sample with the reference's positive/zero pattern on the patched entries

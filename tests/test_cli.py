@@ -382,7 +382,8 @@ def test_validate_distance_outside_simplex_diameter(capsys, delta, message):
 def test_paper_tables_solve_count(capsys, monkeypatch):
     """Two reference solves (one per model) and one re-solve per table row.
 
-    Each model is canonicalized, extracted (instantiated) and searched once.
+    Each model is canonicalized, extracted and searched once, and its
+    ``n x n`` matrix is never instantiated.
     """
     import pmcperturb.reachability as reachability
 
@@ -393,4 +394,4 @@ def test_paper_tables_solve_count(capsys, monkeypatch):
     # Every published perturbed vector keeps the reference's positive
     # entries, so the table rows reuse the reference reach search.
     assert calls == {"gradient_coefficients": 2, "canonicalize": 2, "extract_system": 2,
-                     "instantiate": 2, "reach_positive_mask": 2, "_getrf": 2 + 3 + 6}
+                     "instantiate": 0, "reach_positive_mask": 2, "_getrf": 2 + 3 + 6}

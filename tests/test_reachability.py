@@ -6,24 +6,35 @@ from collections import deque
 
 import numpy as np
 import pytest
-from conftest import birth_death_chain, count_calls, random_pmc, random_problem
-from oracles import NonConvergenceError, solve_series
+from conftest import (
+    birth_death_chain,
+    count_calls,
+    random_pmc,
+    random_problem,
+    random_sparse_pmc,
+    sparse_distribution,
+)
+from oracles import NonConvergenceError, dense_system, solve_series
 
 from pmcperturb import (
     ArityMismatchError,
+    Assignment,
     DistributionParameter,
     EmptyDestinationError,
     IndexOutOfRangeError,
     LinearSystem,
+    MissingParameterError,
     Pmc,
     ReachabilityProblem,
     SingularSystemError,
     SparseSystem,
     analyze,
     build_frog,
+    build_zeroconf,
     canonicalize,
     extract_system,
     gradient_coefficients,
+    instantiate,
     reach_positive_mask,
     solve_reachability,
     total_probability,
@@ -36,6 +47,47 @@ RESIDUAL_HARD = 1e-10
 
 def residual(system, p):
     return float(np.max(np.abs(p - (system.a @ p + system.b)))) if p.size else 0.0
+
+
+def off_reference(rng, pmc) -> Assignment:
+    """Every parameter moved to a random vector with zeros on part of its support."""
+    return Assignment({p.id: sparse_distribution(rng, p.arity, 0.7) for p in pmc.parameters})
+
+
+def wide_destination(rng, n: int) -> ReachabilityProblem:
+    """Random disjoint sets: 8 to 12 destination states, a few states in neither."""
+    states = rng.permutation(n) + 1
+    n_dest = int(rng.integers(8, 13))
+    n_cons = int(rng.integers(1, n - n_dest - 1))
+    return ReachabilityProblem(constraint=frozenset(states[n_dest:n_dest + n_cons].tolist()),
+                               destination=frozenset(states[:n_dest].tolist()))
+
+
+def extraction_cases(name: str):
+    """``(pmc, problem, assignment)`` triples of one model family for the oracle check."""
+    rng = np.random.default_rng(14)
+    if name in ("frog", "zeroconf"):
+        pmc, problem = build_frog() if name == "frog" else build_zeroconf()
+        return [(pmc, problem, off_reference(rng, pmc))]
+    if name == "chain":
+        pmc, problem, _ = birth_death_chain(SPARSE_MIN_STATES + 2)
+        return [(pmc, problem, off_reference(rng, pmc))]
+    draw = random_pmc if name == "random_pmc" else random_sparse_pmc
+    cases = []
+    for _ in range(6):
+        pmc = draw(rng, int(rng.integers(20, 40)), 3)
+        cases.append((pmc, wide_destination(rng, pmc.n), off_reference(rng, pmc)))
+    return cases
+
+
+#: Unvalidated 3-state models with a row or support index outside 1..3.
+OUT_OF_RANGE = {
+    "concrete row 0": ({0: (1.0, 0.0, 0.0)}, 1, (1, 3)),
+    "concrete row 4": ({4: (0.0, 0.0, 1.0)}, 1, (1, 3)),
+    "parameter row 4": ({}, 4, (1, 3)),
+    "support (0, 1)": ({}, 1, (0, 1)),
+    "support (1, 4)": ({}, 1, (1, 4)),
+}
 
 
 class TestCanonicalize:
@@ -107,6 +159,52 @@ class TestExtract:
         problem = ReachabilityProblem(frozenset({1}), frozenset({2}))
         h = gradient_coefficients(pmc, problem).h["q"]
         assert h.tobytes() == np.zeros(2).tobytes()
+
+    @pytest.mark.parametrize("name", ["frog", "zeroconf", "random_pmc", "random_sparse_pmc",
+                                      "chain"])
+    def test_extraction_matches_dense_oracle(self, name):
+        # Both kernels read the rows; the oracle gathers the n x n matrix.
+        # Bit for bit, at the references and at an assignment off them.
+        for pmc, problem, assignment in extraction_cases(name):
+            cp = canonicalize(pmc, problem)
+            for given in (None, assignment):
+                system = extract_system(pmc, cp, given)
+                oracle = dense_system(pmc, cp, given)
+                assert isinstance(system, SparseSystem if name == "chain" else LinearSystem)
+                a = system.a if isinstance(system.a, np.ndarray) else system.a.toarray()
+                assert a.shape == oracle.a.shape and a.tobytes() == oracle.a.tobytes()
+                assert system.b.tobytes() == oracle.b.tobytes()
+
+    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
+    def test_assignment_errors_on_both_kernels(self, frog, kernel):
+        pmc, _, cp = frog
+        if kernel == "sparse":
+            pmc, problem, _ = birth_death_chain(SPARSE_MIN_STATES + 2)
+            cp = canonicalize(pmc, problem)
+            assert isinstance(extract_system(pmc, cp), SparseSystem)
+        with pytest.raises(MissingParameterError):
+            extract_system(pmc, cp, Assignment({}))
+        vectors = {p.id: p.reference for p in pmc.parameters}
+        first = pmc.parameters[0]
+        vectors[first.id] = np.full(first.arity + 1, 1.0 / (first.arity + 1))
+        with pytest.raises(ArityMismatchError, match=f"assignment for {first.id!r}"):
+            extract_system(pmc, cp, Assignment(vectors))
+
+    @pytest.mark.parametrize("where", sorted(OUT_OF_RANGE))
+    @pytest.mark.parametrize("function", ["extract_system", "instantiate"])
+    def test_out_of_range_index(self, function, where):
+        # Indexed without a check, row 0 would overwrite row 3 and support
+        # position 0 would land in column 3.
+        concrete, row, support = OUT_OF_RANGE[where]
+        rows = {2: (0.0, 0.0, 1.0), 3: (0.0, 0.0, 1.0), **concrete}
+        param = DistributionParameter("q", row, support, (0.6, 0.4))
+        pmc = Pmc(n=3, initial=(1.0, 0.0, 0.0), concrete_rows=rows, parameters=(param,))
+        with pytest.raises(IndexOutOfRangeError, match=r"outside 1\.\.3"):
+            if function == "instantiate":
+                instantiate(pmc, Assignment({"q": (0.6, 0.4)}))
+            else:
+                cp = canonicalize(pmc, ReachabilityProblem(frozenset({1, 2}), frozenset({3})))
+                extract_system(pmc, cp)
 
 
     def test_extraction_is_kept_without_a_copy(self, frog, monkeypatch):
@@ -325,9 +423,10 @@ class TestReachPositiveMask:
 def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog, kernel):
     """``analyze`` and ``validate_bounds`` each build and factor the reference once.
 
-    One ``canonicalize``, one extraction, one reach search and one
+    One ``canonicalize``, one ``extract_system``, one reach search and one
     factorization per reference solve: ``getrf`` on the dense frog, SuperLU
-    on a sparse birth-death chain, which is read without ``extract_system``.
+    on a sparse birth-death chain. Both systems are read from the model
+    rows, so ``instantiate`` is never called.
     """
     import scipy.sparse.linalg
 
@@ -339,7 +438,7 @@ def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog, k
     calls = {"canonicalize": 0, "extract_system": 0, "instantiate": 0,
              "reach_positive_mask": 0, lu: 0}
     count_calls(monkeypatch, calls, reachability, scipy.sparse.linalg)
-    once = {**dict.fromkeys(calls, 1), "extract_system": int(dense), "instantiate": int(dense)}
+    once = {**dict.fromkeys(calls, 1), "instantiate": 0}
     analyze(gradient_coefficients(pmc, problem))
     assert calls == once
 

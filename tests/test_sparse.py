@@ -2,7 +2,8 @@
 
 A birth-death (gambler's-ruin) chain is large and banded, so it takes the
 sparse kernel. Its probability has a closed form, and every quantity is
-checked against a dense ``np.linalg.solve`` on :func:`extract_system`.
+checked against a dense ``np.linalg.solve`` on the dense oracle system
+(``oracles.dense_system``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import birth_death_chain, random_pmc, random_problem, random_sparse_pmc
+from oracles import dense_system
 
 from pmcperturb import (
     ArityMismatchError,
@@ -52,7 +54,7 @@ def chain():
 def dense_reference(pmc, problem, reference):
     """``t``, ``s``, ``h`` and ``kappa`` by ``np.linalg.solve`` on the dense system."""
     cp = reference.cp
-    system = extract_system(pmc, cp)
+    system = dense_system(pmc, cp)
     mask = reach_positive_mask(system.a, system.b)
     block = np.eye(int(mask.sum())) - system.a[np.ix_(mask, mask)]
     t, s = np.zeros(cp.n_constraint), np.zeros(cp.n_constraint)
@@ -73,8 +75,8 @@ def dense_reference(pmc, problem, reference):
 def dense_delta(pmc, reference, vectors) -> float:
     """Exact delta of one assignment by dense re-solves of both systems."""
     cp, iota_c = reference.cp, reference.iota_c
-    t_ref = solve_reachability(extract_system(pmc, cp))
-    t_new = solve_reachability(extract_system(pmc, cp, Assignment(vectors)))
+    t_ref = solve_reachability(dense_system(pmc, cp))
+    t_new = solve_reachability(dense_system(pmc, cp, Assignment(vectors)))
     return float(iota_c @ t_new - iota_c @ t_ref)
 
 
@@ -99,7 +101,7 @@ class TestChain:
         # The CSR holds the dense A, plus the stored reference zero.
         pmc, problem, _ = chain
         reference = gradient_coefficients(pmc, problem)
-        dense = extract_system(pmc, reference.cp)
+        dense = dense_system(pmc, reference.cp)
         sparse = reference.system
         np.testing.assert_array_equal(sparse.a.toarray(), dense.a)
         np.testing.assert_array_equal(sparse.b, dense.b)
