@@ -9,7 +9,8 @@ Subcommands:
 * ``paper-tables`` - regenerate the published case-study tables from the
   built-in models.
 
-``--format json|table`` selects the rendering. A problem or direction
+Each command builds one record, and :func:`main` renders it in one place;
+``--format json|table`` picks the rendering. A problem or direction
 stored in the model file can be overridden with ``--constraint``,
 ``--destination`` and ``--direction`` (flags win). Exit codes: 0 success,
 1 input error, 2 internal numerical failure. Diagnostics go to stderr.
@@ -29,6 +30,7 @@ from .reachability import ReachabilityProblem
 from .report import (
     check_record,
     reference_tables_record,
+    render_check_table,
     render_json,
     render_reference_tables,
     render_sensitivity_table,
@@ -124,14 +126,9 @@ def _load_model(args):
     return parsed.pmc, problem, parsed.direction
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> dict:
     pmc, problem, _ = _load_model(args)
-    reference = gradient_coefficients(pmc, problem)
-    if args.format == "json":
-        sys.stdout.write(render_json(check_record(reference)))
-    else:
-        print(f"{reference.probability:.6f}")
-    return EXIT_OK
+    return check_record(gradient_coefficients(pmc, problem))
 
 
 def _direction_from_flag(flag: str) -> Direction | None:
@@ -146,20 +143,15 @@ def _direction_from_flag(flag: str) -> Direction | None:
     return parse_direction(doc, f"direction file {flag!r}")
 
 
-def _cmd_sensitivity(args) -> int:
+def _cmd_sensitivity(args) -> dict:
     pmc, problem, file_direction = _load_model(args)
     direction = file_direction
     if args.direction is not None:
         direction = _direction_from_flag(args.direction)
-    report = analyze(gradient_coefficients(pmc, problem), direction)
-    if args.format == "json":
-        sys.stdout.write(render_json(sensitivity_record(report)))
-    else:
-        sys.stdout.write(render_sensitivity_table(report))
-    return EXIT_OK
+    return sensitivity_record(analyze(gradient_coefficients(pmc, problem), direction))
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     pmc, problem, _ = _load_model(args)
     ids = [p.id for p in pmc.parameters]
     if args.per_parameter is not None:
@@ -177,29 +169,16 @@ def _cmd_validate(args) -> int:
     else:
         raise PmcError("validate requires --delta or --per-parameter")
 
-    report = validate_bounds(gradient_coefficients(pmc, problem), deltas,
-                             n_samples=args.samples, seed=args.seed)
-    if args.format == "json":
-        sys.stdout.write(render_json(validation_record(report)))
-    else:
-        sys.stdout.write(render_validation_table(report, color=use_color()))
-    return EXIT_OK
+    return validation_record(validate_bounds(gradient_coefficients(pmc, problem), deltas,
+                                             n_samples=args.samples, seed=args.seed))
 
 
-def _cmd_reference_tables(args) -> int:
-    record = reference_tables_record()
-    if args.format == "json":
-        sys.stdout.write(render_json(record))
-    else:
-        sys.stdout.write(render_reference_tables(record, color=use_color()))
-    return EXIT_OK
-
-
+#: Each command's record builder and the table renderer of that record.
 _COMMANDS = {
-    "check": _cmd_check,
-    "sensitivity": _cmd_sensitivity,
-    "validate": _cmd_validate,
-    "paper-tables": _cmd_reference_tables,
+    "check": (_cmd_check, render_check_table),
+    "sensitivity": (_cmd_sensitivity, render_sensitivity_table),
+    "validate": (_cmd_validate, render_validation_table),
+    "paper-tables": (lambda args: reference_tables_record(), render_reference_tables),
 }
 
 
@@ -209,14 +188,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    build, table = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        record = build(args)
     except SingularSystemError as exc:
         print(f"pmcperturb: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PmcError as exc:
         print(f"pmcperturb: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.format == "json":
+        sys.stdout.write(render_json(record))
+    else:
+        sys.stdout.write(table(record, color=use_color()))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

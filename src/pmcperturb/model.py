@@ -49,15 +49,16 @@ def as_vector(values) -> np.ndarray:
     return arr
 
 
-def is_distribution(v: np.ndarray, tol: float = STOCHASTIC_TOL) -> bool:
-    """True if ``v`` is a probability vector within absolute tolerance ``tol``.
+def is_distribution(v: np.ndarray) -> bool:
+    """True if ``v`` is a probability vector within absolute tolerance ``STOCHASTIC_TOL``.
 
     For a 2-D ``v`` every row must be one. A NaN entry fails.
     """
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     if v.size == 0:
         return False
-    return bool((v.min(axis=-1) >= -tol).all() and (abs(v.sum(axis=-1) - 1.0) <= tol).all())
+    return bool((v.min(axis=-1) >= -STOCHASTIC_TOL).all()
+                and (abs(v.sum(axis=-1) - 1.0) <= STOCHASTIC_TOL).all())
 
 
 def absolute_distance(u, v) -> float:

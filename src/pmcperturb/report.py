@@ -1,9 +1,10 @@
 """Report records and rendering.
 
-Every report is first assembled into one ordered, JSON-compatible record;
-the JSON and table renderers both read from that record, so the two views
-cannot diverge. Tables round to six significant digits, JSON keeps full
-double precision.
+Every command's result is first assembled into one ordered, JSON-compatible
+record. :func:`render_json` and all four ``render_*_table`` functions read
+that record and nothing else, so a table can be drawn from ``json.loads`` of
+the JSON output and the two views cannot diverge. Tables round to six
+significant digits, JSON keeps full double precision.
 
 :func:`render_json` writes exactly the bytes of ``json.dumps(record,
 indent=2) + "\n"`` for every value ``json.dumps`` accepts, and raises
@@ -59,17 +60,17 @@ def _source_record(reference: ReferenceSolve) -> dict:
                         "destination": sorted(problem.destination)}}
 
 
-def _heading(reference: ReferenceSolve) -> str:
-    return (f"model {model_digest(reference.pmc)}, problem "
-            f"{sorted(reference.problem.constraint)} U {sorted(reference.problem.destination)}")
+def _heading(record: dict) -> str:
+    problem = record["problem"]
+    return (f"model {record['model_hash']}, problem "
+            f"{problem['constraint']} U {problem['destination']}")
 
 
-def use_color(stream=None) -> bool:
-    """Color only on a tty and when ``NO_COLOR`` is unset."""
-    stream = stream if stream is not None else sys.stdout
+def use_color() -> bool:
+    """Color only when stdout is a tty and ``NO_COLOR`` is unset."""
     if os.environ.get("NO_COLOR"):
         return False
-    return bool(getattr(stream, "isatty", lambda: False)())
+    return bool(getattr(sys.stdout, "isatty", lambda: False)())
 
 
 def _mark(text: str, color: bool) -> str:
@@ -169,6 +170,10 @@ def check_record(reference: ReferenceSolve) -> dict:
     return {**_source_record(reference), "probability": reference.probability}
 
 
+def render_check_table(record: dict, color: bool = False) -> str:
+    return f"{record['probability']:.6f}\n"
+
+
 def sensitivity_record(report: SensitivityReport) -> dict:
     reference = report.reference
     return {
@@ -188,21 +193,20 @@ def sensitivity_record(report: SensitivityReport) -> dict:
     }
 
 
-def render_sensitivity_table(report: SensitivityReport) -> str:
-    reference = report.reference
+def render_sensitivity_table(record: dict, color: bool = False) -> str:
     lines = [
-        _heading(reference),
-        f"referential probability: {reference.probability:.6f}",
+        _heading(record),
+        f"referential probability: {record['probability']:.6f}",
         "",
     ]
-    rows = [[pid, _fmt(kappa), f"w={_fmt(report.direction.weights[pid])}",
-             "[" + ", ".join(_fmt(x) for x in reference.h[pid]) + "]"]
-            for pid, kappa in reference.kappa.items()]
+    rows = [[p["id"], _fmt(p["kappa"]), f"w={_fmt(record['direction'][p['id']])}",
+             "[" + ", ".join(map(_fmt, p["h"])) + "]"]
+            for p in record["parameters"]]
     lines.extend(_table(["parameter", "kappa_i", "direction", "h"], rows))
     lines.append("")
-    lines.append(f"kappa_w   = {_fmt(report.kappa_directional)}"
+    lines.append(f"kappa_w   = {_fmt(record['kappa_directional'])}"
                  "  (total budget Delta split by the direction)")
-    lines.append(f"kappa_sum = {_fmt(reference.kappa_sum)}"
+    lines.append(f"kappa_sum = {_fmt(record['kappa_sum'])}"
                  "  (per-parameter distances: bound sum_i kappa_i * Delta_i)")
     return "\n".join(lines) + "\n"
 
@@ -240,24 +244,24 @@ def validation_record(report: ValidationReport) -> dict:
     }
 
 
-def render_validation_table(report: ValidationReport, color: bool = False) -> str:
-    reference = report.reference
+def render_validation_table(record: dict, color: bool = False) -> str:
     lines = [
-        _heading(reference),
-        f"samples: {len(report.samples)}  seed: {report.seed}",
+        _heading(record),
+        f"samples: {len(record['samples'])}  seed: {record['seed']}",
         f"requested distances: "
-        + ", ".join(f"{pid}={_fmt(d)}" for pid, d in report.requested.items()),
-        f"bound sum_i kappa_i*Delta_i = {_fmt(report.bound)}"
-        f"  (kappa_w = {_fmt(report.analytic_kappa)}, kappa_sum = {_fmt(reference.kappa_sum)})",
-        f"empirical kappa = {_fmt(report.empirical_kappa)}",
+        + ", ".join(f"{pid}={_fmt(d)}" for pid, d in record["requested_distances"].items()),
+        f"bound sum_i kappa_i*Delta_i = {_fmt(record['bound'])}"
+        f"  (kappa_w = {_fmt(record['analytic_kappa'])}, "
+        f"kappa_sum = {_fmt(record['kappa_sum'])})",
+        f"empirical kappa = {_fmt(record['empirical_kappa'])}",
     ]
-    if report.violations:
-        flagged = _mark(f"{report.violations} sample(s) exceed the bound "
-                        f"(max excess {_fmt(report.max_excess)})", color)
+    if record["violations"]:
+        flagged = _mark(f"{record['violations']} sample(s) exceed the bound "
+                        f"(max excess {_fmt(record['max_excess'])})", color)
         lines.append(flagged)
-        rows = [[s.label, _fmt(s.distance), f"{s.exact:+.6g}", f"{s.linear:+.6g}",
-                 _fmt(s.bound)]
-                for s in report.samples if s.exceeds][:MAX_TABLE_ROWS]
+        rows = [[s["label"], _fmt(s["distance"]), f"{s['exact']:+.6g}",
+                 f"{s['linear']:+.6g}", _fmt(s["bound"])]
+                for s in record["samples"] if s["exceeds"]][:MAX_TABLE_ROWS]
         lines.append("")
         lines.extend(_table(["sample", "distance", "exact", "linear", "bound"], rows))
     else:

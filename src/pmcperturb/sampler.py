@@ -128,7 +128,7 @@ def extremal_perturbation(reference, delta: float, i1: int, i2: int) -> np.ndarr
     k = r.size
     if not (1 <= i1 <= k and 1 <= i2 <= k) or i1 == i2:
         raise BadIndicesError(f"invalid entry indices ({i1}, {i2}) for arity {k}")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError(f"perturbation distance must be positive, got {delta!r}")
     half = delta / 2.0
     if r[i1 - 1] + half > 1.0:
@@ -182,7 +182,7 @@ def sample_on_simplex(reference, delta: float, rng: np.random.Generator) -> np.n
         InfeasibleDistanceError: ``delta`` exceeds 2, the diameter of the
             simplex in this distance.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError(f"perturbation distance must be positive, got {delta!r}")
     if delta > 2.0:
         raise InfeasibleDistanceError(f"no probability vectors at distance {delta!r} > 2")

@@ -13,6 +13,12 @@ from conftest import count_calls
 
 import pmcperturb.cli as cli
 from pmcperturb import SingularSystemError
+from pmcperturb.report import (
+    render_check_table,
+    render_reference_tables,
+    render_sensitivity_table,
+    render_validation_table,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 FROG = str(ROOT / "models" / "frog.model")
@@ -190,18 +196,49 @@ def test_paper_tables_json_golden(capsys):
     assert record == golden
 
 
-@pytest.mark.parametrize("model", ["frog", "zeroconf"])
-@pytest.mark.parametrize("command", [
-    ["check"],
-    ["sensitivity"],
-    ["validate", "--delta", "0.02", "--samples", "50", "--seed", "4"],
-], ids=["check", "sensitivity", "validate"])
-def test_json_output_golden_bytes(capsys, command, model):
-    """The JSON output of each model command, byte for byte."""
-    code, out, _ = run(capsys, command[0], str(ROOT / "models" / f"{model}.model"),
-                       *command[1:], "--format", "json")
+#: Extra argv of each model command in the golden tests. With these, the
+#: zeroconf validate table lists exceeding samples and the frog one lists none.
+GOLDEN_ARGV = {"check": [], "sensitivity": [],
+               "validate": ["--delta", "0.02", "--samples", "50", "--seed", "4"]}
+TABLES = {"check": render_check_table, "sensitivity": render_sensitivity_table,
+          "validate": render_validation_table, "paper-tables": render_reference_tables}
+
+
+def golden_argv(command, model):
+    return [command, str(ROOT / "models" / f"{model}.model"), *GOLDEN_ARGV[command]]
+
+
+@pytest.mark.parametrize("command, model, fmt", [
+    pytest.param(command, model, fmt,
+                 id=f"{command}-{model}" + ("-table" if fmt == "table" else ""))
+    for fmt in ("json", "table") for command in GOLDEN_ARGV for model in ("frog", "zeroconf")
+])
+def test_json_output_golden_bytes(capsys, command, model, fmt):
+    """The JSON and table output of each model command, byte for byte."""
+    code, out, _ = run(capsys, *golden_argv(command, model), "--format", fmt)
     assert code == 0
-    assert out.encode("ascii") == (GOLDEN / f"{command[0]}_{model}.json").read_bytes()
+    suffix = "json" if fmt == "json" else "txt"
+    assert out.encode("ascii") == (GOLDEN / f"{command}_{model}.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    golden_argv(command, model) for command in GOLDEN_ARGV for model in ("frog", "zeroconf")
+] + [["paper-tables"]], ids=lambda argv: "-".join(Path(a).stem for a in argv[:2]))
+def test_table_renders_from_json_output(capsys, argv):
+    """The JSON output holds everything its command's table shows."""
+    code, table, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert TABLES[argv[0]](json.loads(out)) == table
+
+
+def test_validation_table_color_marks_the_flagged_line(capsys):
+    code, out, _ = run(capsys, *golden_argv("validate", "zeroconf"), "--format", "json")
+    assert code == 0
+    lines = render_validation_table(json.loads(out), color=True).splitlines()
+    flagged = [line for line in lines if "\x1b[" in line]
+    assert flagged == ["\x1b[31m3 sample(s) exceed the bound (max excess 9.58129e-06)\x1b[0m"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -280,9 +317,13 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
 
 
 def test_no_color_env_respected(capsys, monkeypatch):
+    # On a terminal the flagged line is colored unless NO_COLOR is set.
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    argv = ["validate", ZEROCONF, "--delta", "0.006", "--samples", "5", "--seed", "2"]
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    assert "\x1b[31m" in run(capsys, *argv)[1]
     monkeypatch.setenv("NO_COLOR", "1")
-    code, out, _ = run(capsys, "validate", ZEROCONF, "--delta", "0.006",
-                       "--samples", "5", "--seed", "2")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert "\x1b[" not in out
 

@@ -49,8 +49,9 @@ class TestExtremal:
                                    (0.6, 0.4))
 
     def test_zero_delta_rejected(self):
-        with pytest.raises(DomainError):
-            extremal_perturbation((0.5, 0.5), 0.0, 1, 2)
+        for delta in (0.0, float("nan")):
+            with pytest.raises(DomainError):
+                extremal_perturbation((0.5, 0.25, 0.25), delta, 1, 2)
 
     def test_simplex_violations(self):
         with pytest.raises(SimplexViolationError):
@@ -102,8 +103,9 @@ class TestSampleOnSimplex:
     def test_infeasible(self):
         with pytest.raises(InfeasibleDistanceError):
             sample_on_simplex((0.5, 0.5), 2.5, np.random.default_rng(0))
-        with pytest.raises(DomainError):
-            sample_on_simplex((0.5, 0.5), -0.1, np.random.default_rng(0))
+        for delta in (-0.1, float("nan")):
+            with pytest.raises(DomainError):
+                sample_on_simplex((0.5, 0.5), delta, np.random.default_rng(0))
 
 
 class TestEmpiricalKappa:
