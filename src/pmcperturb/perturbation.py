@@ -253,7 +253,7 @@ def link_identity_check(reference: ReferenceSolve,
         DirectionMismatchError: ids do not match the model's parameter ids.
     """
     deltas = {str(k): float(v) for k, v in dict(deltas).items()}
-    if any(d <= 0.0 for d in deltas.values()):
+    if not all(d > 0.0 for d in deltas.values()):
         raise NonpositiveDeltaError(f"all distances must be positive: {deltas}")
     if set(deltas) != set(reference.kappa):
         raise DirectionMismatchError(

@@ -7,12 +7,17 @@ the JSON output and the two views cannot diverge. Tables round to six
 significant digits, JSON keeps full double precision.
 
 :func:`render_json` writes exactly the bytes of ``json.dumps(record,
-indent=2) + "\n"`` for every value ``json.dumps`` accepts, and raises
-``TypeError`` for the values it rejects (a container that holds itself
-raises ``RecursionError`` instead of ``ValueError``). It walks containers
-itself and formats each run of floats or ints in one C-level ``map``, in
-place of the stdlib's pure-Python indenting encoder. Model files
-(:func:`modelfile.render_model`) are written by the same function.
+indent=2) + "\n"`` for every value ``json.dumps`` accepts, and raises the
+stdlib's ``TypeError``, for the first bad value in document order, for the
+values it rejects (a container that holds itself raises ``RecursionError``
+instead of ``ValueError``). It walks the record by columns, all sibling
+values at one nesting level together, in place of the stdlib's pure-Python
+indenting encoder, which pays a call and a chain of type tests per value.
+Floats, ints and strs of a column are formatted by one C-level ``map``;
+dicts that share one key order, and arrays of one length, are encoded once
+per key or once for all their items, and their rows are filled into one
+template. Model files (:func:`modelfile.render_model`) are written by the
+same function.
 
 The ``reference_tables`` record reproduces the published case-study tables
 for the two built-in models (values scaled by 1e3 there, as in the source
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .example_models import build_frog, build_zeroconf
@@ -40,7 +46,8 @@ BOUND_CONVENTION = ("per-parameter distances Delta_i bound the exact delta by "
 
 _FLOAT = float.__repr__
 _INT = int.__repr__
-_PAIR = "{}: {}".format
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_CONSTANT_TYPES = {type(None), bool}
 #: JSON spellings of the ``float.__repr__`` texts that are not finite numbers.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 #: Exceeding samples listed by :func:`render_validation_table`.
@@ -78,70 +85,91 @@ def _mark(text: str, color: bool) -> str:
 
 
 def render_json(record) -> str:
-    """``json.dumps(record, indent=2) + "\\n"``, byte for byte."""
-    return _encode(record, "\n") + "\n"
+    """``json.dumps(record, indent=2) + "\\n"``, byte for byte, written column by column."""
+    return _column([record], "\n")[0] + "\n"
 
 
-def _encode(value, newline: str) -> str:
-    """JSON text of ``value``; ``newline`` starts each line at its nesting level.
+def _column(values, newline: str) -> list[str]:
+    """JSON texts of the sibling ``values``; ``newline`` starts each of their lines.
 
-    Checks run in the order of the stdlib encoder, so ``True`` is not an int
-    and float subclasses such as ``np.float64`` print by ``float.__repr__``.
-    A container nests by one call of this function, as a stdlib nesting level
-    is one generator, so this reaches at least the depth ``json.dumps`` reaches.
+    A column of floats, ints, strs or constants is formatted by one ``map``.
+    Dicts with one key order, all keys exactly ``str``, recurse once per key
+    and fill each row into one ``%``-template; lists and tuples of one length
+    recurse once over their items chained together and join each row. Any other
+    column, and a column in which some value raises ``TypeError``, goes item
+    by item in document order with the stdlib encoder's order of checks, so
+    ``True`` is not an int, ``np.float64`` prints by ``float.__repr__``, and the
+    error is the stdlib's for the first bad value. Each nesting level is one
+    call of this function, as it is one generator in the stdlib's Python
+    encoder, so this nests as deep as that encoder, which ``json.dumps`` uses
+    for ``indent`` before Python 3.13.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return _INT(value)
-    if isinstance(value, float):
-        text = _FLOAT(value)
-        return _NONFINITE.get(text, text)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        keys, items = None, value
-    elif isinstance(value, dict):
-        if not value:
-            return "{}"
-        try:
-            keys = list(map(encode_basestring_ascii, value))
-        except TypeError:  # a key that is not a str
-            keys = [encode_basestring_ascii(_key(key)) for key in value]
-        items = list(value.values())
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    first = type(values[0])
     inner = newline + "  "
-    texts = _scalar_run(items)
-    if texts is None:
-        texts = []
-        for item in items:
-            texts.append(_encode(item, inner))
-    sep = "," + inner
-    if keys is None:
-        return f"[{inner}{sep.join(texts)}{newline}]"
-    return f"{{{inner}{sep.join(map(_PAIR, keys, texts))}{newline}}}"
-
-
-def _scalar_run(items) -> list[str] | None:
-    """Texts of ``items`` formatted in C if all are floats or all are ints, else None."""
     try:
-        if isinstance(items[0], float):
-            texts = list(map(_FLOAT, items))
+        if issubclass(first, float):  # float.__repr__ raises TypeError on any other type
+            texts = list(map(_FLOAT, values))
             if "n" in "".join(texts):  # nan, inf or -inf
                 texts = [_NONFINITE.get(text, text) for text in texts]
             return texts
-        if isinstance(items[0], int) and bool not in map(type, items):
-            return list(map(_INT, items))
-    except TypeError:  # an item of another type
+        if issubclass(first, str):  # as does encode_basestring_ascii
+            return list(map(encode_basestring_ascii, values))
+        kinds = set(map(type, values))
+        if kinds == {int}:
+            return list(map(_INT, values))
+        if kinds <= _CONSTANT_TYPES:
+            return list(map(_CONSTANTS.__getitem__, values))
+        if kinds == {dict}:
+            keys = tuple(values[0])
+            if (keys and all(map(keys.__eq__, map(tuple, values)))
+                    and set(map(type, chain.from_iterable(values))) == {str}):
+                columns = []
+                for column in zip(*map(dict.values, values)):
+                    columns.append(_column(column, inner))
+                return list(map(_object(keys, newline).__mod__, zip(*columns)))
+        elif kinds <= {list, tuple}:
+            lengths = set(map(len, values))
+            length = lengths.pop()
+            if length and not lengths:
+                texts = _column(list(chain.from_iterable(values)), inner)
+                rows = map(("," + inner).join, zip(*[iter(texts)] * length))
+                return list(map(("[" + inner + "%s" + newline + "]").__mod__, rows))
+    except TypeError:  # walk again depth-first to report the first bad value
         pass
-    return None
+    texts = []
+    for value in values:
+        if isinstance(value, str):
+            texts.append(encode_basestring_ascii(value))
+        elif value is None or value is True or value is False:
+            texts.append(_CONSTANTS[value])
+        elif isinstance(value, int):
+            texts.append(_INT(value))
+        elif isinstance(value, float):
+            texts.append(_column([value], newline)[0])
+        elif not isinstance(value, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        elif not value:
+            texts.append("{}" if isinstance(value, dict) else "[]")
+        elif not isinstance(value, dict):
+            texts.append("[" + inner + ("," + inner).join(_column(list(value), inner))
+                         + newline + "]")
+        else:
+            try:
+                template = _object([_key(key) for key in value], newline)
+            except TypeError:  # the stdlib meets a bad value before a bad key after it
+                for key, item in value.items():
+                    _key(key)
+                    _column([item], inner)
+                raise
+            texts.append(template % tuple(_column(list(value.values()), inner)))
+    return texts
+
+
+def _object(keys, newline: str) -> str:
+    """``%``-template of an object with the str ``keys`` that starts a line with ``newline``."""
+    inner = newline + "  "
+    members = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+    return "{" + inner + ("," + inner).join(members) + newline + "}"
 
 
 def _key(key) -> str:
@@ -149,7 +177,7 @@ def _key(key) -> str:
     if isinstance(key, str):
         return key
     if key is None or isinstance(key, (int, float)):
-        return _encode(key, "")
+        return _column([key], "")[0]
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from conftest import (
@@ -279,6 +281,9 @@ class TestLinkIdentity:
         g = gradient_coefficients(pmc, problem)
         with pytest.raises(NonpositiveDeltaError):
             link_identity_check(g, {pid: 0.0 for pid in g.pmc.parameter_ids})
+        with pytest.raises(NonpositiveDeltaError):
+            link_identity_check(g, {**{pid: 0.002 for pid in g.pmc.parameter_ids},
+                                    "probe1": math.nan})
 
 
 # frozen exact deltas for the six published frog assignments

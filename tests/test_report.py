@@ -38,12 +38,39 @@ runs = st.one_of(
     st.tuples(floats, st.integers(), floats),
     st.tuples(st.integers(), st.booleans(), st.integers()),
 )
+# Keys that a %- or {}-template would read as placeholders.
+TEMPLATE_KEYS = ["%", "%s", "%%", "%(k)s", "{", "}", "{}", "{0}"]
+# Keys of different types that compare equal, so one key tuple equals another.
+EQUAL_KEYS = [1, True, 1.0, 0, False, 0.0, -0.0]
+array_floats = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]), floats)
+array_floats = st.one_of(array_floats, array_floats.map(np.float64))
+
+
+def columns(children):
+    """Sibling values of one shape, which the writer encodes as columns."""
+    shared_keys = st.lists(st.one_of(st.sampled_from(TEMPLATE_KEYS), strings),
+                           min_size=1, max_size=4, unique=True)
+    return st.one_of(
+        shared_keys.flatmap(lambda ks: st.lists(
+            st.fixed_dictionaries({k: children for k in ks}), min_size=1, max_size=4)),
+        st.lists(st.dictionaries(st.sampled_from(EQUAL_KEYS), children, min_size=1, max_size=2),
+                 min_size=1, max_size=4),
+        st.integers(1, 3).flatmap(lambda n: st.lists(
+            st.one_of(st.lists(array_floats, min_size=n, max_size=n),
+                      st.tuples(*[array_floats] * n)),
+            min_size=1, max_size=4)),
+        st.lists(st.one_of(st.integers(), st.booleans()), min_size=1, max_size=6),
+        st.lists(st.one_of(st.just([]), st.just({}), children), min_size=1, max_size=4),
+    )
+
+
 values = st.recursive(
     st.one_of(scalars, runs),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(keys, children, max_size=4),
+        columns(children),
     ),
     max_leaves=20,
 )
@@ -65,9 +92,32 @@ def test_bytes_equal_json_dumps_indent_2(value):
     math.inf,
     np.float64(math.nan),
     -(2 ** 80),
+    [{"%": 1.5, "%s": [1, 2], "{": "a", "}": None, "{}": True, "%(k)s": -0.0}] * 3,
+    [{1: "int"}, {True: "bool"}, {1.0: "float"}, {1: "int"}],
+    [{0: 1}, {False: 2}, {-0.0: 3}, {0.0: 4}],
+    [[math.nan, math.inf], (-math.inf, -0.0), [np.float64(0.1), np.float64(-math.inf)]],
+    [(np.float64(1.5),), [2.5], (math.nan,)],
+    [1, 2, True, 3],
+    {"a": [1, -2], "b": [3, False]},
+    [[], [1.0], {}, {"a": 1.0}, [], {}],
+    [{"a": []}, {"a": [1.0]}, {"a": {}}],
+    [[1.0, 2.0], [3.0], []],
+    [{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}],
+    [{"a": 1.0}],
+    [[[1.0]]],
 ])
 def test_edge_values(value):
     assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+class EqualsA:
+    """A dict key that is not a str but compares equal to ``"a"``."""
+
+    def __eq__(self, other):
+        return other == "a"
+
+    def __hash__(self):
+        return hash("a")
 
 
 @pytest.mark.parametrize("value", [
@@ -79,6 +129,11 @@ def test_edge_values(value):
     np.bool_(True),
     {(1, 2): 1.0},
     {np.int64(1): 1.0},
+    [{"a": 1.5, "b": {1, 2}}, {"a": np.int64(1), "b": 2.5}],
+    [[1.0, 2.0], [np.float32(3.0), 4.0], [5.0, {6}]],
+    {"a": {1}, (1, 2): 1.0},
+    {(1, 2): {1}},
+    [{"a": 1.0}, {EqualsA(): 2.0}],
 ])
 def test_unsupported_values_raise_type_error(value):
     with pytest.raises(TypeError) as stdlib:
