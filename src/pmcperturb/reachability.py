@@ -28,8 +28,7 @@ kernel follows the form of ``A``; no caller branches on it:
   search, and LAPACK ``getrf``/``getrs`` factor and solve, called as
   ``scipy.linalg.lu_factor``/``lu_solve`` call them but without their
   per-call input checks, so results keep their bits. The gathered block is
-  kept, and a sampled system is factored from a copy of it
-  (:meth:`Factor.patcher`).
+  kept, and a sampled system on the same mask is factored from a copy of it.
 * A CSR ``A`` (:class:`SparseSystem`): the mask comes from one
   breadth-first search from a virtual state joined to every state with
   ``b > 0``, and SuperLU (``scipy.sparse.linalg.splu``) factors and solves.
@@ -37,8 +36,8 @@ kernel follows the form of ``A``; no caller branches on it:
 :func:`extract_system` is the one extraction and the one place that picks
 the form; it reads both forms from the model rows, never through the
 ``n x n`` transition matrix. The reference is kept, with its factor, as
-``perturbation.ReferenceSolve``; every sampled re-solve (``sampler``)
-patches a copy of the reference ``A`` and keeps its form. The sparse form
+``perturbation.ReferenceSolve``; every sampled re-solve (``sampler``) is
+made on a copy of it by :func:`_sample_solutions`. The sparse form
 is chosen when the constraint block has at least ``SPARSE_MIN_STATES``
 states and its bandwidth in canonical order (the largest ``|i - j|`` over
 stored entries) is at most its size over ``SPARSE_BANDWIDTH_DIVISOR``.
@@ -243,8 +242,8 @@ def _constraint_entries(pmc: Pmc, cp: CanonicalProblem, assignment: Assignment |
 
     Read from the model rows for both kernels, without an ``n x n`` matrix:
     the non-zero entries of each concrete constraint row, scanned a block of
-    rows at a time, and every support position of each parameter row of the
-    constraint block, reference zeros included. ``b`` sums each row by
+    rows at a time, then the parameter rows' entries by
+    :func:`_parameter_entries`, a batch of one. ``b`` sums each row by
     :func:`_destination_mass`; middle-block entries drop out.
     """
     vectors = _checked_vectors(pmc, assignment)
@@ -266,16 +265,35 @@ def _constraint_entries(pmc: Pmc, cp: CanonicalProblem, assignment: Assignment |
         rows.append(at[row])
         cols.append(pos[col])
         values.append(block.ravel()[index])
+    row, col, value, b_rows, b_values = _parameter_entries(pmc, cp, [v[None] for v in vectors], 1)
+    b[b_rows] = b_values[0]
+    return (np.concatenate([*rows, row]), np.concatenate([*cols, col]),
+            np.concatenate([*values, value[0]]), b)
+
+
+def _parameter_entries(pmc: Pmc, cp: CanonicalProblem, vectors, count: int):
+    """The ``A`` and ``b`` entries of the parameter rows in the constraint block.
+
+    ``vectors`` holds each parameter's ``count`` vectors as rows, in model
+    order. The positions, support zeros included, are found once; the values
+    come one row per vector, ``b`` summed by :func:`_destination_mass`.
+    """
+    nq = cp.n_constraint
+    pos = np.asarray(cp.permutation, dtype=np.intp) - 1
+    rows, cols, b_rows = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
+    values, mass = [np.empty((count, 0))], [np.empty((count, 0))]
     for param, vec in zip(pmc.parameters, vectors):
         row = pos[param.row - 1]
         if row < nq:
             support = pos[np.asarray(param.support, dtype=np.intp) - 1]
-            b[row] = _destination_mass(vec[None, :], support, cp)[0]
             inner = support < nq
             rows.append(np.full(int(inner.sum()), row))
             cols.append(support[inner])
-            values.append(vec[inner])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values), b
+            values.append(vec[:, inner])
+            b_rows.append(row)
+            mass.append(_destination_mass(vec, support, cp)[:, None])
+    return (np.concatenate(rows), np.concatenate(cols), np.hstack(values),
+            np.array(b_rows, dtype=np.intp), np.hstack(mass))
 
 
 def reach_positive_mask(a, b: np.ndarray) -> np.ndarray:
@@ -311,9 +329,9 @@ class Factor:
     """``I - A`` on the ``mask`` states, factored once (module docstring).
 
     A dense ``a`` is factored by ``getrf``, and its gathered block kept,
-    read-only, for :meth:`patcher`; a CSR ``a`` by SuperLU. ``block`` (from
-    :meth:`patcher` only) is a dense block already gathered, factored in
-    place and not kept.
+    read-only, for :func:`_sample_solutions`; a CSR ``a`` by SuperLU.
+    ``block`` (from :func:`_sample_solutions` only) is a dense block already
+    gathered, factored in place and not kept.
 
     Raises:
         SingularSystemError: the block is exactly singular.
@@ -358,29 +376,45 @@ class Factor:
                 s[self.mask] = self._apply(weights[self.mask], 1)
         return _checked(a, b, t), s
 
-    def patcher(self, rows: np.ndarray, cols: np.ndarray):
-        """A function from a system's ``a`` to its :class:`Factor` on this mask.
 
-        ``a`` may differ from the factored ``A`` only at ``(rows, cols)``. A
-        dense factor copies its kept block and writes ``eye - a`` at the
-        positions inside it, found once here (1.0 on the diagonal, 0.0 off
-        it: the bits of a fresh gather). Without a kept block (sparse, or
-        itself patched), ``a`` is gathered again.
-        """
-        mask = self.mask
-        if self._block is None:
-            return lambda a: Factor(a, mask)
+def _sample_solutions(pmc: Pmc, cp: CanonicalProblem, system: LinearSystem | SparseSystem,
+                      factor: Factor, vectors, count: int):
+    """Each sample's checked ``t``, one at a time: never a ``count x nq`` array.
+
+    ``system`` and ``factor`` are the reference's; ``vectors`` is as
+    :func:`_parameter_entries` takes it. Each sample's entries are written
+    into one copy of the reference ``(A, b)``, which stores every support
+    position, so the patched system is ``extract_system``'s at the sample,
+    bit for bit. Only a positive/zero pattern other than the references'
+    costs a reach search. On the reference mask a dense sample is factored
+    from a copy of the kept block with ``eye - a`` written in (1.0 on the
+    diagonal, 0.0 off it: the bits of a fresh gather); any other sample gets
+    a fresh :class:`Factor`. ``t`` goes through :func:`_checked`, so it
+    equals a :func:`solve_reachability` re-solve of the patched system.
+    """
+    rows, cols, values, b_rows, b_values = _parameter_entries(pmc, cp, vectors, count)
+    references = [p.reference[None] for p in pmc.parameters]
+    _, _, reference, _, reference_b = _parameter_entries(pmc, cp, references, 1)
+    same_pattern = (((values > 0.0) == (reference > 0.0)).all(axis=1)
+                    & ((b_values > 0.0) == (reference_b > 0.0)).all(axis=1))
+    mask, kept = factor.mask, factor._block
+    if kept is not None:
         inside = mask[rows] & mask[cols]
-        rows, cols = rows[inside], cols[inside]
+        r, c = rows[inside], cols[inside]
         order = np.cumsum(mask) - 1
-        at, eye = (order[rows], order[cols]), np.where(rows == cols, 1.0, 0.0)
-        flat = rows * mask.size + cols  # into the C-ordered square ``a``
-
-        def patched(a) -> Factor:
-            block = self._block.copy(order="F")
+        at, eye = (order[r], order[c]), np.where(r == c, 1.0, 0.0)
+        flat = r * mask.size + c  # into the C-ordered square ``a``
+    a, b = system.a.copy(), np.array(system.b)
+    for k in range(count):
+        a[rows, cols] = values[k]
+        b[b_rows] = b_values[k]
+        sample_mask = mask if same_pattern[k] else reach_positive_mask(a, b)
+        if kept is not None and (same_pattern[k] or np.array_equal(sample_mask, mask)):
+            block = kept.copy(order="F")
             block[at] = eye - a.take(flat)
-            return Factor(a, mask, block)
-        return patched
+            yield Factor(a, mask, block).solve(a, b)[0]
+        else:
+            yield Factor(a, sample_mask).solve(a, b)[0]
 
 
 def _checked(a, b: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -8,16 +8,16 @@ significant digits, JSON keeps full double precision.
 
 :func:`render_json` writes exactly the bytes of ``json.dumps(record,
 indent=2) + "\n"`` for every value ``json.dumps`` accepts, and raises the
-stdlib's ``TypeError``, for the first bad value in document order, for the
-values it rejects (a container that holds itself raises ``RecursionError``
-instead of ``ValueError``). It walks the record by columns, all sibling
-values at one nesting level together, in place of the stdlib's pure-Python
-indenting encoder, which pays a call and a chain of type tests per value.
-Floats, ints and strs of a column are formatted by one C-level ``map``;
-dicts that share one key order, and arrays of one length, are encoded once
-per key or once for all their items, and their rows are filled into one
-template. Model files (:func:`modelfile.render_model`) are written by the
-same function.
+stdlib's error, for the first bad value in document order, for the values
+it rejects. It walks the record by columns, all sibling values at one
+nesting level together, in place of the stdlib's pure-Python indenting
+encoder, which pays a call and a chain of type tests per value. Floats,
+ints and strs of a column are formatted by one C-level ``map``; dicts that
+share one key order, and arrays of one length, are encoded once per key or
+once for all their items, and their rows are filled into one template. A
+record too deep for that walk, or one that holds itself, is handed to
+``json.dumps``. Model files (:func:`modelfile.render_model`) are written by
+the same function.
 
 The ``reference_tables`` record reproduces the published case-study tables
 for the two built-in models (values scaled by 1e3 there, as in the source
@@ -30,6 +30,7 @@ explicitly rather than collapsed into one figure.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from itertools import chain
@@ -85,8 +86,16 @@ def _mark(text: str, color: bool) -> str:
 
 
 def render_json(record) -> str:
-    """``json.dumps(record, indent=2) + "\\n"``, byte for byte, written column by column."""
-    return _column([record], "\n")[0] + "\n"
+    """``json.dumps(record, indent=2) + "\\n"``, byte for byte, written column by column.
+
+    A record nested deeper than the column walk reaches (one frame per
+    level) is written by ``json.dumps`` itself, whose C encoder reaches
+    further from Python 3.13 on.
+    """
+    try:
+        return _column([record], "\n")[0] + "\n"
+    except RecursionError:
+        return json.dumps(record, indent=2) + "\n"
 
 
 def _column(values, newline: str) -> list[str]:

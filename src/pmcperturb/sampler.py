@@ -28,10 +28,10 @@ supremum is not an underestimate by sampling luck.
 Every evaluated assignment, sampled, extremal or given by the caller (the
 published perturbed models), goes through :func:`evaluate_assignments`,
 which takes them as one batch per parameter and measures them against the
-model's :class:`~pmcperturb.perturbation.ReferenceSolve`, reading its
-reference ``(A, b)``, positions, ``t`` and ``kappa``. Requested distances
-must lie in ``(0, 2]``, the diameter of the simplex in this distance;
-others are rejected before anything is sampled.
+model's :class:`~pmcperturb.perturbation.ReferenceSolve`, reading its ``t``,
+``h`` and ``kappa``; ``reachability`` re-solves the samples. Requested
+distances must lie in ``(0, 2]``, the diameter of the simplex in this
+distance; others are rejected before anything is sampled.
 
 Randomness for sample ``k`` of a run derives from ``(seed, k)``, so results
 do not depend on evaluation order or run size, and identical seeds give
@@ -45,6 +45,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import reachability
 from .errors import (
     ArityMismatchError,
     BadIndicesError,
@@ -54,10 +55,10 @@ from .errors import (
     MissingParameterError,
     NonpositiveDeltaError,
     SimplexViolationError,
+    UnknownParameterError,
 )
 from .model import Assignment, DistributionParameter, Pmc, as_vector, is_distribution
 from .perturbation import ReferenceSolve
-from .reachability import Factor, _destination_mass, reach_positive_mask
 
 #: Fraction by which observed deltas may exceed the first-order bound before
 #: a validation run is considered inconsistent (the bound is asymptotic, not
@@ -286,60 +287,16 @@ def empirical_kappa(reference: ReferenceSolve, delta: float,
 
 def _exact_deltas(reference: ReferenceSolve, batch: Mapping[str, np.ndarray],
                   count: int) -> list[float]:
-    """Exact delta of every sample, by one re-solve of the patched reference system.
+    """Exact delta, ``iota_c @ t`` less the reference value, of every sample.
 
-    Only the parameter rows of the constraint block change between samples:
-    their entries are overwritten in a copy of the reference ``A``, which
-    stores every support position in either form, and their ``b`` entries
-    rebuilt by ``reachability._destination_mass``, the sum ``extract_system``
-    takes over every row, so each patched system is the one
-    ``extract_system(pmc, cp, assignment)`` reads from the rows, bit for bit.
-
-    The reach-positive mask depends only on which entries are positive, so a
-    sample with the reference's positive/zero pattern on the patched entries
-    keeps the reference mask, and only another pattern costs a reach search.
-    A sample on the reference mask is factored by ``reference.factor``'s
-    ``patcher``, one on another mask by a fresh ``reachability.Factor``.
-    Either way it is solved with the residual check and clip of every solve,
-    so each exact delta equals a ``solve_reachability`` re-solve of the
-    patched system.
+    Each ``t`` is re-solved by ``reachability._sample_solutions``.
     """
-    cp = reference.cp
-    nq = cp.n_constraint
-    system, factor = reference.system, reference.factor
-    a_rows, a_cols, b_rows = [], [], []
-    a_values, b_values = [np.empty((count, 0))], [np.empty((count, 0))]
-    same_pattern = np.ones(count, dtype=bool)
-    for param in reference.pmc.parameters:
-        row, cols = reference.rows[param.id], reference.columns[param.id]
-        if row >= nq:
-            continue
-        rows = batch[param.id]
-        inner = cols < nq
-        mass = _destination_mass(rows, cols, cp)
-        same_pattern &= ((rows > 0.0) == (param.reference > 0.0))[:, inner].all(axis=1)
-        same_pattern &= (mass > 0.0) == (system.b[row] > 0.0)
-        a_rows += [row] * int(inner.sum())
-        a_cols += cols[inner].tolist()
-        a_values.append(rows[:, inner])
-        b_rows.append(row)
-        b_values.append(mass[:, None])
-    a_rows, a_cols = np.array(a_rows, dtype=np.intp), np.array(a_cols, dtype=np.intp)
-    b_index = np.array(b_rows, dtype=np.intp)
-    a_values, b_values = np.hstack(a_values), np.hstack(b_values)
-
-    a, b = system.a.copy(), np.array(system.b)
-    patched = factor.patcher(a_rows, a_cols)
-    reference_value = float(reference.iota_c @ reference.t)
-    exact = []
-    for k in range(count):
-        a[a_rows, a_cols] = a_values[k]
-        b[b_index] = b_values[k]
-        mask = None if same_pattern[k] else reach_positive_mask(a, b)
-        same = mask is None or np.array_equal(mask, factor.mask)
-        t, _ = (patched(a) if same else Factor(a, mask)).solve(a, b)
-        exact.append(float(reference.iota_c @ t) - reference_value)
-    return exact
+    iota_c = reference.iota_c
+    reference_value = float(iota_c @ reference.t)
+    vectors = [batch[p.id] for p in reference.pmc.parameters]
+    solutions = reachability._sample_solutions(reference.pmc, reference.cp, reference.system,
+                                               reference.factor, vectors, count)
+    return [float(iota_c @ t) - reference_value for t in solutions]
 
 
 def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
@@ -427,6 +384,7 @@ def validate_bounds(reference: ReferenceSolve, deltas: Mapping[str, float],
         EmptyVectorError: the model has no distribution parameters.
         DomainError: ``n_samples`` or ``seed`` is negative.
         MissingParameterError: ``deltas`` does not cover every parameter.
+        UnknownParameterError: ``deltas`` names an id that is not a parameter.
         NonpositiveDeltaError: a requested distance is not positive (or NaN).
         InfeasibleDistanceError: a requested distance exceeds 2 or is infinite.
     """
@@ -436,6 +394,9 @@ def validate_bounds(reference: ReferenceSolve, deltas: Mapping[str, float],
     for param in params:
         if param.id not in requested:
             raise MissingParameterError(f"no distance requested for parameter {param.id!r}")
+    unknown = [pid for pid in requested if pid not in reference.kappa]
+    if unknown:
+        raise UnknownParameterError(f"distances requested for unknown parameters {unknown}")
     if not all(d > 0.0 for d in requested.values()):
         raise NonpositiveDeltaError(f"requested distances must be positive: {requested}")
     if any(d > 2.0 for d in requested.values()):

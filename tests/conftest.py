@@ -26,7 +26,10 @@ from pmcperturb import (
     Pmc,
     ReachabilityProblem,
     canonicalize,
+    constrained_initial,
+    extract_system,
     reference_assignment,
+    solve_reachability,
 )
 from oracles import perturbation_function_exact
 
@@ -233,6 +236,13 @@ def assert_gradient_matches_fd(pmc: Pmc, cp, gradients, step: float = FD_STEP,
                 assert abs((h[j] - h[k]) / 2.0 - fd) <= tol, (
                     f"parameter {pid!r} pair ({j}, {k}): "
                     f"closed form {(h[j] - h[k]) / 2.0!r} vs oracle {fd!r}")
+
+
+def direct_resolve(pmc, cp, assignment):
+    """Exact delta by the direct re-solve of the system read from the model rows."""
+    iota_c = constrained_initial(pmc, cp)
+    reference = float(iota_c @ solve_reachability(extract_system(pmc, cp)))
+    return float(iota_c @ solve_reachability(extract_system(pmc, cp, assignment))) - reference
 
 
 def count_calls(monkeypatch, calls: dict, *sources) -> None:

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import count_calls, random_case, random_pmc, random_problem, random_sparse_pmc
+from conftest import (
+    count_calls,
+    direct_resolve,
+    random_case,
+    random_pmc,
+    random_problem,
+    random_sparse_pmc,
+)
 
 from pmcperturb import (
     ArityMismatchError,
@@ -18,10 +25,10 @@ from pmcperturb import (
     Pmc,
     ReachabilityProblem,
     SimplexViolationError,
+    UnknownParameterError,
     absolute_distance,
     canonicalize,
     condition_number_basic,
-    constrained_initial,
     empirical_kappa,
     evaluate_assignments,
     extract_system,
@@ -30,7 +37,6 @@ from pmcperturb import (
     linear_estimate,
     reach_positive_mask,
     sample_on_simplex,
-    solve_reachability,
     validate_bounds,
 )
 
@@ -225,7 +231,7 @@ class TestValidateBounds:
             for pid in a.assignment.vectors:
                 np.testing.assert_array_equal(a.assignment[pid], b.assignment[pid])
 
-    def test_errors(self, zeroconf):
+    def test_errors(self, zeroconf, frog):
         pmc, problem, _ = zeroconf
         reference = gradient_coefficients(pmc, problem)
         with pytest.raises(NonpositiveDeltaError):
@@ -233,6 +239,11 @@ class TestValidateBounds:
                             n_samples=1, seed=0)
         with pytest.raises(MissingParameterError):
             validate_bounds(reference, {"probe1": 0.01}, n_samples=1, seed=0)
+        # an id that is not a parameter is named, not taken into the bound
+        pmc, problem, _ = frog
+        with pytest.raises(UnknownParameterError, match="typo"):
+            validate_bounds(gradient_coefficients(pmc, problem), {"hop": 0.02, "typo": 0.5},
+                            n_samples=5, seed=1)
 
     @pytest.mark.parametrize("n_samples", [0, 3])
     def test_distance_outside_simplex_diameter(self, zeroconf, n_samples):
@@ -274,13 +285,6 @@ class TestValidateBounds:
                                  n_samples=50, seed=13)
         assert report.reference.kappa_sum == pytest.approx(kappa_sum, abs=1e-15)
         assert report.empirical_kappa <= kappa_sum * (1 + report.slack) + 1e-12
-
-
-def direct_resolve(pmc, cp, assignment):
-    """Exact delta by the direct re-solve of the instantiated system."""
-    iota_c = constrained_initial(pmc, cp)
-    reference = float(iota_c @ solve_reachability(extract_system(pmc, cp)))
-    return float(iota_c @ solve_reachability(extract_system(pmc, cp, assignment))) - reference
 
 
 def assert_sample_matches_direct_resolve(pmc, cp, gradients, sample):

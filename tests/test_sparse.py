@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import birth_death_chain, random_pmc, random_problem, random_sparse_pmc
+from conftest import (
+    birth_death_chain,
+    direct_resolve,
+    random_pmc,
+    random_problem,
+    random_sparse_pmc,
+)
 from oracles import dense_system
 
 from pmcperturb import (
@@ -120,6 +126,9 @@ class TestChain:
         for sample in report.samples:
             assert sample.exact == pytest.approx(
                 dense_delta(pmc, reference, sample.assignment.vectors), abs=DELTA_ATOL, rel=0)
+            # bit for bit the re-solve of the system read at the sample
+            assert sample.exact == direct_resolve(pmc, reference.cp,
+                                                  Assignment(sample.assignment.vectors))
 
     def test_mask_changing_and_unmoved_samples(self, chain):
         # Clearing the up-move of a parameter row cuts every state below it
@@ -136,6 +145,9 @@ class TestChain:
         vectors[param.id] = [moves.get(label, param.reference) for label in labels]
         samples = evaluate_assignments(reference, labels, vectors)
         assert samples[0].exact == 0.0 and samples[2].exact == 0.0
+        for sample in samples:
+            assert sample.exact == direct_resolve(pmc, reference.cp,
+                                                  Assignment(sample.assignment.vectors))
         for sample in samples[1::2]:
             assert sample.exact == pytest.approx(
                 dense_delta(pmc, reference, sample.assignment.vectors), abs=DELTA_ATOL, rel=0)
