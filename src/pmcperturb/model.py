@@ -156,10 +156,10 @@ class Assignment:
         for pid, vec in dict(self.vectors).items():
             arr = as_vector(vec)
             if not is_distribution(arr):
+                detail = (f"sum {float(arr.sum())!r}, min {float(arr.min())!r}"
+                          if arr.size else "no entries")
                 raise SimplexViolationError(
-                    f"assignment for parameter {pid!r} is not a probability "
-                    f"vector (sum {arr.sum()!r}, min {arr.min()!r})"
-                )
+                    f"assignment for parameter {pid!r} is not a probability vector ({detail})")
             coerced[str(pid)] = arr
         object.__setattr__(self, "vectors", coerced)
 
@@ -214,10 +214,10 @@ def _check_probability_vector(vec: np.ndarray, row: int | None, what: str,
         idx = int(np.argmin(vec))  # the first NaN, if there is one
         sort = "negative" if vec[idx] < 0.0 else "NaN"
         out.append(Violation(ViolationKind.NEGATIVE_ENTRY, row,
-                             f"{what} has {sort} entry {vec[idx]!r} at position {idx + 1}"))
+                             f"{what} has {sort} entry {float(vec[idx])!r} at position {idx + 1}"))
     if not abs(vec.sum() - 1.0) <= STOCHASTIC_TOL:
         out.append(Violation(ViolationKind.ROW_NOT_STOCHASTIC, row,
-                             f"{what} sums to {vec.sum()!r}, expected 1"))
+                             f"{what} sums to {float(vec.sum())!r}, expected 1"))
 
 
 def validate_pmc(pmc: Pmc) -> ValidationResult:

@@ -393,8 +393,9 @@ def _sample_solutions(pmc: Pmc, cp: CanonicalProblem, system: LinearSystem | Spa
     equals a :func:`solve_reachability` re-solve of the patched system.
     """
     rows, cols, values, b_rows, b_values = _parameter_entries(pmc, cp, vectors, count)
-    references = [p.reference[None] for p in pmc.parameters]
-    _, _, reference, _, reference_b = _parameter_entries(pmc, cp, references, 1)
+    # A CSR ``a`` gives a 1 x k matrix, and a sparse one for k = 0
+    reference = np.asarray(system.a[rows, cols]).reshape(-1) if rows.size else np.zeros(0)
+    reference_b = system.b[b_rows]
     same_pattern = (((values > 0.0) == (reference > 0.0)).all(axis=1)
                     & ((b_values > 0.0) == (reference_b > 0.0)).all(axis=1))
     mask, kept = factor.mask, factor._block

@@ -7,17 +7,16 @@ the JSON output and the two views cannot diverge. Tables round to six
 significant digits, JSON keeps full double precision.
 
 :func:`render_json` writes exactly the bytes of ``json.dumps(record,
-indent=2) + "\n"`` for every value ``json.dumps`` accepts, and raises the
-stdlib's error, for the first bad value in document order, for the values
-it rejects. It walks the record by columns, all sibling values at one
-nesting level together, in place of the stdlib's pure-Python indenting
+indent=2) + "\n"``. It walks the record by columns, all sibling values at
+one nesting level together, in place of the stdlib's pure-Python indenting
 encoder, which pays a call and a chain of type tests per value. Floats,
 ints and strs of a column are formatted by one C-level ``map``; dicts that
 share one key order, and arrays of one length, are encoded once per key or
-once for all their items, and their rows are filled into one template. A
-record too deep for that walk, or one that holds itself, is handed to
-``json.dumps``. Model files (:func:`modelfile.render_model`) are written by
-the same function.
+once for all their items, and their rows are filled into one template.
+Every record that the walk does not write (one too deep for it, one that
+holds itself, or one with a value or key of another type) is handed to
+``json.dumps``, which writes it or raises its own error. Model files
+(:func:`modelfile.render_model`) are written by the same function.
 
 The ``reference_tables`` record reproduces the published case-study tables
 for the two built-in models (values scaled by 1e3 there, as in the source
@@ -88,13 +87,14 @@ def _mark(text: str, color: bool) -> str:
 def render_json(record) -> str:
     """``json.dumps(record, indent=2) + "\\n"``, byte for byte, written column by column.
 
-    A record nested deeper than the column walk reaches (one frame per
-    level) is written by ``json.dumps`` itself, whose C encoder reaches
-    further from Python 3.13 on.
+    A record that the column walk does not write, one nested deeper than
+    the walk reaches (one frame per level) or holding a value of a type
+    outside its paths, is handed to ``json.dumps`` itself, which writes it
+    or raises its own error.
     """
     try:
         return _column([record], "\n")[0] + "\n"
-    except RecursionError:
+    except (RecursionError, TypeError):
         return json.dumps(record, indent=2) + "\n"
 
 
@@ -104,14 +104,13 @@ def _column(values, newline: str) -> list[str]:
     A column of floats, ints, strs or constants is formatted by one ``map``.
     Dicts with one key order, all keys exactly ``str``, recurse once per key
     and fill each row into one ``%``-template; lists and tuples of one length
-    recurse once over their items chained together and join each row. Any other
-    column, and a column in which some value raises ``TypeError``, goes item
-    by item in document order with the stdlib encoder's order of checks, so
-    ``True`` is not an int, ``np.float64`` prints by ``float.__repr__``, and the
-    error is the stdlib's for the first bad value. Each nesting level is one
-    call of this function, as it is one generator in the stdlib's Python
-    encoder, so this nests as deep as that encoder, which ``json.dumps`` uses
-    for ``indent`` before Python 3.13.
+    recurse once over their items chained together and join each row. Any
+    other column of several values, and a float or str column in which some
+    value raises ``TypeError``, is written one value at a time as columns of
+    one; a column of one empty dict, list or tuple is ``{}`` or ``[]``.
+    Anything else raises ``TypeError``, for :func:`render_json` to hand over.
+    A column of one raises only for a value that no column writes, so an
+    error from a nested column is not caught here.
     """
     first = type(values[0])
     inner = newline + "  "
@@ -123,55 +122,33 @@ def _column(values, newline: str) -> list[str]:
             return texts
         if issubclass(first, str):  # as does encode_basestring_ascii
             return list(map(encode_basestring_ascii, values))
-        kinds = set(map(type, values))
-        if kinds == {int}:
-            return list(map(_INT, values))
-        if kinds <= _CONSTANT_TYPES:
-            return list(map(_CONSTANTS.__getitem__, values))
-        if kinds == {dict}:
-            keys = tuple(values[0])
-            if (keys and all(map(keys.__eq__, map(tuple, values)))
-                    and set(map(type, chain.from_iterable(values))) == {str}):
-                columns = []
-                for column in zip(*map(dict.values, values)):
-                    columns.append(_column(column, inner))
-                return list(map(_object(keys, newline).__mod__, zip(*columns)))
-        elif kinds <= {list, tuple}:
-            lengths = set(map(len, values))
-            length = lengths.pop()
-            if length and not lengths:
-                texts = _column(list(chain.from_iterable(values)), inner)
-                rows = map(("," + inner).join, zip(*[iter(texts)] * length))
-                return list(map(("[" + inner + "%s" + newline + "]").__mod__, rows))
-    except TypeError:  # walk again depth-first to report the first bad value
+    except TypeError:  # a value of another type among them: value by value below
         pass
-    texts = []
-    for value in values:
-        if isinstance(value, str):
-            texts.append(encode_basestring_ascii(value))
-        elif value is None or value is True or value is False:
-            texts.append(_CONSTANTS[value])
-        elif isinstance(value, int):
-            texts.append(_INT(value))
-        elif isinstance(value, float):
-            texts.append(_column([value], newline)[0])
-        elif not isinstance(value, (list, tuple, dict)):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        elif not value:
-            texts.append("{}" if isinstance(value, dict) else "[]")
-        elif not isinstance(value, dict):
-            texts.append("[" + inner + ("," + inner).join(_column(list(value), inner))
-                         + newline + "]")
-        else:
-            try:
-                template = _object([_key(key) for key in value], newline)
-            except TypeError:  # the stdlib meets a bad value before a bad key after it
-                for key, item in value.items():
-                    _key(key)
-                    _column([item], inner)
-                raise
-            texts.append(template % tuple(_column(list(value.values()), inner)))
-    return texts
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(map(_INT, values))
+    if kinds <= _CONSTANT_TYPES:
+        return list(map(_CONSTANTS.__getitem__, values))
+    if kinds == {dict}:
+        keys = tuple(values[0])
+        if (keys and all(map(keys.__eq__, map(tuple, values)))
+                and set(map(type, chain.from_iterable(values))) == {str}):
+            columns = []
+            for column in zip(*map(dict.values, values)):
+                columns.append(_column(column, inner))
+            return list(map(_object(keys, newline).__mod__, zip(*columns)))
+    elif kinds <= {list, tuple}:
+        lengths = set(map(len, values))
+        length = lengths.pop()
+        if length and not lengths:
+            texts = _column(list(chain.from_iterable(values)), inner)
+            rows = map(("," + inner).join, zip(*[iter(texts)] * length))
+            return list(map(("[" + inner + "%s" + newline + "]").__mod__, rows))
+    if len(values) > 1:
+        return [_column([value], newline)[0] for value in values]
+    if first in (dict, list, tuple) and not values[0]:
+        return ["{}" if first is dict else "[]"]
+    raise TypeError(f"no column writes a {first.__name__}")
 
 
 def _object(keys, newline: str) -> str:
@@ -179,15 +156,6 @@ def _object(keys, newline: str) -> str:
     inner = newline + "  "
     members = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
     return "{" + inner + ("," + inner).join(members) + newline + "}"
-
-
-def _key(key) -> str:
-    """A dict key as the text that the stdlib encoder quotes for it."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _column([key], "")[0]
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:

@@ -134,10 +134,10 @@ def extremal_perturbation(reference, delta: float, i1: int, i2: int) -> np.ndarr
     half = delta / 2.0
     if r[i1 - 1] + half > 1.0:
         raise SimplexViolationError(
-            f"entry {i1} at {r[i1 - 1]!r} cannot absorb +{half!r}")
+            f"entry {i1} at {float(r[i1 - 1])!r} cannot absorb +{float(half)!r}")
     if r[i2 - 1] - half < 0.0:
         raise SimplexViolationError(
-            f"entry {i2} at {r[i2 - 1]!r} cannot yield -{half!r}")
+            f"entry {i2} at {float(r[i2 - 1])!r} cannot yield -{float(half)!r}")
     v = r.copy()
     v[i1 - 1] += half
     v[i2 - 1] -= half

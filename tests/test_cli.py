@@ -289,6 +289,19 @@ def test_invalid_model_file(capsys, tmp_path):
     assert "line" in err
 
 
+def test_invalid_entries_print_plain_floats(capsys, tmp_path):
+    # The same message on every numpy version: float reprs, no np.float64(...).
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps({"version": 1, "states": 2, "initial": [1.0, 0.0],
+                                "rows": [{"concrete": [-0.1, 1.1]}, {"concrete": [0.0, 0.9]}],
+                                "problem": {"constraint": [1], "destination": [2]}}))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and out == ""
+    assert err == ("pmcperturb: invalid model: NegativeEntry (row 1): row 1 has negative "
+                   "entry -0.1 at position 1; RowNotStochastic (row 2): row 2 sums to 0.9, "
+                   "expected 1\n")
+
+
 def test_no_problem_anywhere(capsys, tmp_path):
     doc = json.loads(Path(FROG).read_text())
     del doc["problem"]

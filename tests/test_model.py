@@ -150,6 +150,15 @@ class TestAssignment:
         with pytest.raises(SimplexViolationError):
             Assignment({"q": (1.2, -0.2)})
 
+    def test_rejects_empty(self):
+        with pytest.raises(SimplexViolationError, match="'q' .*no entries"):
+            Assignment({"q": []})
+
+    def test_message_prints_plain_floats(self):
+        # float reprs, not numpy 2's np.float64(...)
+        with pytest.raises(SimplexViolationError, match=r"\(sum 0\.9, min 0\.4\)$"):
+            Assignment({"q": np.array([0.5, 0.4])})
+
 
 class TestBuilders:
     def test_zeroconf_domain(self):

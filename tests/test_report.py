@@ -10,7 +10,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmcperturb.report import render_json
+from conftest import birth_death_chain
+
+from pmcperturb import (
+    Direction,
+    Pmc,
+    analyze,
+    build_frog,
+    build_zeroconf,
+    gradient_coefficients,
+    render_model,
+    validate_bounds,
+)
+from pmcperturb import report
+from pmcperturb.report import (
+    check_record,
+    reference_tables_record,
+    render_json,
+    sensitivity_record,
+    validation_record,
+)
 
 SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                   2.225073858507201e-308, 1e-05, 0.0001, 1e+16, 1e16, 9999999999999998.0,
@@ -164,3 +183,33 @@ def test_nesting_as_deep_as_json_dumps_reaches():
         assert render_json(value) == expected
         return
     pytest.fail("json.dumps rejected every depth")
+
+
+def test_program_records_never_fall_back(monkeypatch):
+    # The column walk writes every record the program makes; handing one to
+    # json.dumps would keep its bytes and silently lose the walk's speed.
+    records = [reference_tables_record()]
+    models = []
+    for pmc, problem in (build_frog(), build_zeroconf()):
+        reference = gradient_coefficients(pmc, problem)
+        records.append(check_record(reference))
+        records.append(sensitivity_record(analyze(reference)))
+        records.append(validation_record(validate_bounds(
+            reference, {p.id: 0.02 for p in pmc.parameters}, n_samples=20, seed=1)))
+        models.append((pmc, problem))
+    pmc, problem, _ = birth_death_chain(40)  # concrete and parameter rows mixed
+    models.append((pmc, problem))
+    frog, problem = build_frog()  # made parameter-free: empty "parameters" and "direction"
+    fixed = Pmc(n=frog.n, initial=frog.initial, parameters=(), concrete_rows={
+        **frog.concrete_rows, **{p.row: p.reference for p in frog.parameters}})
+    records.append(sensitivity_record(analyze(gradient_coefficients(fixed, problem))))
+
+    def fall_back(*args, **kwargs):
+        raise AssertionError("render_json handed a record to json.dumps")
+
+    monkeypatch.setattr(report.json, "dumps", fall_back)
+    for record in records:
+        render_json(record)
+    for pmc, problem in models:
+        render_model(pmc, problem, Direction({p.id: 1.0 / len(pmc.parameters)
+                                              for p in pmc.parameters}))

@@ -65,6 +65,12 @@ class TestExtremal:
         with pytest.raises(SimplexViolationError):
             extremal_perturbation((0.2, 0.3, 0.5), 0.5, 3, 1)  # entry 1 would go negative
 
+    def test_simplex_violation_messages_print_plain_floats(self):
+        with pytest.raises(SimplexViolationError, match=r"^entry 1 at 0\.9 cannot absorb \+0\.15$"):
+            extremal_perturbation((0.9, 0.1), 0.3, 1, 2)
+        with pytest.raises(SimplexViolationError, match=r"^entry 1 at 0\.2 cannot yield -0\.25$"):
+            extremal_perturbation((0.2, 0.3, 0.5), np.float64(0.5), 3, 1)
+
     def test_bad_indices(self):
         with pytest.raises(BadIndicesError):
             extremal_perturbation((0.5, 0.5), 0.1, 1, 1)

@@ -153,6 +153,18 @@ class TestChain:
                 dense_delta(pmc, reference, sample.assignment.vectors), abs=DELTA_ATOL, rel=0)
             assert sample.exact == pytest.approx(-reference.probability, rel=RTOL)
 
+    def test_parameter_rows_outside_the_constraint_block(self, chain):
+        # No A or b entry belongs to a parameter row, so no sample moves t.
+        pmc, _, _ = chain
+        rows = frozenset(p.row for p in pmc.parameters)
+        problem = ReachabilityProblem(frozenset(range(2, pmc.n)) - rows,
+                                      frozenset({pmc.n}) | rows)
+        reference = gradient_coefficients(pmc, problem)
+        assert isinstance(reference.system, SparseSystem)
+        report = validate_bounds(reference, {p.id: 0.02 for p in pmc.parameters},
+                                 n_samples=4, seed=3)
+        assert [sample.exact for sample in report.samples] == [0.0] * len(report.samples)
+
 
 def reference_kind(pmc, problem):
     return type(gradient_coefficients(pmc, problem).system)
