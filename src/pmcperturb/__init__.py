@@ -60,7 +60,6 @@ from .reachability import (
     CanonicalProblem,
     LinearSystem,
     ReachabilityProblem,
-    SparseSystem,
     canonicalize,
     constrained_initial,
     extract_system,
@@ -98,8 +97,7 @@ __all__ = [
     "analyze", "condition_number_basic", "condition_number_directional",
     "condition_number_parameterwise", "gradient_coefficients",
     "linear_estimate", "link_identity_check",
-    "CanonicalProblem", "LinearSystem", "ReachabilityProblem", "SparseSystem",
-    "canonicalize",
+    "CanonicalProblem", "LinearSystem", "ReachabilityProblem", "canonicalize",
     "constrained_initial", "extract_system", "reach_positive_mask",
     "solve_reachability", "total_probability",
     "PerturbationSample", "VIOLATION_SLACK", "ValidationReport",

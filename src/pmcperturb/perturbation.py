@@ -54,7 +54,6 @@ from .reachability import (
     Factor,
     LinearSystem,
     ReachabilityProblem,
-    SparseSystem,
     canonicalize,
     constrained_initial,
     extract_system,
@@ -72,15 +71,12 @@ class ReferenceSolve:
 
     Attributes:
         pmc, problem, cp: the model, its problem and the canonical problem.
-        system: the read-only reference ``(A, b)``: a :class:`LinearSystem`,
-            or a :class:`SparseSystem` on the sparse kernel (``reachability``).
+        system: the read-only reference :class:`LinearSystem`, with its ``slots``.
         factor: the :class:`Factor` of ``I - A`` on the reach-positive
             constraint states (``factor.mask``, read-only), kept for sampling.
         t, s: ``N b`` and ``iota_c N`` (module docstring) by ``factor``, zero
             off its mask; ``t`` is the reachability solution.
         iota_c: the initial distribution on the constraint block.
-        rows, columns: each parameter's canonical row and support positions
-            (0-based).
         h: each parameter's coefficient vector, one entry per support position
             (exactly zero at middle-block positions and for parameters whose
             row lies outside the constraint block).
@@ -91,13 +87,11 @@ class ReferenceSolve:
     pmc: Pmc
     problem: ReachabilityProblem
     cp: CanonicalProblem
-    system: LinearSystem | SparseSystem
+    system: LinearSystem
     factor: Factor
     t: np.ndarray
     s: np.ndarray
     iota_c: np.ndarray
-    rows: Mapping[str, int]
-    columns: Mapping[str, np.ndarray]
     h: Mapping[str, np.ndarray]
     kappa: Mapping[str, float]
     probability: float
@@ -159,7 +153,7 @@ def gradient_coefficients(pmc: Pmc, problem: ReachabilityProblem) -> ReferenceSo
     of the restricted ``I - A`` gives both ``t`` (equal to the reachability
     solution) and, by the transposed solve, the visit weights ``s``; both
     are zero outside the reach-positive states. Each ``h_i`` is then one
-    gather over canonical positions (module docstring).
+    gather over its ``system.slots`` positions (module docstring).
     """
     cp = canonicalize(pmc, problem)
     system = extract_system(pmc, cp)
@@ -169,16 +163,13 @@ def gradient_coefficients(pmc: Pmc, problem: ReachabilityProblem) -> ReferenceSo
     s.flags.writeable = factor.mask.flags.writeable = False
 
     nq, d0 = cp.n_constraint, cp.destination_start - 1
-    pos = np.asarray(cp.permutation, dtype=np.intp) - 1
     x = np.zeros(cp.n)
     x[:nq] = t
     x[d0:] = 1.0
     visits = np.zeros(cp.n)
     visits[:nq] = s
-    rows, columns, h = {}, {}, {}
-    for param in pmc.parameters:
-        row = rows[param.id] = int(pos[param.row - 1])
-        cols = columns[param.id] = pos[np.asarray(param.support, dtype=np.intp) - 1]
+    h = {}
+    for param, (row, cols) in zip(pmc.parameters, system.slots):
         # Select, not multiply by x == 0: s can be a rounding-level negative,
         # and a position outside the system must read +0.0, not -0.0.
         in_system = (row < nq) & ((cols < nq) | (cols >= d0))
@@ -186,7 +177,7 @@ def gradient_coefficients(pmc: Pmc, problem: ReachabilityProblem) -> ReferenceSo
 
     return ReferenceSolve(
         pmc=pmc, problem=problem, cp=cp, system=system, factor=factor, t=t, s=s,
-        iota_c=iota_c, rows=rows, columns=columns, h=h,
+        iota_c=iota_c, h=h,
         kappa={pid: condition_number_basic(v) for pid, v in h.items()},
         probability=total_probability(pmc.initial, t, cp))
 

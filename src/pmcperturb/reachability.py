@@ -24,20 +24,22 @@ residual ceiling ``RESIDUAL_HARD`` on the whole system and clipped to
 [0, 1]. An exactly singular block raises :class:`SingularSystemError`. The
 kernel follows the form of ``A``; no caller branches on it:
 
-* A dense ``A`` (:class:`LinearSystem`): the mask comes from a frontier
-  search, and LAPACK ``getrf``/``getrs`` factor and solve, called as
+* A dense ``A``: the mask comes from a frontier search, and LAPACK
+  ``getrf``/``getrs`` factor and solve, called as
   ``scipy.linalg.lu_factor``/``lu_solve`` call them but without their
   per-call input checks, so results keep their bits. The gathered block is
   kept, and a sampled system on the same mask is factored from a copy of it.
-* A CSR ``A`` (:class:`SparseSystem`): the mask comes from one
-  breadth-first search from a virtual state joined to every state with
-  ``b > 0``, and SuperLU (``scipy.sparse.linalg.splu``) factors and solves.
+* A CSR ``A``: the mask comes from one breadth-first search from a virtual
+  state joined to every state with ``b > 0``, and SuperLU
+  (``scipy.sparse.linalg.splu``) factors and solves.
 
 :func:`extract_system` is the one extraction and the one place that picks
 the form; it reads both forms from the model rows, never through the
-``n x n`` transition matrix. The reference is kept, with its factor, as
-``perturbation.ReferenceSolve``; every sampled re-solve (``sampler``) is
-made on a copy of it by :func:`_sample_solutions`. The sparse form
+``n x n`` transition matrix, into one :class:`LinearSystem` whose ``slots``
+record where each parameter row writes. The reference is kept, with its
+factor, as ``perturbation.ReferenceSolve``; its ``h`` gather and every
+sampled re-solve (``sampler``, on a copy by :func:`_sample_solutions`)
+read those slots. The sparse form
 is chosen when the constraint block has at least ``SPARSE_MIN_STATES``
 states and its bandwidth in canonical order (the largest ``|i - j|`` over
 stored entries) is at most its size over ``SPARSE_BANDWIDTH_DIVISOR``.
@@ -160,16 +162,22 @@ def canonicalize(pmc: Pmc, problem: ReachabilityProblem) -> CanonicalProblem:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """The pair ``(A, b)`` of a canonical problem."""
+    """``(A, b)`` of a canonical problem, and where each parameter row writes.
 
-    a: np.ndarray
+    ``a`` is dense, under the rule of ``as_vector`` (a read-only float64
+    array that owns its data is shared; anything else is copied), or CSR,
+    kept as given; :func:`extract_system`'s CSR stores every support
+    position, reference zeros included. ``slots`` holds each parameter's
+    canonical ``(row, support)``, 0-based and read-only, in model order.
+    """
+
+    a: object
     b: np.ndarray
+    slots: tuple[tuple[int, np.ndarray], ...] = ()
 
     def __post_init__(self):
         a = self.a
-        # The rule of ``as_vector``: a read-only float64 array that owns its
-        # data is shared; anything else, a writable array included, is copied.
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+        if not (hasattr(a, "tocsr") or isinstance(a, np.ndarray) and a.dtype == np.float64
                 and a.base is None and not a.flags.writeable):
             a = np.array(a, dtype=np.float64)
             a.flags.writeable = False
@@ -177,36 +185,20 @@ class LinearSystem:
         object.__setattr__(self, "b", as_vector(self.b))
 
 
-@dataclass(frozen=True)
-class SparseSystem:
-    """The pair ``(A, b)`` of a canonical problem, ``A`` in CSR form.
-
-    ``a`` is a read-only ``scipy.sparse.csr_matrix`` with sorted column
-    indices and no duplicates. It stores the non-zero entries of the concrete
-    rows and every support position of a parameter row inside the constraint
-    block, reference zeros included, so that an assignment only overwrites
-    stored entries.
-    """
-
-    a: object
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", as_vector(self.b))
-
-
 def extract_system(pmc: Pmc, cp: CanonicalProblem,
-                   assignment: Assignment | None = None) -> LinearSystem | SparseSystem:
+                   assignment: Assignment | None = None) -> LinearSystem:
     """``(A, b)`` of a canonical problem, at ``assignment`` (the references if None).
 
     The one extraction and kernel dispatch (module docstring): the entries
     that :func:`_constraint_entries` reads from the model rows, packed into
-    a :class:`SparseSystem` for a large banded block and scattered into a
-    fresh dense :class:`LinearSystem` otherwise. A bad index, size or
-    parameter id raises as ``model._checked_vectors`` says.
+    a CSR ``a`` for a large banded block and scattered into a fresh dense
+    one otherwise. A bad index, size or parameter id raises as
+    ``model._checked_vectors`` says, before :func:`_parameter_slots` runs.
     """
     nq = cp.n_constraint
-    rows, cols, values, b = _constraint_entries(pmc, cp, assignment)
+    vectors = _checked_vectors(pmc, assignment)
+    slots = _parameter_slots(pmc, cp)
+    rows, cols, values, b = _constraint_entries(pmc, cp, vectors, slots)
     if nq >= SPARSE_MIN_STATES \
             and np.abs(rows - cols).max(initial=0) * SPARSE_BANDWIDTH_DIVISOR <= nq:
         from scipy.sparse import csr_matrix
@@ -216,11 +208,21 @@ def extract_system(pmc: Pmc, cp: CanonicalProblem,
         a = csr_matrix((values[order], cols[order], indptr), shape=(nq, nq))
         for array in (a.data, a.indices, a.indptr):
             array.flags.writeable = False
-        return SparseSystem(a=a, b=b)
+        return LinearSystem(a=a, b=b, slots=slots)
     a = np.zeros((nq, nq))
     a[rows, cols] = values
     a.flags.writeable = False  # fresh, so LinearSystem keeps it without a copy
-    return LinearSystem(a=a, b=b)
+    return LinearSystem(a=a, b=b, slots=slots)
+
+
+def _parameter_slots(pmc: Pmc, cp: CanonicalProblem) -> tuple[tuple[int, np.ndarray], ...]:
+    """``LinearSystem.slots``: the one map of parameter rows to canonical positions."""
+    pos = np.asarray(cp.permutation, dtype=np.intp) - 1
+    slots = tuple((int(pos[p.row - 1]), pos[np.asarray(p.support, dtype=np.intp) - 1])
+                  for p in pmc.parameters)
+    for _, support in slots:
+        support.flags.writeable = False
+    return slots
 
 
 def _destination_mass(values: np.ndarray, cols: np.ndarray, cp: CanonicalProblem) -> np.ndarray:
@@ -237,8 +239,8 @@ def _destination_mass(values: np.ndarray, cols: np.ndarray, cp: CanonicalProblem
     return segment.sum(axis=1)
 
 
-def _constraint_entries(pmc: Pmc, cp: CanonicalProblem, assignment: Assignment | None):
-    """``A`` as canonical ``(rows, cols, values)`` entries, and ``b``, at ``assignment``.
+def _constraint_entries(pmc: Pmc, cp: CanonicalProblem, vectors, slots):
+    """``A`` as canonical ``(rows, cols, values)`` entries, and ``b``, at ``vectors``.
 
     Read from the model rows for both kernels, without an ``n x n`` matrix:
     the non-zero entries of each concrete constraint row, scanned a block of
@@ -246,7 +248,6 @@ def _constraint_entries(pmc: Pmc, cp: CanonicalProblem, assignment: Assignment |
     :func:`_parameter_entries`, a batch of one. ``b`` sums each row by
     :func:`_destination_mass`; middle-block entries drop out.
     """
-    vectors = _checked_vectors(pmc, assignment)
     n, nq = cp.n, cp.n_constraint
     pos = np.asarray(cp.permutation, dtype=np.intp) - 1
     constraint = pos < nq  # whether each state lies in the constraint block
@@ -265,27 +266,24 @@ def _constraint_entries(pmc: Pmc, cp: CanonicalProblem, assignment: Assignment |
         rows.append(at[row])
         cols.append(pos[col])
         values.append(block.ravel()[index])
-    row, col, value, b_rows, b_values = _parameter_entries(pmc, cp, [v[None] for v in vectors], 1)
-    b[b_rows] = b_values[0]
+    row, col, value, b_rows, b_mass = _parameter_entries(cp, slots, [v[None] for v in vectors], 1)
+    b[b_rows] = b_mass[0]
     return (np.concatenate([*rows, row]), np.concatenate([*cols, col]),
             np.concatenate([*values, value[0]]), b)
 
 
-def _parameter_entries(pmc: Pmc, cp: CanonicalProblem, vectors, count: int):
+def _parameter_entries(cp: CanonicalProblem, slots, vectors, count: int):
     """The ``A`` and ``b`` entries of the parameter rows in the constraint block.
 
-    ``vectors`` holds each parameter's ``count`` vectors as rows, in model
-    order. The positions, support zeros included, are found once; the values
-    come one row per vector, ``b`` summed by :func:`_destination_mass`.
+    ``vectors`` holds each parameter's ``count`` vectors as rows, in the
+    order of ``slots``; the values come one row per vector, ``b`` summed by
+    :func:`_destination_mass`.
     """
     nq = cp.n_constraint
-    pos = np.asarray(cp.permutation, dtype=np.intp) - 1
     rows, cols, b_rows = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
     values, mass = [np.empty((count, 0))], [np.empty((count, 0))]
-    for param, vec in zip(pmc.parameters, vectors):
-        row = pos[param.row - 1]
+    for (row, support), vec in zip(slots, vectors):
         if row < nq:
-            support = pos[np.asarray(param.support, dtype=np.intp) - 1]
             inner = support < nq
             rows.append(np.full(int(inner.sum()), row))
             cols.append(support[inner])
@@ -299,9 +297,9 @@ def _parameter_entries(pmc: Pmc, cp: CanonicalProblem, vectors, count: int):
 def reach_positive_mask(a, b: np.ndarray) -> np.ndarray:
     """Boolean mask of states with a path along positive ``A`` entries to some ``b[i] > 0``.
 
-    A dense ``a`` is searched one frontier at a time; a CSR ``a`` (of a
-    :class:`SparseSystem`) by one breadth-first search over the reversed
-    edges from a virtual state joined to every state with ``b > 0``.
+    A dense ``a`` is searched one frontier at a time; a CSR ``a`` by one
+    breadth-first search over the reversed edges from a virtual state
+    joined to every state with ``b > 0``.
     """
     if not isinstance(a, np.ndarray):
         from scipy.sparse import csr_matrix
@@ -377,34 +375,32 @@ class Factor:
         return _checked(a, b, t), s
 
 
-def _sample_solutions(pmc: Pmc, cp: CanonicalProblem, system: LinearSystem | SparseSystem,
-                      factor: Factor, vectors, count: int):
+def _sample_solutions(cp: CanonicalProblem, system: LinearSystem, factor: Factor,
+                      vectors, count: int):
     """Each sample's checked ``t``, one at a time: never a ``count x nq`` array.
 
-    ``system`` and ``factor`` are the reference's; ``vectors`` is as
-    :func:`_parameter_entries` takes it. Each sample's entries are written
-    into one copy of the reference ``(A, b)``, which stores every support
-    position, so the patched system is ``extract_system``'s at the sample,
-    bit for bit. Only a positive/zero pattern other than the references'
-    costs a reach search. On the reference mask a dense sample is factored
-    from a copy of the kept block with ``eye - a`` written in (1.0 on the
-    diagonal, 0.0 off it: the bits of a fresh gather); any other sample gets
+    ``system`` and ``factor`` are the reference's; ``vectors`` go to the
+    ``system.slots`` as :func:`_parameter_entries` says, into one copy of the
+    reference ``(A, b)``, which stores every support position, so the
+    patched system is ``extract_system``'s at the sample, bit for bit. Only
+    a positive/zero pattern other than the references' costs a reach search.
+    On the reference mask a dense sample is factored from a copy of the kept
+    block with ``eye`` less the values just written (1.0 on the diagonal,
+    0.0 off it: the bits of a fresh gather); any other sample gets
     a fresh :class:`Factor`. ``t`` goes through :func:`_checked`, so it
     equals a :func:`solve_reachability` re-solve of the patched system.
     """
-    rows, cols, values, b_rows, b_values = _parameter_entries(pmc, cp, vectors, count)
+    rows, cols, values, b_rows, b_values = _parameter_entries(cp, system.slots, vectors, count)
     # A CSR ``a`` gives a 1 x k matrix, and a sparse one for k = 0
     reference = np.asarray(system.a[rows, cols]).reshape(-1) if rows.size else np.zeros(0)
-    reference_b = system.b[b_rows]
     same_pattern = (((values > 0.0) == (reference > 0.0)).all(axis=1)
-                    & ((b_values > 0.0) == (reference_b > 0.0)).all(axis=1))
+                    & ((b_values > 0.0) == (system.b[b_rows] > 0.0)).all(axis=1))
     mask, kept = factor.mask, factor._block
     if kept is not None:
         inside = mask[rows] & mask[cols]
         r, c = rows[inside], cols[inside]
         order = np.cumsum(mask) - 1
         at, eye = (order[r], order[c]), np.where(r == c, 1.0, 0.0)
-        flat = r * mask.size + c  # into the C-ordered square ``a``
     a, b = system.a.copy(), np.array(system.b)
     for k in range(count):
         a[rows, cols] = values[k]
@@ -412,7 +408,7 @@ def _sample_solutions(pmc: Pmc, cp: CanonicalProblem, system: LinearSystem | Spa
         sample_mask = mask if same_pattern[k] else reach_positive_mask(a, b)
         if kept is not None and (same_pattern[k] or np.array_equal(sample_mask, mask)):
             block = kept.copy(order="F")
-            block[at] = eye - a.take(flat)
+            block[at] = eye - values[k][inside]
             yield Factor(a, mask, block).solve(a, b)[0]
         else:
             yield Factor(a, sample_mask).solve(a, b)[0]
@@ -429,7 +425,7 @@ def _checked(a, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return t
 
 
-def solve_reachability(system: LinearSystem | SparseSystem) -> np.ndarray:
+def solve_reachability(system: LinearSystem) -> np.ndarray:
     """Per-state constrained-reachability probabilities ``p`` with ``p = Ap + b``.
 
     The system is restricted to reach-positive states and ``(I - A) p = b``

@@ -296,11 +296,10 @@ def reference_tables_record() -> dict:
     zf_samples = evaluate_assignments(zf, ["given"] * len(_ZF_PERTURBED), zf_vectors)
     zf_rows = []
     for back, sample in zip(_ZF_PERTURBED, zf_samples):
-        delta_i = 2.0 * abs(back - 0.75)
         zf_rows.append({
             "back_probability_x1e3": back * 1e3,
             "delta_x1e3": sample.exact * 1e3,
-            "distance_per_parameter_x1e3": delta_i * 1e3,
+            "distance_per_parameter_x1e3": sample.distances[zf.pmc.parameters[0].id] * 1e3,
             "range_x1e3": sample.bound * 1e3,
             "exceeds": sample.exceeds,
         })
@@ -310,11 +309,10 @@ def reference_tables_record() -> dict:
                                       {"hop": _FG_PERTURBED})
     fg_rows = []
     for dist, sample in zip(_FG_PERTURBED, fg_samples):
-        delta = sum(abs(x - r) for x, r in zip(dist, (0.375, 0.125, 0.25, 0.25)))
         fg_rows.append({
             "distribution_x1e3": [x * 1e3 for x in dist],
             "delta_x1e3": sample.exact * 1e3,
-            "distance_x1e3": delta * 1e3,
+            "distance_x1e3": sample.distance * 1e3,
             "range_x1e3": sample.bound * 1e3,
             "exceeds": sample.exceeds,
         })

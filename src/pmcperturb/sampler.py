@@ -40,6 +40,7 @@ bit-identical reports.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -121,16 +122,20 @@ def extremal_perturbation(reference, delta: float, i1: int, i2: int) -> np.ndarr
     ``delta`` from the reference.
 
     Raises:
-        BadIndicesError: indices equal or out of range.
+        BadIndicesError: indices not integers, equal or out of range.
         DomainError: ``delta`` is not positive.
         SimplexViolationError: the move would leave ``[0, 1]``.
     """
     r = np.asarray(reference, dtype=np.float64).reshape(-1)
     k = r.size
-    if not (1 <= i1 <= k and 1 <= i2 <= k) or i1 == i2:
+    try:
+        valid = 1 <= operator.index(i1) <= k and 1 <= operator.index(i2) <= k and i1 != i2
+    except TypeError:
+        valid = False
+    if not valid:
         raise BadIndicesError(f"invalid entry indices ({i1}, {i2}) for arity {k}")
     if not delta > 0.0:
-        raise DomainError(f"perturbation distance must be positive, got {delta!r}")
+        raise DomainError(f"perturbation distance must be positive, got {float(delta)!r}")
     half = delta / 2.0
     if r[i1 - 1] + half > 1.0:
         raise SimplexViolationError(
@@ -184,9 +189,9 @@ def sample_on_simplex(reference, delta: float, rng: np.random.Generator) -> np.n
             simplex in this distance.
     """
     if not delta > 0.0:
-        raise DomainError(f"perturbation distance must be positive, got {delta!r}")
+        raise DomainError(f"perturbation distance must be positive, got {float(delta)!r}")
     if delta > 2.0:
-        raise InfeasibleDistanceError(f"no probability vectors at distance {delta!r} > 2")
+        raise InfeasibleDistanceError(f"no probability vectors at distance {float(delta)!r} > 2")
     r = np.asarray(reference, dtype=np.float64).reshape(-1)
     if r.size < 2:
         return as_vector(r)
@@ -242,13 +247,16 @@ def _extremal_rows(param: DistributionParameter, h: np.ndarray, delta: float) ->
 
 
 def _check_run(pmc: Pmc, n_samples: int, seed: int) -> None:
-    """Reject a run with no parameter to perturb, a negative sample count or seed."""
+    """Reject a run with no parameter to perturb, or a count or seed not an integer >= 0."""
     if not pmc.parameters:
         raise EmptyVectorError("the model has no distribution parameters to perturb")
-    if n_samples < 0:
-        raise DomainError(f"sample count must be non-negative, got {n_samples!r}")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed!r}")
+    for name, value in (("sample count", n_samples), ("seed", seed)):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        if value < 0:
+            raise DomainError(f"{name} must be non-negative, got {value!r}")
 
 
 def empirical_kappa(reference: ReferenceSolve, delta: float,
@@ -263,14 +271,14 @@ def empirical_kappa(reference: ReferenceSolve, delta: float,
     Raises:
         EmptyVectorError: the model has no distribution parameters.
         DomainError: ``delta`` is not positive (or NaN), or ``n_samples`` or
-            ``seed`` is negative.
+            ``seed`` is not a non-negative integer.
         InfeasibleDistanceError: ``delta`` exceeds 2 or is infinite.
     """
     _check_run(reference.pmc, n_samples, seed)
     if not delta > 0.0:
-        raise DomainError(f"perturbation distance must be positive, got {delta!r}")
+        raise DomainError(f"perturbation distance must be positive, got {float(delta)!r}")
     if delta > 2.0:
-        raise InfeasibleDistanceError(f"no probability vectors at distance {delta!r} > 2")
+        raise InfeasibleDistanceError(f"no probability vectors at distance {float(delta)!r} > 2")
     params = reference.pmc.parameters
     count = len(params)
     labels = ["extremal+", "extremal-"] * count + ["random"] * n_samples
@@ -285,20 +293,6 @@ def empirical_kappa(reference: ReferenceSolve, delta: float,
     return max(abs(x.exact) / delta for x in samples)
 
 
-def _exact_deltas(reference: ReferenceSolve, batch: Mapping[str, np.ndarray],
-                  count: int) -> list[float]:
-    """Exact delta, ``iota_c @ t`` less the reference value, of every sample.
-
-    Each ``t`` is re-solved by ``reachability._sample_solutions``.
-    """
-    iota_c = reference.iota_c
-    reference_value = float(iota_c @ reference.t)
-    vectors = [batch[p.id] for p in reference.pmc.parameters]
-    solutions = reachability._sample_solutions(reference.pmc, reference.cp, reference.system,
-                                               reference.factor, vectors, count)
-    return [float(iota_c @ t) - reference_value for t in solutions]
-
-
 def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
                          vectors: Mapping[str, object]) -> list[PerturbationSample]:
     """Measure a batch of labelled assignments against ``reference``.
@@ -306,9 +300,9 @@ def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
     ``vectors[pid]`` holds one row per label: the vector assigned to
     parameter ``pid`` in that sample. Each parameter's rows are checked on
     the simplex once, as a batch. For each sample the result holds the
-    achieved per-parameter distances, the exact delta (one re-solve), the
-    linear estimate and the bound ``sum_i kappa_i * Delta_i`` at those
-    distances.
+    achieved per-parameter distances, the exact delta (one re-solve by
+    ``reachability``), the linear estimate and the bound
+    ``sum_i kappa_i * Delta_i`` at those distances.
 
     Raises:
         MissingParameterError: ``vectors`` misses a parameter.
@@ -355,7 +349,10 @@ def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
         distance = distance + distances[param.id]
         bound = bound + reference.kappa[param.id] * distances[param.id]
         linear = linear + (rows - param.reference) @ reference.h[param.id]
-    exact = _exact_deltas(reference, batch, count)
+    solutions = reachability._sample_solutions(reference.cp, reference.system, reference.factor,
+                                               [batch[p.id] for p in params], count)
+    reference_value = float(reference.iota_c @ reference.t)
+    exact = [float(reference.iota_c @ t) - reference_value for t in solutions]
 
     distances = {pid: d.tolist() for pid, d in distances.items()}
     return [
@@ -382,7 +379,7 @@ def validate_bounds(reference: ReferenceSolve, deltas: Mapping[str, float],
 
     Raises:
         EmptyVectorError: the model has no distribution parameters.
-        DomainError: ``n_samples`` or ``seed`` is negative.
+        DomainError: ``n_samples`` or ``seed`` is not a non-negative integer.
         MissingParameterError: ``deltas`` does not cover every parameter.
         UnknownParameterError: ``deltas`` names an id that is not a parameter.
         NonpositiveDeltaError: a requested distance is not positive (or NaN).

@@ -27,7 +27,6 @@ from pmcperturb import (
     Pmc,
     ReachabilityProblem,
     SingularSystemError,
-    SparseSystem,
     analyze,
     build_frog,
     build_zeroconf,
@@ -170,10 +169,25 @@ class TestExtract:
             for given in (None, assignment):
                 system = extract_system(pmc, cp, given)
                 oracle = dense_system(pmc, cp, given)
-                assert isinstance(system, SparseSystem if name == "chain" else LinearSystem)
-                a = system.a if isinstance(system.a, np.ndarray) else system.a.toarray()
+                dense = isinstance(system.a, np.ndarray)
+                assert dense == (name != "chain")
+                a = system.a if dense else system.a.toarray()
                 assert a.shape == oracle.a.shape and a.tobytes() == oracle.a.tobytes()
                 assert system.b.tobytes() == oracle.b.tobytes()
+
+    @pytest.mark.parametrize("name", ["frog", "zeroconf", "random_sparse_pmc", "chain"])
+    def test_slots_hold_canonical_positions(self, name):
+        # In model order, 0-based, read-only, and the same at any assignment.
+        for pmc, problem, assignment in extraction_cases(name):
+            cp = canonicalize(pmc, problem)
+            for given in (None, assignment):
+                slots = extract_system(pmc, cp, given).slots
+                assert len(slots) == len(pmc.parameters)
+                for param, (row, support) in zip(pmc.parameters, slots):
+                    assert type(row) is int and row == cp.permutation[param.row - 1] - 1
+                    assert support.tolist() == [cp.permutation[c - 1] - 1 for c in param.support]
+                    assert not support.flags.writeable
+        assert LinearSystem(a=np.zeros((1, 1)), b=np.zeros(1)).slots == ()
 
     @pytest.mark.parametrize("kernel", ["dense", "sparse"])
     def test_assignment_errors_on_both_kernels(self, frog, kernel):
@@ -181,7 +195,7 @@ class TestExtract:
         if kernel == "sparse":
             pmc, problem, _ = birth_death_chain(SPARSE_MIN_STATES + 2)
             cp = canonicalize(pmc, problem)
-            assert isinstance(extract_system(pmc, cp), SparseSystem)
+            assert not isinstance(extract_system(pmc, cp).a, np.ndarray)
         with pytest.raises(MissingParameterError):
             extract_system(pmc, cp, Assignment({}))
         vectors = {p.id: p.reference for p in pmc.parameters}
@@ -278,8 +292,7 @@ class TestSolve:
         from scipy.sparse import csr_matrix
 
         a, b = np.full((2, 2), 0.5), np.array([0.5, 0.0])
-        system = LinearSystem(a=a, b=b) if kernel == "dense" else \
-            SparseSystem(a=csr_matrix(a), b=b)
+        system = LinearSystem(a=a if kernel == "dense" else csr_matrix(a), b=b)
         with pytest.raises(SingularSystemError, match=message):
             solve_reachability(system)
 
@@ -423,10 +436,12 @@ class TestReachPositiveMask:
 def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog, kernel):
     """``analyze`` and ``validate_bounds`` each build and factor the reference once.
 
-    One ``canonicalize``, one ``extract_system``, one reach search and one
-    factorization per reference solve: ``getrf`` on the dense frog, SuperLU
-    on a sparse birth-death chain. Both systems are read from the model
-    rows, so ``instantiate`` is never called.
+    One ``canonicalize``, one ``extract_system``, one lookup of the
+    parameters' positions, one reach search and one factorization per
+    reference solve: ``getrf`` on the dense frog, SuperLU on a sparse
+    birth-death chain. Both systems are read from the model rows, so
+    ``instantiate`` is never called, and the samples read the positions
+    from the reference system.
     """
     import scipy.sparse.linalg
 
@@ -435,7 +450,7 @@ def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog, k
     dense = kernel == "dense"
     pmc, problem, _ = frog if dense else birth_death_chain(SPARSE_MIN_STATES + 2)
     lu = "_getrf" if dense else "splu"
-    calls = {"canonicalize": 0, "extract_system": 0, "instantiate": 0,
+    calls = {"canonicalize": 0, "extract_system": 0, "_parameter_slots": 0, "instantiate": 0,
              "reach_positive_mask": 0, lu: 0}
     count_calls(monkeypatch, calls, reachability, scipy.sparse.linalg)
     once = {**dict.fromkeys(calls, 1), "instantiate": 0}

@@ -79,6 +79,23 @@ class TestExtremal:
         with pytest.raises(BadIndicesError):
             extremal_perturbation((0.5, 0.5), 0.1, 1, 3)
 
+    @pytest.mark.parametrize("i1, i2", [(1.0, 2), (1, 2.5), ("1", 2), (None, 2)])
+    def test_non_integer_indices(self, i1, i2):
+        with pytest.raises(BadIndicesError, match="invalid entry indices"):
+            extremal_perturbation((0.5, 0.5), 0.1, i1, i2)
+        # numpy integers are indices
+        np.testing.assert_array_equal(
+            extremal_perturbation((0.5, 0.5), 0.2, np.int64(1), np.int32(2)), (0.6, 0.4))
+
+    def test_distance_messages_print_plain_floats(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match=r"got 0\.0$"):
+            extremal_perturbation((0.5, 0.5), np.float64(0.0), 1, 2)
+        with pytest.raises(DomainError, match=r"got -0\.5$"):
+            sample_on_simplex((0.5, 0.5), np.float64(-0.5), rng)
+        with pytest.raises(InfeasibleDistanceError, match=r"at distance 3\.0 > 2$"):
+            sample_on_simplex((0.5, 0.5), np.float64(3.0), rng)
+
 
 class TestSampleOnSimplex:
     def test_interior_distance_exact(self):
@@ -161,6 +178,35 @@ class TestEmpiricalKappa:
             empirical_kappa(reference, delta=1e-3, n_samples=-1, seed=0)
         with pytest.raises(DomainError):
             validate_bounds(reference, {"hop": 1e-3}, n_samples=-1, seed=0)
+
+    def test_distance_messages_print_plain_floats(self, frog):
+        reference = gradient_coefficients(*frog[:2])
+        with pytest.raises(DomainError, match=r"got 0\.0$"):
+            empirical_kappa(reference, delta=np.float64(0.0), n_samples=1, seed=0)
+        with pytest.raises(InfeasibleDistanceError, match=r"at distance 3\.0 > 2$"):
+            empirical_kappa(reference, delta=np.float64(3.0), n_samples=1, seed=0)
+
+    @pytest.mark.parametrize("n_samples, seed, message", [
+        (2.5, 0, "sample count must be an integer, got 2.5"),
+        (5.0, 0, "sample count must be an integer, got 5.0"),
+        ("5", 0, "sample count must be an integer, got '5'"),
+        (5, 3.5, "seed must be an integer, got 3.5"),
+        (5, None, "seed must be an integer, got None"),
+    ])
+    def test_rejects_non_integer_count_and_seed(self, frog, n_samples, seed, message):
+        reference = gradient_coefficients(*frog[:2])
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            empirical_kappa(reference, delta=0.01, n_samples=n_samples, seed=seed)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            validate_bounds(reference, {"hop": 0.01}, n_samples=n_samples, seed=seed)
+
+    def test_numpy_integer_count_and_seed(self, frog):
+        reference = gradient_coefficients(*frog[:2])
+        given = validate_bounds(reference, {"hop": 0.01}, n_samples=np.int64(3), seed=np.int32(2))
+        plain = validate_bounds(reference, {"hop": 0.01}, n_samples=3, seed=2)
+        assert [x.exact for x in given.samples] == [x.exact for x in plain.samples]
+        with pytest.raises(DomainError, match="^seed must be non-negative, got -1$"):
+            validate_bounds(reference, {"hop": 0.01}, n_samples=3, seed=np.int64(-1))
 
     @pytest.mark.parametrize("n_samples", [0, 3])
     def test_rejects_negative_seed(self, frog, n_samples):
