@@ -165,10 +165,12 @@ class LinearSystem:
     """``(A, b)`` of a canonical problem, and where each parameter row writes.
 
     ``a`` is dense, under the rule of ``as_vector`` (a read-only float64
-    array that owns its data is shared; anything else is copied), or CSR,
-    kept as given; :func:`extract_system`'s CSR stores every support
-    position, reference zeros included. ``slots`` holds each parameter's
-    canonical ``(row, support)``, 0-based and read-only, in model order.
+    array that owns its data is shared; anything else is copied), or CSR:
+    a CSR matrix is kept as given and any other ``scipy.sparse`` matrix is
+    converted by ``tocsr()``, since the sparse kernel reads CSR row pointers.
+    :func:`extract_system`'s CSR stores every support position, reference
+    zeros included. ``slots`` holds each parameter's canonical
+    ``(row, support)``, 0-based and read-only, in model order.
     """
 
     a: object
@@ -177,8 +179,10 @@ class LinearSystem:
 
     def __post_init__(self):
         a = self.a
-        if not (hasattr(a, "tocsr") or isinstance(a, np.ndarray) and a.dtype == np.float64
-                and a.base is None and not a.flags.writeable):
+        if hasattr(a, "tocsr"):
+            a = a.tocsr()
+        elif not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                  and a.base is None and not a.flags.writeable):
             a = np.array(a, dtype=np.float64)
             a.flags.writeable = False
         object.__setattr__(self, "a", a)

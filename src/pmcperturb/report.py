@@ -13,6 +13,12 @@ encoder, which pays a call and a chain of type tests per value. Floats,
 ints and strs of a column are formatted by one C-level ``map``; dicts that
 share one key order, and arrays of one length, are encoded once per key or
 once for all their items, and their rows are filled into one template.
+A float column that repeats its values, such as the assignments and
+per-parameter distances of a ``validate`` record (a two-entry parameter
+moved by Delta takes one of two vectors), spells each distinct float once.
+It does so only where that cannot change a byte: every value exactly a
+``float`` (an int, a bool or a float subclass may equal a float key and
+spell differently) and no zero (``0.0 == -0.0``).
 Every record that the walk does not write (one too deep for it, one that
 holds itself, or one with a value or key of another type) is handed to
 ``json.dumps``, which writes it or raises its own error. Model files
@@ -50,6 +56,11 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 _CONSTANT_TYPES = {type(None), bool}
 #: JSON spellings of the ``float.__repr__`` texts that are not finite numbers.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: Leading values of a float column that decide whether it spells each
+#: distinct float once: a column whose first values are at most half distinct
+#: repeats its floats, and one that is not (sampled floats) pays only a
+#: ``set`` this long, not a hash per value.
+_PREFIX = 64
 #: Exceeding samples listed by :func:`render_validation_table`.
 MAX_TABLE_ROWS = 20
 
@@ -101,7 +112,8 @@ def render_json(record) -> str:
 def _column(values, newline: str) -> list[str]:
     """JSON texts of the sibling ``values``; ``newline`` starts each of their lines.
 
-    A column of floats, ints, strs or constants is formatted by one ``map``.
+    A column of floats, ints, strs or constants is formatted by one ``map``;
+    :func:`_floats` spells each distinct float of a repeating column once.
     Dicts with one key order, all keys exactly ``str``, recurse once per key
     and fill each row into one ``%``-template; lists and tuples of one length
     recurse once over their items chained together and join each row. Any
@@ -116,10 +128,7 @@ def _column(values, newline: str) -> list[str]:
     inner = newline + "  "
     try:
         if issubclass(first, float):  # float.__repr__ raises TypeError on any other type
-            texts = list(map(_FLOAT, values))
-            if "n" in "".join(texts):  # nan, inf or -inf
-                texts = [_NONFINITE.get(text, text) for text in texts]
-            return texts
+            return _floats(values)
         if issubclass(first, str):  # as does encode_basestring_ascii
             return list(map(encode_basestring_ascii, values))
     except TypeError:  # a value of another type among them: value by value below
@@ -149,6 +158,32 @@ def _column(values, newline: str) -> list[str]:
     if first in (dict, list, tuple) and not values[0]:
         return ["{}" if first is dict else "[]"]
     raise TypeError(f"no column writes a {first.__name__}")
+
+
+def _floats(values) -> list[str]:
+    """JSON texts of a column led by a float, each distinct float spelled once if it repeats.
+
+    ``dict.fromkeys`` keys equal values together, so the column is mapped
+    through its distinct spellings only when every value is exactly a
+    ``float`` (``1``, ``True`` or a float subclass equal to a float key would
+    take its spelling) and no key is a zero (``0.0`` and ``-0.0`` share one).
+    Each NaN object stays its own key. A value that ``float.__repr__`` or a
+    ``set`` rejects raises ``TypeError``, as it does value by value.
+    """
+    prefix = values[:_PREFIX]
+    if 2 * len(set(prefix)) <= len(prefix) and set(map(type, values)) == {float}:
+        unique = dict.fromkeys(values)
+        if 0.0 not in unique:
+            return list(map(dict(zip(unique, _spelled(unique))).__getitem__, values))
+    return _spelled(values)
+
+
+def _spelled(values) -> list[str]:
+    """``float.__repr__`` of each of ``values``, with JSON's nan and infinities."""
+    texts = list(map(_FLOAT, values))
+    if "n" in "".join(texts):  # nan, inf or -inf
+        texts = [_NONFINITE.get(text, text) for text in texts]
+    return texts
 
 
 def _object(keys, newline: str) -> str:

@@ -250,6 +250,24 @@ class TestExtract:
         assert not np.shares_memory(system.a, a)
         np.testing.assert_array_equal(system.a, a.T)
 
+    @pytest.mark.parametrize("form", ["coo", "csc"])
+    def test_other_sparse_forms_solve_as_csr(self, form):
+        # The sparse kernel reads CSR row pointers: a COO matrix has none,
+        # and a CSC one's column pointers read as rows search the transposed
+        # graph, which gives a false SingularSystemError on the small system.
+        from scipy.sparse import csr_matrix
+
+        pmc, problem, _ = birth_death_chain(SPARSE_MIN_STATES + 2)
+        chain = extract_system(pmc, canonicalize(pmc, problem))
+        for a, b in ((chain.a, chain.b),
+                     (csr_matrix(np.array([[0.0, 0.5], [0.0, 0.0]])), np.array([0.0, 0.5]))):
+            assert LinearSystem(a=a, b=b).a is a
+            expected = solve_reachability(LinearSystem(a=a, b=b))
+            system = LinearSystem(a=a.asformat(form), b=b)
+            assert system.a.format == "csr"
+            assert solve_reachability(system).tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(expected, [0.25, 0.5])
+
 
 class TestSolve:
     def test_frog_direct_and_series(self, frog):

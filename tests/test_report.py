@@ -213,3 +213,72 @@ def test_program_records_never_fall_back(monkeypatch):
     for pmc, problem in models:
         render_model(pmc, problem, Direction({p.id: 1.0 / len(pmc.parameters)
                                               for p in pmc.parameters}))
+
+
+class Real(float):
+    """A float subclass: ``json.dumps`` spells it by ``float.__repr__``."""
+
+
+# Values that compare equal across types or spellings (0.0 == -0.0, 1 == True
+# == 1.0, 0.1 == np.float64(0.1) == Real(0.1)), and NaNs that are separate
+# objects, so a column that spells each distinct float once must not merge them.
+REPEATING = [st.just(0.0), st.just(-0.0), st.builds(float, st.just("nan")), st.just(math.inf),
+             st.just(-math.inf), st.just(np.float64(0.1)), st.just(0.1), st.just(1),
+             st.just(True), st.just(1.0), st.builds(Real, st.just(0.1))]
+long_columns = st.lists(st.sampled_from(REPEATING), min_size=1, max_size=4, unique=True).flatmap(
+    lambda pool: st.lists(st.one_of(pool), min_size=2, max_size=200))
+
+
+def shapes(column: list, width: int) -> list:
+    """``column`` as the writer meets it: flat, in rows of ``width`` and in dicts."""
+    rows = [column[i:i + width] for i in range(0, len(column) - width + 1, width)]
+    return [column, rows, [tuple(row) for row in rows], [{"x": value} for value in column],
+            {"column": column, "rows": [{"row": row} for row in rows]}]
+
+
+@settings(max_examples=300)
+@given(long_columns, st.integers(1, 3))
+def test_long_repeating_columns(column, width):
+    for value in shapes(column, width):
+        assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("column", [
+    [-0.0, 0.0] * 40,  # one dict key for both zeros
+    [0.0, -0.0] * 40,
+    [1.0, 1] * 40,  # an int would take the float's spelling
+    [True, 1.0] * 40,
+    [1.0, True] * 40,  # as would a bool
+    [0.1, np.float64(0.1)] * 40,
+    [0.5, Real(0.5)] * 40,
+    [float("nan") for _ in range(80)],
+    [math.nan, math.inf, -math.inf, 2.5] * 20,
+], ids=lambda column: ",".join(map(repr, column[:2])))
+def test_repeating_column_edge_values(column):
+    for value in shapes(column, 2):
+        assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_repeating_floats_spelled_once_per_column(monkeypatch):
+    # Zeroconf's parameters have two entries, so at distance 0.01 each one
+    # takes one of two vectors, and the sampled records repeat their floats.
+    reference = gradient_coefficients(*build_zeroconf())
+    record = validation_record(validate_bounds(
+        reference, {p.id: 0.01 for p in reference.pmc.parameters}, n_samples=500, seed=1))
+
+    def count(value) -> int:
+        if isinstance(value, dict):
+            return sum(map(count, value.values()))
+        if isinstance(value, list):
+            return sum(map(count, value))
+        return isinstance(value, float)
+
+    spelled = []
+
+    def spell(value):
+        spelled.append(value)
+        return float.__repr__(value)
+
+    monkeypatch.setattr(report, "_FLOAT", spell)
+    assert render_json(record) == json.dumps(record, indent=2) + "\n"
+    assert 0 < 10 * len(spelled) < count(record)
