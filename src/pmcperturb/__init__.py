@@ -69,6 +69,7 @@ from .reachability import (
 )
 from .sampler import (
     PerturbationSample,
+    SampleBatch,
     VIOLATION_SLACK,
     ValidationReport,
     empirical_kappa,
@@ -100,7 +101,7 @@ __all__ = [
     "CanonicalProblem", "LinearSystem", "ReachabilityProblem", "canonicalize",
     "constrained_initial", "extract_system", "reach_positive_mask",
     "solve_reachability", "total_probability",
-    "PerturbationSample", "VIOLATION_SLACK", "ValidationReport",
+    "PerturbationSample", "SampleBatch", "VIOLATION_SLACK", "ValidationReport",
     "empirical_kappa", "evaluate_assignments", "extremal_perturbation",
     "sample_on_simplex",
     "validate_bounds",

@@ -255,6 +255,14 @@ def render_sensitivity_table(record: dict, color: bool = False) -> str:
 # validation
 
 def validation_record(report: ValidationReport) -> dict:
+    """The validation record; its ``samples`` are read from the batch's columns."""
+    batch = report.samples
+    pids = list(batch.vectors)
+    assignments = zip(*[rows.tolist() for rows in batch.vectors.values()])
+    distances = zip(*[column.tolist() for column in batch.distances.values()])
+    samples = zip(batch.labels, assignments, distances, batch.distance.tolist(),
+                  batch.exact.tolist(), batch.linear.tolist(), batch.bound.tolist(),
+                  batch.exceeds.tolist())
     return {
         **_source_record(report.reference),
         "requested_distances": dict(report.requested),
@@ -269,17 +277,17 @@ def validation_record(report: ValidationReport) -> dict:
         "bound_convention": BOUND_CONVENTION,
         "samples": [
             {
-                "label": s.label,
-                "assignment": {pid: vec.tolist()
-                               for pid, vec in s.assignment.vectors.items()},
-                "distances": dict(s.distances),
-                "distance": s.distance,
-                "exact": s.exact,
-                "linear": s.linear,
-                "bound": s.bound,
-                "exceeds": s.exceeds,
+                "label": label,
+                "assignment": dict(zip(pids, vectors)),
+                "distances": dict(zip(pids, per_parameter)),
+                "distance": distance,
+                "exact": exact,
+                "linear": linear,
+                "bound": bound,
+                "exceeds": exceeds,
             }
-            for s in report.samples
+            for label, vectors, per_parameter, distance, exact, linear, bound, exceeds
+            in samples
         ],
     }
 

@@ -11,13 +11,14 @@ it may fall short, never above.
 One draw takes three vector calls on the generator: uniform keys, whose
 ranks give the bipartition (the lowest ``cut`` ranks gain mass), the
 ``cut`` from ``integers(1, arity)``, and standard exponentials, which
-normalise over each side to a Dirichlet(1) split of ``Delta/2``. A
-validation run draws every parameter of one arity with those three calls
-per sample, then clips and rescales all samples as one array;
-:func:`sample_on_simplex` is the same move for a batch of one. This is the
-same distribution as an earlier per-vector draw (``permutation``,
-``integers``, two ``dirichlet`` calls), but a given seed gives different
-vectors than that draw did.
+normalise over each side to a Dirichlet(1) split of ``Delta/2``. For arity
+2 the cut is always 1 and ``integers(1, 2)`` draws no bits, so that call is
+skipped and the stream is the same. A validation run draws every parameter
+of one arity with those calls per sample, then clips and rescales all
+samples as one array; :func:`sample_on_simplex` is the same move for a
+batch of one. This is the same distribution as an earlier per-vector draw
+(``permutation``, ``integers``, two ``dirichlet`` calls), but a given seed
+gives different vectors than that draw did.
 
 Extremal perturbations move ``+Delta/2`` onto the support position with the
 largest linear coefficient and ``-Delta/2`` off the smallest (lowest index
@@ -29,9 +30,11 @@ Every evaluated assignment, sampled, extremal or given by the caller (the
 published perturbed models), goes through :func:`evaluate_assignments`,
 which takes them as one batch per parameter and measures them against the
 model's :class:`~pmcperturb.perturbation.ReferenceSolve`, reading its ``t``,
-``h`` and ``kappa``; ``reachability`` re-solves the samples. Requested
-distances must lie in ``(0, 2]``, the diameter of the simplex in this
-distance; others are rejected before anything is sampled.
+``h`` and ``kappa``; ``reachability`` re-solves the samples. The result is
+one :class:`SampleBatch` of columns, which the report reads as columns; a
+:class:`PerturbationSample` of one sample is built only when it is read.
+Requested distances must lie in ``(0, 2]``, the diameter of the simplex in
+this distance; others are rejected before anything is sampled.
 
 Randomness for sample ``k`` of a run derives from ``(seed, k)``, so results
 do not depend on evaluation order or run size, and identical seeds give
@@ -89,18 +92,63 @@ class PerturbationSample:
         object.__setattr__(self, "distances", dict(self.distances))
 
 
+@dataclass(frozen=True, eq=False)
+class SampleBatch(Sequence):
+    """Evaluated samples as read-only columns, one entry per sample.
+
+    ``vectors[pid]`` holds the ``(count, arity)`` rows assigned to parameter
+    ``pid`` and ``distances[pid]`` their ``(count,)`` achieved distances, in
+    model order; ``distance``, ``exact``, ``linear`` and ``bound`` are
+    float64 columns and ``exceeds`` a bool column, with the meanings of the
+    :class:`PerturbationSample` fields. ``len``, indexing and iteration give
+    :class:`PerturbationSample` views, built on access; a slice is a batch.
+    """
+
+    labels: tuple[str, ...]
+    vectors: Mapping[str, np.ndarray]
+    distances: Mapping[str, np.ndarray]
+    distance: np.ndarray
+    exact: np.ndarray
+    linear: np.ndarray
+    bound: np.ndarray
+    exceeds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return SampleBatch(self.labels[k], {pid: v[k] for pid, v in self.vectors.items()},
+                               {pid: d[k] for pid, d in self.distances.items()},
+                               self.distance[k], self.exact[k], self.linear[k], self.bound[k],
+                               self.exceeds[k])
+        label = self.labels[k]  # raises IndexError and TypeError as a tuple does
+        return PerturbationSample(
+            label=label,
+            assignment=Assignment._checked({pid: v[k] for pid, v in self.vectors.items()}),
+            distances={pid: float(d[k]) for pid, d in self.distances.items()},
+            distance=float(self.distance[k]), exact=float(self.exact[k]),
+            linear=float(self.linear[k]), bound=float(self.bound[k]),
+            exceeds=bool(self.exceeds[k]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of an empirical bound-validation run against ``reference``.
 
-    ``bound`` and ``analytic_kappa`` refer to the requested per-parameter
-    distances (``analytic_kappa`` is the directional condition number for
-    the direction those distances induce); ``empirical_kappa`` is the
-    largest observed ``|exact| / distance`` over all samples.
+    ``samples`` is the :class:`SampleBatch` of the run: the two extremal
+    moves, then the random samples. ``bound`` and ``analytic_kappa`` refer
+    to the requested per-parameter distances (``analytic_kappa`` is the
+    directional condition number for the direction those distances induce);
+    ``empirical_kappa`` is the largest observed ``|exact| / distance`` over
+    all samples.
     """
 
     reference: ReferenceSolve
-    samples: tuple[PerturbationSample, ...]
+    samples: SampleBatch
     requested: Mapping[str, float]
     bound: float
     analytic_kappa: float
@@ -111,7 +159,6 @@ class ValidationReport:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
         object.__setattr__(self, "requested", dict(self.requested))
 
 
@@ -150,9 +197,10 @@ def extremal_perturbation(reference, delta: float, i1: int, i2: int) -> np.ndarr
 
 
 def _draw(rng: np.random.Generator, count: int, arity: int):
-    """Keys, cuts and exponentials for ``count`` vectors of one arity (three calls)."""
-    return (rng.random((count, arity)), rng.integers(1, arity, size=count),
-            rng.standard_exponential((count, arity)))
+    """Keys, cuts and exponentials for ``count`` vectors of one arity (module docstring)."""
+    keys = rng.random((count, arity))
+    cuts = np.ones(count, dtype=np.int64) if arity == 2 else rng.integers(1, arity, size=count)
+    return keys, cuts, rng.standard_exponential((count, arity))
 
 
 def _spread(reference, half, keys, cuts, exps) -> np.ndarray:
@@ -289,20 +337,25 @@ def empirical_kappa(reference: ReferenceSolve, delta: float,
         drawn = _random_rows([param], {param.id: delta}, seed, range(j, n_samples, count))
         rows[2 * count + j::count] = drawn[param.id]
         vectors[param.id] = rows
-    samples = evaluate_assignments(reference, labels, vectors)
-    return max(abs(x.exact) / delta for x in samples)
+    exact = evaluate_assignments(reference, labels, vectors).exact.tolist()
+    return max(abs(x) / delta for x in exact)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
-                         vectors: Mapping[str, object]) -> list[PerturbationSample]:
+                         vectors: Mapping[str, object]) -> SampleBatch:
     """Measure a batch of labelled assignments against ``reference``.
 
     ``vectors[pid]`` holds one row per label: the vector assigned to
     parameter ``pid`` in that sample. Each parameter's rows are checked on
-    the simplex once, as a batch. For each sample the result holds the
-    achieved per-parameter distances, the exact delta (one re-solve by
-    ``reachability``), the linear estimate and the bound
-    ``sum_i kappa_i * Delta_i`` at those distances.
+    the simplex once, as a batch. The result is one :class:`SampleBatch`
+    whose columns hold, per sample, the achieved per-parameter distances,
+    the exact delta (one re-solve by ``reachability``), the linear estimate
+    and the bound ``sum_i kappa_i * Delta_i`` at those distances.
 
     Raises:
         MissingParameterError: ``vectors`` misses a parameter.
@@ -311,11 +364,14 @@ def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
         SimplexViolationError: some row is not a probability vector, or has
             an entry that is not a number.
     """
-    labels = list(labels)
+    labels = tuple(labels)
     count = len(labels)
-    if not count:
-        return []
     params = reference.pmc.parameters
+    if not count:
+        empty = _read_only(np.empty(0))
+        return SampleBatch((), {p.id: _read_only(np.empty((0, p.arity))) for p in params},
+                           {p.id: empty for p in params}, empty, empty, empty, empty,
+                           _read_only(np.empty(0, dtype=bool)))
     batch = {}
     for param in params:
         if param.id not in vectors:
@@ -334,8 +390,7 @@ def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
         if rows.dtype != np.float64 or not is_distribution(rows):
             raise SimplexViolationError(
                 f"an assignment for parameter {param.id!r} is not a probability vector")
-        rows.flags.writeable = False
-        batch[param.id] = rows
+        batch[param.id] = _read_only(rows)
 
     # Reductions over the batch, accumulated over parameters in model order
     # as the per-sample sums did, so distances and bounds keep their bits.
@@ -345,26 +400,17 @@ def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
     linear = np.zeros(count)
     for param in params:
         rows = batch[param.id]
-        distances[param.id] = np.abs(rows - param.reference).sum(axis=1)
+        distances[param.id] = _read_only(np.abs(rows - param.reference).sum(axis=1))
         distance = distance + distances[param.id]
         bound = bound + reference.kappa[param.id] * distances[param.id]
         linear = linear + (rows - param.reference) @ reference.h[param.id]
     solutions = reachability._sample_solutions(reference.cp, reference.system, reference.factor,
                                                [batch[p.id] for p in params], count)
     reference_value = float(reference.iota_c @ reference.t)
-    exact = [float(reference.iota_c @ t) - reference_value for t in solutions]
-
-    distances = {pid: d.tolist() for pid, d in distances.items()}
-    return [
-        PerturbationSample(
-            label=label,
-            assignment=Assignment._checked({pid: rows[k] for pid, rows in batch.items()}),
-            distances={pid: d[k] for pid, d in distances.items()},
-            distance=total, exact=value, linear=estimate, bound=limit,
-            exceeds=abs(value) > limit)
-        for k, (label, total, value, estimate, limit) in enumerate(
-            zip(labels, distance.tolist(), exact, linear.tolist(), bound.tolist()))
-    ]
+    exact = np.array([float(reference.iota_c @ t) - reference_value for t in solutions])
+    return SampleBatch(labels, batch, distances, _read_only(distance), _read_only(exact),
+                       _read_only(linear), _read_only(bound),
+                       _read_only(np.abs(exact) > bound))
 
 
 def validate_bounds(reference: ReferenceSolve, deltas: Mapping[str, float],
@@ -407,18 +453,20 @@ def validate_bounds(reference: ReferenceSolve, deltas: Mapping[str, float],
                for p in params}
     labels = ["extremal+", "extremal-"] + ["random"] * n_samples
     samples = evaluate_assignments(reference, labels, vectors)
+    exact, distance = samples.exact.tolist(), samples.distance.tolist()
+    bound, exceeds = samples.bound.tolist(), samples.exceeds.tolist()
 
     requested_bound = sum(reference.kappa[pid] * requested[pid] for pid in reference.kappa)
     return ValidationReport(
         reference=reference,
-        samples=tuple(samples),
+        samples=samples,
         requested=requested,
         bound=float(requested_bound),
         analytic_kappa=float(requested_bound / sum(requested.values())),
-        empirical_kappa=float(max((abs(x.exact) / x.distance for x in samples
-                                   if x.distance > 0.0), default=0.0)),
-        violations=sum(x.exceeds for x in samples),
-        max_excess=float(max((abs(x.exact) - x.bound for x in samples if x.exceeds),
+        empirical_kappa=float(max((abs(x) / d for x, d in zip(exact, distance) if d > 0.0),
+                                  default=0.0)),
+        violations=sum(exceeds),
+        max_excess=float(max((abs(x) - b for x, b, e in zip(exact, bound, exceeds) if e),
                              default=0.0)),
         slack=VIOLATION_SLACK,
         seed=int(seed),

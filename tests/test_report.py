@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import birth_death_chain
+from conftest import birth_death_chain, random_case
 
 from pmcperturb import (
     Direction,
@@ -19,6 +19,7 @@ from pmcperturb import (
     build_frog,
     build_zeroconf,
     gradient_coefficients,
+    model_digest,
     render_model,
     validate_bounds,
 )
@@ -282,3 +283,86 @@ def test_repeating_floats_spelled_once_per_column(monkeypatch):
     monkeypatch.setattr(report, "_FLOAT", spell)
     assert render_json(record) == json.dumps(record, indent=2) + "\n"
     assert 0 < 10 * len(spelled) < count(record)
+
+
+
+def per_sample_record(run) -> dict:
+    """The validation record built one sample at a time, from the batch's sample views.
+
+    This is the construction ``validation_record`` used before it read the
+    batch's columns; the run statistics are checked against the per-sample
+    expressions they were computed by before.
+    """
+    samples = [run.samples[k] for k in range(len(run.samples))]
+    assert run.empirical_kappa == float(max(
+        (abs(x.exact) / x.distance for x in samples if x.distance > 0.0), default=0.0))
+    assert run.violations == sum(x.exceeds for x in samples)
+    assert run.max_excess == float(max(
+        (abs(x.exact) - x.bound for x in samples if x.exceeds), default=0.0))
+    problem = run.reference.problem
+    return {
+        "model_hash": model_digest(run.reference.pmc),
+        "problem": {"constraint": sorted(problem.constraint),
+                    "destination": sorted(problem.destination)},
+        "requested_distances": dict(run.requested),
+        "bound": run.bound,
+        "analytic_kappa": run.analytic_kappa,
+        "kappa_sum": run.reference.kappa_sum,
+        "empirical_kappa": run.empirical_kappa,
+        "violations": run.violations,
+        "max_excess": run.max_excess,
+        "slack": run.slack,
+        "seed": run.seed,
+        "bound_convention": report.BOUND_CONVENTION,
+        "samples": [
+            {
+                "label": s.label,
+                "assignment": {pid: vec.tolist() for pid, vec in s.assignment.vectors.items()},
+                "distances": dict(s.distances),
+                "distance": s.distance,
+                "exact": s.exact,
+                "linear": s.linear,
+                "bound": s.bound,
+                "exceeds": s.exceeds,
+            }
+            for s in samples
+        ],
+    }
+
+
+def leaf_types(value) -> set:
+    if isinstance(value, dict):
+        return set().union(*map(leaf_types, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(leaf_types, value))
+    return {type(value)}
+
+
+def random_model():
+    pmc, problem, _ = random_case(np.random.default_rng(31), n=6, n_params=2)
+    return pmc, problem
+
+
+@pytest.mark.parametrize("build, delta, n_samples", [
+    (build_zeroconf, 0.01, 500),  # two-entry parameters: repeating floats
+    (build_frog, 0.5, 200),  # entries clipped to zero
+    (random_model, 0.05, 100),
+], ids=["zeroconf", "frog", "random"])
+def test_validation_record_from_columns(build, delta, n_samples):
+    pmc, problem = build()
+    run = validate_bounds(gradient_coefficients(pmc, problem),
+                          {p.id: delta for p in pmc.parameters}, n_samples=n_samples, seed=9)
+    record = validation_record(run)
+    expected = per_sample_record(run)
+    # One sample at a time, in JSON, so key order and float spellings count
+    # and a failure prints one sample, not a diff of the whole record.
+    samples, expected_samples = record.pop("samples"), expected.pop("samples")
+    assert json.dumps(record) == json.dumps(expected)
+    assert len(samples) == len(expected_samples)
+    for sample, expected_sample in zip(samples, expected_samples):
+        assert json.dumps(sample) == json.dumps(expected_sample)
+    assert leaf_types(samples) == {str, float, bool}
+    record["samples"] = samples
+    assert render_json(record) == json.dumps(record, indent=2) + "\n"
+    if build is build_frog:
+        assert any(0.0 in s["assignment"]["hop"] for s in record["samples"])

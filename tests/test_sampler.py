@@ -22,6 +22,7 @@ from pmcperturb import (
     InfeasibleDistanceError,
     MissingParameterError,
     NonpositiveDeltaError,
+    PerturbationSample,
     Pmc,
     ReachabilityProblem,
     SimplexViolationError,
@@ -135,6 +136,21 @@ class TestSampleOnSimplex:
         for delta in (-0.1, float("nan")):
             with pytest.raises(DomainError):
                 sample_on_simplex((0.5, 0.5), delta, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    def test_draw_is_the_three_call_draw(self, arity):
+        # For arity 2 the draw skips integers(1, 2), which returns ones and
+        # takes no bits: outputs and the generator state must not tell.
+        from pmcperturb.sampler import _draw
+
+        rng, three_calls = np.random.default_rng([3, arity]), np.random.default_rng([3, arity])
+        drawn = _draw(rng, 7, arity)
+        expected = (three_calls.random((7, arity)), three_calls.integers(1, arity, size=7),
+                    three_calls.standard_exponential((7, arity)))
+        for got, want in zip(drawn, expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert rng.bit_generator.state == three_calls.bit_generator.state
 
 
 class TestEmpiricalKappa:
@@ -524,7 +540,7 @@ class TestBatchEvaluation:
         with pytest.raises(SimplexViolationError, match="hop"):
             evaluate_assignments(gradients, ["nan"],
                                  {"hop": [(0.375, 0.125, 0.25, float("nan"))]})
-        assert evaluate_assignments(gradients, [], {}) == []
+        assert list(evaluate_assignments(gradients, [], {})) == []
 
     def test_per_vector_work_does_not_grow_with_samples(self, zeroconf, monkeypatch):
         import pmcperturb.model as model
@@ -562,3 +578,48 @@ class TestBatchEvaluation:
         for k, sample in enumerate(report.samples[2:]):
             expected = sample_on_simplex(param.reference, 0.1, np.random.default_rng([5, k]))
             np.testing.assert_array_equal(sample.assignment[param.id], expected)
+
+
+class TestSampleBatch:
+    @pytest.fixture
+    def report(self, zeroconf):
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
+        return validate_bounds(reference, {p.id: 0.05 for p in pmc.parameters},
+                               n_samples=6, seed=4)
+
+    def test_views_read_the_columns(self, report):
+        batch = report.samples
+        assert len(batch) == 8 and batch.labels == ("extremal+", "extremal-") + ("random",) * 6
+        for k, sample in enumerate(batch):
+            assert isinstance(sample, PerturbationSample)
+            assert sample.label == batch.labels[k]
+            for pid, rows in batch.vectors.items():
+                np.testing.assert_array_equal(sample.assignment[pid], rows[k])
+                assert sample.distances[pid] == batch.distances[pid][k]
+            for field in ("distance", "exact", "linear", "bound"):
+                value = getattr(sample, field)
+                assert type(value) is float and value == getattr(batch, field)[k]
+            assert sample.exceeds is bool(batch.exceeds[k])
+
+    def test_indexing(self, report):
+        batch = report.samples
+        assert [s.exact for s in batch] == [batch[k].exact for k in range(len(batch))]
+        assert batch[-1].exact == batch[len(batch) - 1].exact
+        assert batch[-len(batch)].label == "extremal+"
+        for k in (len(batch), -len(batch) - 1):
+            with pytest.raises(IndexError):
+                batch[k]
+        with pytest.raises(TypeError):
+            batch["random"]
+        tail = batch[2::2]
+        assert len(tail) == 3 and [s.exact for s in tail] == [s.exact for s in list(batch)[2::2]]
+        assert list(batch[8:]) == []
+
+    def test_columns_are_read_only(self, report):
+        batch = report.samples
+        columns = [*batch.vectors.values(), *batch.distances.values(), batch.distance,
+                   batch.exact, batch.linear, batch.bound, batch.exceeds]
+        assert not any(column.flags.writeable for column in columns)
+        assert not batch[0].assignment[next(iter(batch.vectors))].flags.writeable
+        assert batch.exact.dtype == np.float64 and batch.exceeds.dtype == bool
