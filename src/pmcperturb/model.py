@@ -176,6 +176,14 @@ class Assignment:
         except KeyError:
             raise MissingParameterError(f"assignment misses parameter {pid!r}") from None
 
+    def __eq__(self, other):
+        """Same ids and equal vectors; the dataclass ``==`` would ask numpy
+        for the truth value of an elementwise comparison, which raises."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vectors.keys() == other.vectors.keys() and all(
+            np.array_equal(vec, other.vectors[pid]) for pid, vec in self.vectors.items())
+
 
 def reference_assignment(pmc: Pmc) -> Assignment:
     """The assignment mapping every parameter to its reference distribution."""

@@ -17,21 +17,21 @@ probability of reaching the destination (a path along positive ``A``
 entries to a state with ``b > 0``; explicit zeros are not edges); on that
 block ``I - A`` is non-singular, and all other states get probability
 exactly zero. :class:`Factor` is the one solver interface: built from
-``A`` and that mask, it factors ``I - A`` on the mask once, then gives
-``t = N b`` and, transposed, the visit weights ``s = iota_c N``
-(``N = (I - A)^{-1}``), both zero off the mask, with ``t`` held to the
-residual ceiling ``RESIDUAL_HARD`` on the whole system and clipped to
-[0, 1]. An exactly singular block raises :class:`SingularSystemError`. The
-kernel follows the form of ``A``; no caller branches on it:
+``A`` and that mask, it holds ``I - A`` on the mask and gives ``t = N b``
+and, transposed, the visit weights ``s = iota_c N`` (``N = (I - A)^{-1}``),
+both zero off the mask, with ``t`` held to the residual ceiling
+``RESIDUAL_HARD`` on the whole system and clipped to [0, 1]. An exactly
+singular block raises :class:`SingularSystemError`. The kernel follows
+the form of ``A``; no caller branches on it:
 
-* A dense ``A``: the mask comes from a frontier search, and LAPACK
-  ``getrf``/``getrs`` factor and solve, called as
-  ``scipy.linalg.lu_factor``/``lu_solve`` call them but without their
-  per-call input checks, so results keep their bits. The gathered block is
-  kept, and a sampled system on the same mask is factored from a copy of it.
+* A dense ``A``: the mask comes from a frontier search. The gathered block
+  is kept, read-only, and LAPACK ``gesv`` (``numpy.linalg.solve``) solves
+  it for ``t`` and, transposed, for ``s``: one LU per right-hand side,
+  since numpy keeps no factor. The sampled systems on the same mask are
+  patched into stacked copies of the block, one ``gesv`` call per chunk.
 * A CSR ``A``: the mask comes from one breadth-first search from a virtual
   state joined to every state with ``b > 0``, and SuperLU
-  (``scipy.sparse.linalg.splu``) factors and solves.
+  (``scipy.sparse.linalg.splu``) factors once and solves.
 
 :func:`extract_system` is the one extraction and the one place that picks
 the form; it reads both forms from the model rows, never through the
@@ -47,9 +47,9 @@ Fill-in of the LU factors grows with the bandwidth, and at these bounds
 SuperLU beat the dense LU at every size measured even on a full band; a
 random sparse pattern of the same size has a bandwidth near ``n`` and
 fills in far more, so it stays dense. Below ``SPARSE_MIN_STATES`` a dense
-factorization costs a few milliseconds at most. ``scipy.sparse`` is
-imported inside the sparse branch only: it is a noticeable import, and a
-model that stays dense never pays for it.
+factorization costs a few milliseconds at most. scipy is imported inside
+the sparse branches only: it is the largest import of the program, and a
+model that stays dense never loads it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ArityMismatchError,
@@ -76,8 +75,8 @@ SPARSE_MIN_STATES = 512
 SPARSE_BANDWIDTH_DIVISOR = 32
 #: Entries of concrete rows scanned at once by the extraction (512 kB).
 _SCAN_ENTRIES = 1 << 16
-
-_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+#: Entries of sampled dense blocks stacked into one LAPACK call (512 kB).
+_SOLVE_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -328,71 +327,87 @@ def reach_positive_mask(a, b: np.ndarray) -> np.ndarray:
 
 
 class Factor:
-    """``I - A`` on the ``mask`` states, factored once (module docstring).
+    """``I - A`` on the ``mask`` states, ready to solve (module docstring).
 
-    A dense ``a`` is factored by ``getrf``, and its gathered block kept,
-    read-only, for :func:`_sample_solutions`; a CSR ``a`` by SuperLU.
-    ``block`` (from :func:`_sample_solutions` only) is a dense block already
-    gathered, factored in place and not kept.
+    A dense ``a`` keeps its gathered block, read-only, which each
+    :meth:`solve` hands to LAPACK ``gesv`` and :func:`_sample_solutions`
+    patches into stacked copies; a CSR ``a`` is factored once by SuperLU.
 
     Raises:
-        SingularSystemError: the block is exactly singular.
+        SingularSystemError: the CSR block is exactly singular.
     """
 
-    def __init__(self, a, mask: np.ndarray, block: np.ndarray | None = None):
-        self.mask, self._block, self._apply = mask, None, None
-        dense = isinstance(a, np.ndarray)
-        if block is None and dense and mask.any():
-            block = np.subtract(np.eye(int(mask.sum())), a[np.ix_(mask, mask)], order="F")
-            block.flags.writeable = False
-            self._block = block
-        if block is not None:
-            # getrf copies the kept, read-only block and overwrites a patched one
-            lu, piv, info = _getrf(block, overwrite_a=block.flags.writeable)
-            if info > 0:
-                raise SingularSystemError(f"dense LU failed: pivot U[{info}, {info}] "
-                                          f"of the reach-positive block is exactly 0")
-            self._apply = lambda rhs, trans: _getrs(lu, piv, rhs, trans=trans)[0]
-        elif not dense and mask.any():
+    def __init__(self, a, mask: np.ndarray):
+        self.mask, self._block, self._lu = mask, None, None
+        if not mask.any():
+            return
+        if isinstance(a, np.ndarray):
+            self._block = np.eye(int(mask.sum())) - a[np.ix_(mask, mask)]
+            self._block.flags.writeable = False
+        else:
             from scipy.sparse import csc_matrix, identity
             from scipy.sparse.linalg import splu
 
             try:
-                lu = splu(csc_matrix(identity(int(mask.sum())) - a[mask][:, mask]))
+                self._lu = splu(csc_matrix(identity(int(mask.sum())) - a[mask][:, mask]))
             except RuntimeError as exc:  # SuperLU reports an exactly singular factor
                 raise SingularSystemError(f"sparse LU failed: {exc}") from None
-            self._apply = lambda rhs, trans: lu.solve(rhs, trans="NT"[trans])
 
     def solve(self, a, b: np.ndarray, weights: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray | None]:
         """``t`` with ``(I - A) t = b`` and, given ``weights``, ``s`` with ``s (I - A) = weights``.
 
-        ``(a, b)`` is the system whose ``A`` was factored. ``t`` and ``s``
-        are zero off the mask; ``t`` goes through :func:`_checked`.
+        ``(a, b)`` is the system whose ``A`` was gathered. ``t`` and ``s``
+        are zero off the mask; ``t`` goes through :func:`_checked`. A dense
+        block is solved once for ``t`` and, transposed, once for ``s``.
+
+        Raises:
+            SingularSystemError: the dense block is exactly singular, or
+                ``t`` fails :func:`_checked`.
         """
+        mask = self.mask
         t = np.zeros(b.size)
         s = None if weights is None else np.zeros(b.size)
-        if self._apply is not None:
-            t[self.mask] = self._apply(b[self.mask], 0)
+        if self._block is not None:
+            t[mask] = _gesv(self._block, b[mask])
             if s is not None:
-                s[self.mask] = self._apply(weights[self.mask], 1)
+                s[mask] = _gesv(self._block.T, weights[mask])
+        elif self._lu is not None:
+            t[mask] = self._lu.solve(b[mask])
+            if s is not None:
+                s[mask] = self._lu.solve(weights[mask], trans="T")
         return _checked(a, b, t), s
+
+
+def _gesv(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK ``gesv`` (``numpy.linalg.solve``) on one block or a stack of blocks.
+
+    Raises:
+        SingularSystemError: a block, or a block of the stack, is exactly singular.
+    """
+    try:
+        return np.linalg.solve(blocks, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(
+            "dense LU failed: the reach-positive block is exactly singular") from None
 
 
 def _sample_solutions(cp: CanonicalProblem, system: LinearSystem, factor: Factor,
                       vectors, count: int):
-    """Each sample's checked ``t``, one at a time: never a ``count x nq`` array.
+    """Each sample's checked ``t``, a chunk at a time: never a ``count x nq`` array.
 
     ``system`` and ``factor`` are the reference's; ``vectors`` go to the
     ``system.slots`` as :func:`_parameter_entries` says, into one copy of the
     reference ``(A, b)``, which stores every support position, so the
     patched system is ``extract_system``'s at the sample, bit for bit. Only
     a positive/zero pattern other than the references' costs a reach search.
-    On the reference mask a dense sample is factored from a copy of the kept
-    block with ``eye`` less the values just written (1.0 on the diagonal,
-    0.0 off it: the bits of a fresh gather); any other sample gets
-    a fresh :class:`Factor`. ``t`` goes through :func:`_checked`, so it
-    equals a :func:`solve_reachability` re-solve of the patched system.
+    The dense samples of a chunk that keep the reference mask are written
+    into stacked copies of the kept block, ``eye`` less the values (1.0 on
+    the diagonal, 0.0 off it: the bits of a fresh gather), and solved by one
+    :func:`_gesv`; a chunk stacks at most ``_SOLVE_ENTRIES`` block entries,
+    so a large block is solved alone. Any other sample gets a fresh
+    :class:`Factor`. Each ``t`` goes through :func:`_checked` on its own
+    patched system, so it equals a :func:`solve_reachability` re-solve.
     """
     rows, cols, values, b_rows, b_values = _parameter_entries(cp, system.slots, vectors, count)
     # A CSR ``a`` gives a 1 x k matrix, and a sparse one for k = 0
@@ -400,22 +415,44 @@ def _sample_solutions(cp: CanonicalProblem, system: LinearSystem, factor: Factor
     same_pattern = (((values > 0.0) == (reference > 0.0)).all(axis=1)
                     & ((b_values > 0.0) == (system.b[b_rows] > 0.0)).all(axis=1))
     mask, kept = factor.mask, factor._block
+    step = 1
     if kept is not None:
-        inside = mask[rows] & mask[cols]
+        step = max(1, _SOLVE_ENTRIES // kept.size)
+        inside, b_inside = mask[rows] & mask[cols], mask[b_rows]
         r, c = rows[inside], cols[inside]
         order = np.cumsum(mask) - 1
-        at, eye = (order[r], order[c]), np.where(r == c, 1.0, 0.0)
+        at, eye, b_at = (order[r], order[c]), np.where(r == c, 1.0, 0.0), order[b_rows[b_inside]]
     a, b = system.a.copy(), np.array(system.b)
-    for k in range(count):
+
+    def patch(k):
         a[rows, cols] = values[k]
         b[b_rows] = b_values[k]
-        sample_mask = mask if same_pattern[k] else reach_positive_mask(a, b)
-        if kept is not None and (same_pattern[k] or np.array_equal(sample_mask, mask)):
-            block = kept.copy(order="F")
-            block[at] = eye - values[k][inside]
-            yield Factor(a, mask, block).solve(a, b)[0]
-        else:
-            yield Factor(a, sample_mask).solve(a, b)[0]
+
+    for start in range(0, count, step):
+        chunk = range(start, min(start + step, count))
+        others = {}  # the samples whose reach search finds another mask
+        for k in chunk:
+            if not same_pattern[k]:
+                patch(k)
+                sample_mask = reach_positive_mask(a, b)
+                if kept is None or not np.array_equal(sample_mask, mask):
+                    others[k] = sample_mask
+        stack = [k for k in chunk if k not in others] if kept is not None else []
+        solved = {}
+        if stack:
+            blocks = np.repeat(kept[None], len(stack), axis=0)
+            blocks[:, at[0], at[1]] = eye - values[stack][:, inside]
+            rhs = np.repeat(system.b[mask][None], len(stack), axis=0)
+            rhs[:, b_at] = b_values[stack][:, b_inside]
+            solved = dict(zip(stack, _gesv(blocks, rhs[..., None])[..., 0]))
+        for k in chunk:
+            patch(k)
+            if k in solved:
+                t = np.zeros(b.size)
+                t[mask] = solved[k]
+                yield _checked(a, b, t)
+            else:
+                yield Factor(a, others.get(k, mask)).solve(a, b)[0]
 
 
 def _checked(a, b: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -265,6 +265,22 @@ def count_calls(monkeypatch, calls: dict, *sources) -> None:
                 monkeypatch.setattr(module, name, wrapper)
 
 
+def count_lapack_blocks(monkeypatch, calls: dict) -> None:
+    """Count the dense blocks handed to LAPACK into ``calls["gesv"]``.
+
+    Wraps ``reachability._gesv``, the one dense LAPACK call; a stacked call
+    counts one per block of the stack.
+    """
+    import pmcperturb.reachability as reachability
+
+    gesv = reachability._gesv
+
+    def wrapper(blocks, rhs):
+        calls["gesv"] += int(np.prod(blocks.shape[:-2]))
+        return gesv(blocks, rhs)
+    monkeypatch.setattr(reachability, "_gesv", wrapper)
+
+
 @pytest.fixture
 def frog():
     from pmcperturb import build_frog

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import count_calls
+from conftest import count_calls, count_lapack_blocks
 
 import pmcperturb.cli as cli
 from pmcperturb import SingularSystemError
@@ -405,6 +405,48 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_dense_commands_leave_scipy_unloaded():
+    # The dense kernel runs on numpy's LAPACK, so the commands on the two
+    # case studies never load scipy, and the sparse kernel still loads it
+    # when a large banded chain needs it.
+    probe = f"""
+import contextlib, io, json, sys
+import numpy as np
+import pmcperturb.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+loaded = {{"import pmcperturb.cli": scipy_modules()}}
+commands = [[command, model, *extra] for model in ({FROG!r}, {ZEROCONF!r})
+            for command, extra in (("check", []), ("sensitivity", ["--format", "json"]),
+                                   ("validate", ["--delta", "0.02", "--samples", "20"]))]
+for argv in commands + [["paper-tables"], ["paper-tables", "--format", "json"]]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded[" ".join(argv)] = scipy_modules()
+
+from conftest import birth_death_chain
+from pmcperturb import gradient_coefficients
+from pmcperturb.reachability import SPARSE_MIN_STATES
+pmc, problem, expected = birth_death_chain(SPARSE_MIN_STATES + 2)
+reference = gradient_coefficients(pmc, problem)
+print(json.dumps({{"loaded": loaded, "expected": expected,
+                  "probability": reference.probability,
+                  "csr": not isinstance(reference.system.a, np.ndarray),
+                  "scipy.sparse.linalg": "scipy.sparse.linalg" in sys.modules}}))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True, timeout=300)
+    record = json.loads(result.stdout)
+    assert len(record["loaded"]) == 9
+    assert record["loaded"] == dict.fromkeys(record["loaded"], [])
+    assert record["csr"] and record["scipy.sparse.linalg"]
+    assert record["probability"] == pytest.approx(record["expected"], rel=1e-9)
+
+
 def test_validate_negative_samples(capsys):
     code, out, err = run(capsys, "validate", ZEROCONF, "--delta", "0.01", "--samples", "-3")
     assert code == 1
@@ -437,15 +479,18 @@ def test_paper_tables_solve_count(capsys, monkeypatch):
     """Two reference solves (one per model) and one re-solve per table row.
 
     Each model is canonicalized, extracted and searched once, and its
-    ``n x n`` matrix is never instantiated.
+    ``n x n`` matrix is never instantiated. LAPACK gets two blocks per
+    reference solve (``t``, and ``s`` on the transpose) and one per row.
     """
     import pmcperturb.reachability as reachability
 
     calls = {"gradient_coefficients": 0, "canonicalize": 0, "extract_system": 0,
-             "instantiate": 0, "reach_positive_mask": 0, "_getrf": 0}
+             "instantiate": 0, "reach_positive_mask": 0}
     count_calls(monkeypatch, calls, reachability)
+    calls["gesv"] = 0
+    count_lapack_blocks(monkeypatch, calls)
     assert run(capsys, "paper-tables", "--format", "json")[0] == 0
     # Every published perturbed vector keeps the reference's positive
     # entries, so the table rows reuse the reference reach search.
     assert calls == {"gradient_coefficients": 2, "canonicalize": 2, "extract_system": 2,
-                     "instantiate": 0, "reach_positive_mask": 2, "_getrf": 2 + 3 + 6}
+                     "instantiate": 0, "reach_positive_mask": 2, "gesv": 4 + 3 + 6}

@@ -159,6 +159,16 @@ class TestAssignment:
         with pytest.raises(SimplexViolationError, match=r"\(sum 0\.9, min 0\.4\)$"):
             Assignment({"q": np.array([0.5, 0.4])})
 
+    def test_equality_compares_ids_and_vectors(self):
+        v = np.array([0.25, 0.75])
+        assert Assignment({"hop": v}) == Assignment({"hop": v})
+        assert Assignment({"hop": v, "q": (1.0,)}) == Assignment({"q": [1.0], "hop": v.copy()})
+        assert Assignment({"hop": v}) != Assignment({"hop": (0.75, 0.25)})
+        assert Assignment({"hop": v}) != Assignment({"hop": (0.25, 0.5, 0.25)})
+        assert Assignment({"hop": v}) != Assignment({"q": v})
+        assert Assignment({"hop": v}) != Assignment({"hop": v, "q": (1.0,)})
+        assert Assignment({"hop": v}) != {"hop": v}
+
 
 class TestBuilders:
     def test_zeroconf_domain(self):

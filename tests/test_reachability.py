@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     birth_death_chain,
     count_calls,
+    count_lapack_blocks,
     random_pmc,
     random_problem,
     random_sparse_pmc,
@@ -301,7 +302,7 @@ class TestSolve:
         np.testing.assert_allclose(p, series, atol=1e-9)
 
     @pytest.mark.parametrize("kernel, message", [
-        ("dense", r"pivot U\[2, 2\] of the reach-positive block is exactly 0"),
+        ("dense", r"^dense LU failed: the reach-positive block is exactly singular$"),
         ("sparse", "sparse LU failed"),
     ], ids=["dense", "sparse"])
     def test_singular_block_reported(self, kernel, message):
@@ -455,9 +456,10 @@ def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog, k
     """``analyze`` and ``validate_bounds`` each build and factor the reference once.
 
     One ``canonicalize``, one ``extract_system``, one lookup of the
-    parameters' positions, one reach search and one factorization per
-    reference solve: ``getrf`` on the dense frog, SuperLU on a sparse
-    birth-death chain. Both systems are read from the model rows, so
+    parameters' positions and one reach search per reference solve, and
+    one SuperLU factorization on a sparse birth-death chain; on the dense
+    frog LAPACK gets the reference block twice, for ``t`` and, transposed,
+    for ``s``. Both systems are read from the model rows, so
     ``instantiate`` is never called, and the samples read the positions
     from the reference system.
     """
@@ -467,21 +469,26 @@ def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog, k
 
     dense = kernel == "dense"
     pmc, problem, _ = frog if dense else birth_death_chain(SPARSE_MIN_STATES + 2)
-    lu = "_getrf" if dense else "splu"
+    lu, reference_blocks = ("gesv", 2) if dense else ("splu", 1)
     calls = {"canonicalize": 0, "extract_system": 0, "_parameter_slots": 0, "instantiate": 0,
-             "reach_positive_mask": 0, lu: 0}
+             "reach_positive_mask": 0, **({} if dense else {"splu": 0})}
     count_calls(monkeypatch, calls, reachability, scipy.sparse.linalg)
-    once = {**dict.fromkeys(calls, 1), "instantiate": 0}
+    if dense:
+        calls["gesv"] = 0
+        count_lapack_blocks(monkeypatch, calls)
+    once = {**dict.fromkeys(calls, 1), "instantiate": 0, lu: reference_blocks}
     analyze(gradient_coefficients(pmc, problem))
     assert calls == once
 
     calls.update(dict.fromkeys(calls, 0))
     report = validate_bounds(gradient_coefficients(pmc, problem),
                              {p.id: 0.01 for p in pmc.parameters}, n_samples=5, seed=1)
-    # One reference solve, then one factorization per evaluated sample. Only
-    # a sample that moves an entry to or from 0 needs its own reach search:
-    # none on the frog, and on the chain those that raise its reference zero.
+    # One reference solve, then one block or factorization per evaluated
+    # sample. Only a sample that moves an entry to or from 0 needs its own
+    # reach search: none on the frog, and on the chain those that raise its
+    # reference zero.
     moved = sum(any(((sample.assignment[p.id] > 0.0) != (p.reference > 0.0)).any()
                     for p in pmc.parameters) for sample in report.samples)
     assert moved == 0 if dense else moved > 0
-    assert calls == {**once, "reach_positive_mask": 1 + moved, lu: 1 + len(report.samples)}
+    assert calls == {**once, "reach_positive_mask": 1 + moved,
+                     lu: reference_blocks + len(report.samples)}

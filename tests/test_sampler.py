@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     count_calls,
+    count_lapack_blocks,
     direct_resolve,
     random_case,
     random_pmc,
@@ -38,6 +39,7 @@ from pmcperturb import (
     linear_estimate,
     reach_positive_mask,
     sample_on_simplex,
+    solve_reachability,
     validate_bounds,
 )
 
@@ -486,9 +488,9 @@ class TestBatchEvaluation:
     def test_clipped_samples_patch_the_reference_block(self, monkeypatch):
         # The traffic of a validate run on a dense chain with small entries:
         # samples clip an entry to 0, so each runs a reach search, but keep
-        # the reference mask. Each is then factored once, from a copy of the
-        # reference block with its parameter entries rewritten: no sample
-        # gathers its own I - A block.
+        # the reference mask. Each is then one block handed to LAPACK, a
+        # copy of the reference block with its parameter entries rewritten:
+        # no sample builds a Factor, so none gathers its own I - A block.
         import pmcperturb.reachability as reachability
 
         rng = np.random.default_rng(0)
@@ -499,12 +501,14 @@ class TestBatchEvaluation:
         gathers = []
         init = reachability.Factor.__init__
 
-        def spy(self, a, mask, block=None):
-            gathers.append(block is None)
-            init(self, a, mask, block)
+        def spy(self, a, mask):
+            gathers.append(mask)
+            init(self, a, mask)
         monkeypatch.setattr(reachability.Factor, "__init__", spy)
-        calls = {"reach_positive_mask": 0, "_getrf": 0}
+        calls = {"reach_positive_mask": 0}
         count_calls(monkeypatch, calls, reachability)
+        calls["gesv"] = 0
+        count_lapack_blocks(monkeypatch, calls)
         report = validate_bounds(reference, {p.id: 0.05 for p in pmc.parameters},
                                  n_samples=8, seed=0)
         monkeypatch.undo()
@@ -512,13 +516,65 @@ class TestBatchEvaluation:
         clipped = sum(any((sample.assignment[p.id] == 0.0).any() for p in pmc.parameters)
                       for sample in report.samples)
         assert clipped >= len(report.samples) // 2
-        assert calls == {"reach_positive_mask": clipped, "_getrf": len(report.samples)}
-        assert gathers == [False] * len(report.samples)
+        assert calls == {"reach_positive_mask": clipped, "gesv": len(report.samples)}
+        assert gathers == []
         for sample in report.samples:
             assert_sample_matches_direct_resolve(pmc, cp, reference, sample)
             system = extract_system(pmc, cp, Assignment(sample.assignment.vectors))
             np.testing.assert_array_equal(reach_positive_mask(system.a, system.b),
                                           reference.factor.mask)
+
+    def test_stacked_solves_equal_one_solve_per_sample(self, monkeypatch, zeroconf):
+        # A batch of 25 samples in chunks of four blocks, solved one block
+        # per call and by a fresh gather per sample (solve_reachability):
+        # every t has the same bits. Cleared and raised samples, which run
+        # the reach search and may leave the reference mask, sit between the
+        # kept ones and on both sides of the chunk boundaries.
+        import pmcperturb.reachability as reachability
+
+        rng = np.random.default_rng(2205)
+        # zeroconf, full-support draws, and sparse ones whose moves can
+        # change the mask
+        cases = [zeroconf] + [random_case(rng, int(rng.integers(6, 14)), int(rng.integers(1, 4)))
+                              for _ in range(6)]
+        for _ in range(30):
+            n = int(rng.integers(4, 12))
+            pmc = random_sparse_pmc(rng, n, int(rng.integers(1, min(n, 4) + 1)))
+            problem = random_problem(rng, n)
+            cases.append((pmc, problem, canonicalize(pmc, problem)))
+        labels = ["keep", "keep", "cleared", "keep", "raised"] * 5
+        searches = left = 0
+        for pmc, problem, cp in cases:
+            reference = gradient_coefficients(pmc, problem)
+            vectors = {}
+            for param in pmc.parameters:
+                raised, cleared = support_moves(rng, param.reference)
+                moves = {"raised": raised, "cleared": cleared}
+                vectors[param.id] = np.array([
+                    pattern_keeping_move(rng, param.reference) if moves.get(label) is None
+                    else moves[label] for label in labels])
+            rows = [vectors[p.id] for p in pmc.parameters]
+            kept = reference.factor._block
+
+            def solutions(blocks_per_chunk):
+                monkeypatch.setattr(reachability, "_SOLVE_ENTRIES",
+                                    blocks_per_chunk * (1 if kept is None else kept.size))
+                return [t.tobytes() for t in reachability._sample_solutions(
+                    cp, reference.system, reference.factor, rows, len(labels))]
+
+            calls = {"reach_positive_mask": 0}
+            count_calls(monkeypatch, calls, reachability)
+            stacked = solutions(4)
+            searches += calls["reach_positive_mask"]
+            assert solutions(1) == stacked
+            for k, t in enumerate(stacked):
+                system = extract_system(pmc, cp, Assignment(
+                    {p.id: vectors[p.id][k] for p in pmc.parameters}))
+                assert solve_reachability(system).tobytes() == t
+                left += not np.array_equal(reach_positive_mask(system.a, system.b),
+                                           reference.factor.mask)
+            monkeypatch.undo()
+        assert searches >= 50 and left >= 10, (searches, left)
 
     def test_batch_checks(self, frog):
         pmc, problem, _ = frog
@@ -615,6 +671,20 @@ class TestSampleBatch:
         tail = batch[2::2]
         assert len(tail) == 3 and [s.exact for s in tail] == [s.exact for s in list(batch)[2::2]]
         assert list(batch[8:]) == []
+
+    def test_samples_compare_by_value(self, report):
+        # zeroconf's parameters have two entries, so random samples at one
+        # distance can repeat; the two extremal samples always differ
+        batch = report.samples
+        assert batch[3] == batch[3] and batch[3] is not batch[3]
+        assert batch[0] != batch[1] and batch[0].assignment != batch[1].assignment
+        assert batch[3].assignment == batch[3].assignment
+        assert batch[5] in batch and batch[5:].index(batch[5]) == 0
+        assert batch[0] not in batch[1:]
+        for k, sample in enumerate(batch):
+            first = batch.index(sample)
+            assert first <= k and batch[first] == sample
+            assert all(batch[j] != sample for j in range(first))
 
     def test_columns_are_read_only(self, report):
         batch = report.samples
