@@ -28,7 +28,8 @@ the form of ``A``; no caller branches on it:
   is kept, read-only, and LAPACK ``gesv`` (``numpy.linalg.solve``) solves
   it for ``t`` and, transposed, for ``s``: one LU per right-hand side,
   since numpy keeps no factor. The sampled systems on the same mask are
-  patched into stacked copies of the block, one ``gesv`` call per chunk.
+  patched into stacked copies of the system and of the block, one
+  ``gesv`` call and one residual check per chunk.
 * A CSR ``A``: the mask comes from one breadth-first search from a virtual
   state joined to every state with ``b > 0``, and SuperLU
   (``scipy.sparse.linalg.splu``) factors once and solves.
@@ -75,7 +76,7 @@ SPARSE_MIN_STATES = 512
 SPARSE_BANDWIDTH_DIVISOR = 32
 #: Entries of concrete rows scanned at once by the extraction (512 kB).
 _SCAN_ENTRIES = 1 << 16
-#: Entries of sampled dense blocks stacked into one LAPACK call (512 kB).
+#: Entries of sampled dense systems ``A`` stacked into one chunk (512 kB).
 _SOLVE_ENTRIES = 1 << 16
 
 
@@ -397,17 +398,23 @@ def _sample_solutions(cp: CanonicalProblem, system: LinearSystem, factor: Factor
     """Each sample's checked ``t``, a chunk at a time: never a ``count x nq`` array.
 
     ``system`` and ``factor`` are the reference's; ``vectors`` go to the
-    ``system.slots`` as :func:`_parameter_entries` says, into one copy of the
+    ``system.slots`` as :func:`_parameter_entries` says, into a copy of the
     reference ``(A, b)``, which stores every support position, so the
     patched system is ``extract_system``'s at the sample, bit for bit. Only
-    a positive/zero pattern other than the references' costs a reach search.
-    The dense samples of a chunk that keep the reference mask are written
-    into stacked copies of the kept block, ``eye`` less the values (1.0 on
-    the diagonal, 0.0 off it: the bits of a fresh gather), and solved by one
-    :func:`_gesv`; a chunk stacks at most ``_SOLVE_ENTRIES`` block entries,
-    so a large block is solved alone. Any other sample gets a fresh
-    :class:`Factor`. Each ``t`` goes through :func:`_checked` on its own
-    patched system, so it equals a :func:`solve_reachability` re-solve.
+    a positive/zero pattern other than the references' costs a reach search,
+    and a sample whose search finds another mask gets a fresh
+    :class:`Factor`. A CSR system, or a reference with nothing
+    reach-positive, is patched and solved one sample at a time.
+
+    On a dense block, the chunk's samples go into stacked copies of
+    ``(A, b)`` and of the kept block, made once per call: each chunk
+    rewrites only the parameter positions, with ``eye`` less the values in
+    the block (1.0 on the diagonal, 0.0 off it: the bits of a fresh
+    gather). The samples that keep the reference mask are solved by one
+    :func:`_gesv` and go through :func:`_checked` together, on their own
+    patched systems, so each ``t`` equals a :func:`solve_reachability`
+    re-solve. A chunk stacks at most ``_SOLVE_ENTRIES`` entries of ``A``,
+    so a large system is solved alone.
     """
     rows, cols, values, b_rows, b_values = _parameter_entries(cp, system.slots, vectors, count)
     # A CSR ``a`` gives a 1 x k matrix, and a sparse one for k = 0
@@ -415,52 +422,52 @@ def _sample_solutions(cp: CanonicalProblem, system: LinearSystem, factor: Factor
     same_pattern = (((values > 0.0) == (reference > 0.0)).all(axis=1)
                     & ((b_values > 0.0) == (system.b[b_rows] > 0.0)).all(axis=1))
     mask, kept = factor.mask, factor._block
-    step = 1
-    if kept is not None:
-        step = max(1, _SOLVE_ENTRIES // kept.size)
-        inside, b_inside = mask[rows] & mask[cols], mask[b_rows]
-        r, c = rows[inside], cols[inside]
-        order = np.cumsum(mask) - 1
-        at, eye, b_at = (order[r], order[c]), np.where(r == c, 1.0, 0.0), order[b_rows[b_inside]]
-    a, b = system.a.copy(), np.array(system.b)
+    if kept is None:
+        a, b = system.a.copy(), np.array(system.b)
+        for k in range(count):
+            a[rows, cols] = values[k]
+            b[b_rows] = b_values[k]
+            yield Factor(a, mask if same_pattern[k] else reach_positive_mask(a, b)).solve(a, b)[0]
+        return
 
-    def patch(k):
-        a[rows, cols] = values[k]
-        b[b_rows] = b_values[k]
-
+    step = max(1, min(count, _SOLVE_ENTRIES // system.a.size))
+    a, b, blocks = (np.repeat(x[None], step, axis=0) for x in (system.a, system.b, kept))
+    inside = mask[rows] & mask[cols]
+    r, c = rows[inside], cols[inside]
+    order = np.cumsum(mask) - 1
+    at, eye = (order[r], order[c]), np.where(r == c, 1.0, 0.0)
     for start in range(0, count, step):
-        chunk = range(start, min(start + step, count))
-        others = {}  # the samples whose reach search finds another mask
-        for k in chunk:
-            if not same_pattern[k]:
-                patch(k)
-                sample_mask = reach_positive_mask(a, b)
-                if kept is None or not np.array_equal(sample_mask, mask):
-                    others[k] = sample_mask
-        stack = [k for k in chunk if k not in others] if kept is not None else []
-        solved = {}
-        if stack:
-            blocks = np.repeat(kept[None], len(stack), axis=0)
-            blocks[:, at[0], at[1]] = eye - values[stack][:, inside]
-            rhs = np.repeat(system.b[mask][None], len(stack), axis=0)
-            rhs[:, b_at] = b_values[stack][:, b_inside]
-            solved = dict(zip(stack, _gesv(blocks, rhs[..., None])[..., 0]))
-        for k in chunk:
-            patch(k)
-            if k in solved:
-                t = np.zeros(b.size)
-                t[mask] = solved[k]
-                yield _checked(a, b, t)
-            else:
-                yield Factor(a, others.get(k, mask)).solve(a, b)[0]
+        n = min(step, count - start)
+        a[:n, rows, cols] = values[start:start + n]
+        b[:n, b_rows] = b_values[start:start + n]
+        others = {}  # the chunk's samples whose reach search finds another mask
+        for j in np.flatnonzero(~same_pattern[start:start + n]).tolist():
+            sample_mask = reach_positive_mask(a[j], b[j])
+            if not np.array_equal(sample_mask, mask):
+                others[j] = sample_mask
+        stack = slice(n) if not others else [j for j in range(n) if j not in others]
+        kept_values, kept_b = values[start:start + n][stack], b[stack]
+        blocks[:len(kept_b), at[0], at[1]] = eye - kept_values[:, inside]
+        t = np.zeros(kept_b.shape)
+        t[:, mask] = _gesv(blocks[:len(kept_b)], kept_b[:, mask, None])[..., 0]
+        solved = iter(_checked(a[stack], kept_b, t))
+        for j in range(n):
+            yield Factor(a[j], others[j]).solve(a[j], b[j])[0] if j in others else next(solved)
 
 
 def _checked(a, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``t`` held to ``RESIDUAL_HARD`` on the whole system, clipped to [0, 1], read-only."""
-    residual = float(np.abs(t - (a @ t + b)).max(initial=0.0))
-    if not residual <= RESIDUAL_HARD:  # a NaN residual (NaN entry, say) fails too
+    """``t`` held to ``RESIDUAL_HARD`` on the whole system, clipped to [0, 1], read-only.
+
+    ``a``, ``b`` and ``t`` may carry a leading stack axis, one system per
+    row of ``t``: every row is checked at once, and the first that fails is
+    named.
+    """
+    residual = np.abs(t - ((a @ t[..., None])[..., 0] + b)).max(axis=-1, initial=0.0)
+    failed = np.flatnonzero(~(residual <= RESIDUAL_HARD))  # a NaN residual fails too
+    if failed.size:
         raise SingularSystemError(
-            f"direct solve residual {residual:.3e} exceeds {RESIDUAL_HARD:.0e}")
+            f"direct solve residual {float(residual.flat[failed[0]]):.3e} "
+            f"exceeds {RESIDUAL_HARD:.0e}")
     t = t.clip(0.0, 1.0)
     t.flags.writeable = False
     return t

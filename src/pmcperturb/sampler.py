@@ -38,14 +38,17 @@ this distance; others are rejected before anything is sampled.
 
 Randomness for sample ``k`` of a run derives from ``(seed, k)``, so results
 do not depend on evaluation order or run size, and identical seeds give
-bit-identical reports.
+bit-identical reports. Sample ``k`` draws the stream of
+``np.random.default_rng([seed, k])``; the starting states of a run's
+streams are computed together, in one array pass, and set on one
+generator in turn, rather than seeding a generator per sample.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -246,13 +249,85 @@ def sample_on_simplex(reference, delta: float, rng: np.random.Generator) -> np.n
     return as_vector(_spread(r, delta / 2.0, *_draw(rng, 1, r.size))[0])
 
 
+def _uint32_words(n: int) -> list[int]:
+    """``n >= 0`` as little-endian 32-bit words, as numpy's ``SeedSequence`` reads an integer."""
+    n = operator.index(n)
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _streams(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:
+    """The stream of ``np.random.default_rng([seed, k])`` for each ``k`` of ``indices``, in order.
+
+    One generator is yielded for every ``k``, its state set before each
+    yield, so a caller draws from it before advancing. The starting states
+    are computed in one pass. numpy's ``SeedSequence`` mixes the entropy
+    words ``[seed words..., k words...]`` into a pool of four words; its
+    hash constants do not depend on the data, so the mixing runs as uint32
+    array arithmetic over every index of one word count at once, followed
+    by ``generate_state(4, uint64)``. PCG64's seeding step
+    (``inc = 2 * initseq + 1``, two LCG steps) then runs in Python ints.
+    Both are fixed by numpy's RNG policy (NEP 19), so each stream is the
+    ``default_rng`` one bit for bit, for any seed and index width.
+    """
+    mask32, mask128 = 0xFFFFFFFF, (1 << 128) - 1
+    pcg64_multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+    seed_words = _uint32_words(seed)
+    by_width: dict[int, list[int]] = {}
+    for i, k in enumerate(indices):
+        by_width.setdefault(1 if k <= mask32 else len(_uint32_words(k)), []).append(i)
+    states = [(0, 0)] * len(indices)
+    for width, members in by_width.items():
+        entropy = np.empty((len(members), len(seed_words) + width), dtype=np.uint32)
+        entropy[:, :len(seed_words)] = seed_words
+        entropy[:, len(seed_words):] = [_uint32_words(indices[i]) for i in members] \
+            if width > 1 else [[indices[i]] for i in members]
+        hash_const = 0x43B0D7E5
+
+        def hashmix(value, multiplier=0x931E8875):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = hash_const * multiplier & mask32
+            value = value * np.uint32(hash_const)
+            return value ^ value >> 16
+
+        def mix(x, y):
+            value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+            return value ^ value >> 16
+
+        zeros = np.zeros(len(members), dtype=np.uint32)
+        pool = [hashmix(entropy[:, i] if i < entropy.shape[1] else zeros) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src in range(4, entropy.shape[1]):
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+        hash_const = 0x8B51F9DD  # generate_state's hash: hashmix's, with its own constants
+        words = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+        # uint64 word j is (words[2j + 1], words[2j]); PCG64 reads 128-bit
+        # initstate = (word 0, word 1) and initseq = (word 2, word 3), high first
+        high, low, seq_high, seq_low = (
+            (words[2 * j + 1].astype(np.uint64) << 32 | words[2 * j]).tolist() for j in range(4))
+        for i, hi, lo, seq_hi, seq_lo in zip(members, high, low, seq_high, seq_low):
+            inc = (seq_hi << 65 | seq_lo << 1 | 1) & mask128
+            states[i] = ((inc + (hi << 64 | lo)) * pcg64_multiplier + inc) & mask128, inc
+    rng = np.random.Generator(np.random.PCG64())
+    for state, inc in states:
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def _random_rows(params: Sequence[DistributionParameter], deltas: Mapping[str, float],
                  seed: int, indices: Iterable[int]) -> dict[str, np.ndarray]:
     """Random vectors of ``params``, one row per sample index ``k``.
 
-    Sample ``k`` draws from the generator keyed ``[seed, k]``: all parameters
-    of one arity at once, in ascending arity. Each parameter moves by its
-    distance in ``deltas``; single-entry parameters keep their references.
+    Sample ``k`` draws from the stream of ``np.random.default_rng([seed, k])``,
+    reached through :func:`_streams`: all parameters of one arity at once,
+    in ascending arity. Each parameter moves by its distance in ``deltas``;
+    single-entry parameters keep their references.
     """
     indices = list(indices)
     groups: dict[int, list[DistributionParameter]] = {}
@@ -262,8 +337,7 @@ def _random_rows(params: Sequence[DistributionParameter], deltas: Mapping[str, f
     keys = {a: np.empty((len(indices), len(groups[a]), a)) for a in moving}
     cuts = {a: np.empty((len(indices), len(groups[a])), dtype=np.int64) for a in moving}
     exps = {a: np.empty((len(indices), len(groups[a]), a)) for a in moving}
-    for i, k in enumerate(indices):
-        rng = np.random.default_rng([seed, k])
+    for i, rng in enumerate(_streams(seed, indices)):
         for a in moving:
             keys[a][i], cuts[a][i], exps[a][i] = _draw(rng, len(groups[a]), a)
 

@@ -281,6 +281,15 @@ def count_lapack_blocks(monkeypatch, calls: dict) -> None:
     monkeypatch.setattr(reachability, "_gesv", wrapper)
 
 
+def default_rng_streams(seed, indices):
+    """One fresh ``np.random.default_rng([seed, k])`` per index.
+
+    These are the streams that ``sampler._streams`` reproduces: the
+    reference it is compared with.
+    """
+    return (np.random.default_rng([seed, k]) for k in indices)
+
+
 @pytest.fixture
 def frog():
     from pmcperturb import build_frog

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import count_calls, count_lapack_blocks
+from conftest import count_calls, count_lapack_blocks, default_rng_streams
 
 import pmcperturb.cli as cli
 from pmcperturb import SingularSystemError
@@ -174,6 +174,21 @@ def test_validate_per_parameter(capsys):
                        "--samples", "5", "--seed", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["bound"] == pytest.approx(1.5594527067221858e-05, abs=1e-12)
+
+
+def test_validate_multiword_seed_draws_the_default_rng_streams(capsys, monkeypatch):
+    # 2**64 + 5 is a three-word seed: with the sample index it fills
+    # SeedSequence's four-word pool. The output must be the bytes of one
+    # np.random.default_rng([seed, k]) per sample.
+    import pmcperturb.sampler as sampler
+
+    argv = ("validate", ZEROCONF, "--delta", "0.01", "--samples", "50",
+            "--seed", "18446744073709551621", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] == 2**64 + 5
+    monkeypatch.setattr(sampler, "_streams", default_rng_streams)
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def test_validate_requires_delta(capsys):

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     count_calls,
     count_lapack_blocks,
+    default_rng_streams,
     direct_resolve,
     random_case,
     random_pmc,
@@ -18,6 +19,7 @@ from pmcperturb import (
     ArityMismatchError,
     Assignment,
     BadIndicesError,
+    DistributionParameter,
     DomainError,
     EmptyVectorError,
     InfeasibleDistanceError,
@@ -27,6 +29,7 @@ from pmcperturb import (
     Pmc,
     ReachabilityProblem,
     SimplexViolationError,
+    SingularSystemError,
     UnknownParameterError,
     absolute_distance,
     canonicalize,
@@ -153,6 +156,43 @@ class TestSampleOnSimplex:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         assert rng.bit_generator.state == three_calls.bit_generator.state
+
+
+STREAM_SEEDS = [0, 1, 3005, 2**32 - 1, 2**32, 2**64 + 5, 10**40, np.uint64(2**63 + 7)]
+STREAM_INDICES = [0, 1, 499, 2**32 - 1, 2**32]
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+    def test_streams_are_the_default_rng_streams(self, seed):
+        # One call over indices of one and two words: every stream draws each
+        # arity in turn (arity >= 3 draws integers, which buffers uint32
+        # halves), and ends in default_rng's state, buffer included.
+        from pmcperturb.sampler import _draw, _streams
+
+        for k, rng, expected in zip(STREAM_INDICES, _streams(seed, STREAM_INDICES),
+                                    default_rng_streams(seed, STREAM_INDICES)):
+            for arity in (2, 3, 4, 5, 3):
+                for got, want in zip(_draw(rng, 3, arity), _draw(expected, 3, arity)):
+                    assert got.tobytes() == want.tobytes(), (seed, k, arity)
+            assert rng.bit_generator.state == expected.bit_generator.state, (seed, k)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+    def test_random_rows_equal_default_rng_draws(self, monkeypatch, seed):
+        # Parameters of arities 1-5 drawn together, at indices of one and
+        # two words, give the bytes of a per-sample default_rng.
+        import pmcperturb.sampler as sampler
+
+        rng = np.random.default_rng(23)
+        params = [DistributionParameter(id=f"p{j}", row=j + 1, support=range(1, arity + 1),
+                                        reference=rng.dirichlet(np.ones(arity)))
+                  for j, arity in enumerate((3, 1, 5, 2, 4, 2))]
+        deltas = {p.id: 0.01 * (j + 1) for j, p in enumerate(params)}
+        drawn = sampler._random_rows(params, deltas, seed, STREAM_INDICES)
+        monkeypatch.setattr(sampler, "_streams", default_rng_streams)
+        expected = sampler._random_rows(params, deltas, seed, STREAM_INDICES)
+        for p in params:
+            assert drawn[p.id].tobytes() == expected[p.id].tobytes(), p.id
 
 
 class TestEmpiricalKappa:
@@ -575,6 +615,39 @@ class TestBatchEvaluation:
                                            reference.factor.mask)
             monkeypatch.undo()
         assert searches >= 50 and left >= 10, (searches, left)
+
+    @pytest.mark.parametrize("blocks_per_chunk", [1, 4])
+    @pytest.mark.parametrize("error", [1e-6, float("nan")], ids=["shifted", "nan"])
+    def test_failing_sample_in_a_stacked_chunk(self, monkeypatch, zeroconf,
+                                               blocks_per_chunk, error):
+        # LAPACK returns a wrong solution for sample 5 (the second of its
+        # chunk of four) and a NaN one for sample 6: the chunk's residual
+        # check fails and names the first failing sample's residual.
+        import pmcperturb.reachability as reachability
+
+        pmc, problem, _ = zeroconf
+        reference = gradient_coefficients(pmc, problem)
+        gesv, seen = reachability._gesv, [0]
+
+        def corrupted(blocks, rhs):
+            out = gesv(blocks, rhs)
+            for k in range(seen[0], seen[0] + len(out)):
+                if k == 5:
+                    out[k - seen[0], 0] += error
+                elif k == 6:
+                    out[k - seen[0], 0] = np.nan
+            seen[0] += len(out)
+            return out
+        monkeypatch.setattr(reachability, "_gesv", corrupted)
+        monkeypatch.setattr(reachability, "_SOLVE_ENTRIES",
+                            blocks_per_chunk * reference.system.a.size)
+        with pytest.raises(SingularSystemError,
+                           match=r"^direct solve residual .* exceeds 1e-10$") as excinfo:
+            validate_bounds(reference, {p.id: 0.01 for p in pmc.parameters},
+                            n_samples=10, seed=3)
+        value = float(str(excinfo.value).split()[3])
+        assert np.isnan(value) if np.isnan(error) else 1e-10 < value <= error
+        assert seen[0] == {1: 6, 4: 8}[blocks_per_chunk]  # no later chunk was solved
 
     def test_batch_checks(self, frog):
         pmc, problem, _ = frog
