@@ -13,12 +13,14 @@ encoder, which pays a call and a chain of type tests per value. Floats,
 ints and strs of a column are formatted by one C-level ``map``; dicts that
 share one key order, and arrays of one length, are encoded once per key or
 once for all their items, and their rows are filled into one template.
-A float column that repeats its values, such as the assignments and
-per-parameter distances of a ``validate`` record (a two-entry parameter
-moved by Delta takes one of two vectors), spells each distinct float once.
-It does so only where that cannot change a byte: every value exactly a
-``float`` (an int, a bool or a float subclass may equal a float key and
-spell differently) and no zero (``0.0 == -0.0``).
+A column that repeats itself writes each distinct value once: a float
+column each distinct float, and a column of float rows (lists or tuples of
+one length, or dicts of one key order) each distinct row. The assignments
+and per-parameter distances of a ``validate`` record repeat whole rows: a
+two-entry parameter moved by Delta takes one of two vectors, and every
+parameter moves by exactly Delta. It does so only where that cannot change
+a byte: every float exactly a ``float`` (an int, a bool or a float subclass
+may equal a float key and spell differently) and no zero (``0.0 == -0.0``).
 Every record that the walk does not write (one too deep for it, one that
 holds itself, or one with a value or key of another type) is handed to
 ``json.dumps``, which writes it or raises its own error. Model files
@@ -56,10 +58,12 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 _CONSTANT_TYPES = {type(None), bool}
 #: JSON spellings of the ``float.__repr__`` texts that are not finite numbers.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-#: Leading values of a float column that decide whether it spells each
-#: distinct float once: a column whose first values are at most half distinct
-#: repeats its floats, and one that is not (sampled floats) pays only a
-#: ``set`` this long, not a hash per value.
+#: Leading floats of a column that decide whether it writes each distinct
+#: float or row once: a column whose rows within its first ``_PREFIX`` floats
+#: (a float column's rows are its floats) are at most half distinct repeats
+#: them, and one that does not (sampled floats) pays only a ``set`` this
+#: long, not a hash per value. Counted in floats, not rows, so a column of
+#: rows longer than ``_PREFIX // 2`` (dense vectors) hashes none of them.
 _PREFIX = 64
 #: Exceeding samples listed by :func:`render_validation_table`.
 MAX_TABLE_ROWS = 20
@@ -116,8 +120,9 @@ def _column(values, newline: str) -> list[str]:
     :func:`_floats` spells each distinct float of a repeating column once.
     Dicts with one key order, all keys exactly ``str``, recurse once per key
     and fill each row into one ``%``-template; lists and tuples of one length
-    recurse once over their items chained together and join each row. Any
-    other column of several values, and a float or str column in which some
+    recurse once over their items chained together and join each row. A
+    repeating column of float rows writes each distinct row once. Any other
+    column of several values, and a float or str column in which some
     value raises ``TypeError``, is written one value at a time as columns of
     one; a column of one empty dict, list or tuple is ``{}`` or ``[]``.
     Anything else raises ``TypeError``, for :func:`render_json` to hand over.
@@ -142,17 +147,25 @@ def _column(values, newline: str) -> list[str]:
         keys = tuple(values[0])
         if (keys and all(map(keys.__eq__, map(tuple, values)))
                 and set(map(type, chain.from_iterable(values))) == {str}):
+            rows = list(map(tuple, map(dict.values, values)))
+            unique = _distinct(rows, list(chain.from_iterable(rows)))
             columns = []
-            for column in zip(*map(dict.values, values)):
+            for column in zip(*(unique or rows)):
                 columns.append(_column(column, inner))
-            return list(map(_object(keys, newline).__mod__, zip(*columns)))
+            return _mapped(map(_object(keys, newline).__mod__, zip(*columns)), unique, rows)
     elif kinds <= {list, tuple}:
         lengths = set(map(len, values))
         length = lengths.pop()
         if length and not lengths:
-            texts = _column(list(chain.from_iterable(values)), inner)
-            rows = map(("," + inner).join, zip(*[iter(texts)] * length))
-            return list(map(("[" + inner + "%s" + newline + "]").__mod__, rows))
+            rows = list(map(tuple, values))
+            leaves = list(chain.from_iterable(rows))
+            unique = _distinct(rows, leaves)
+            if unique is not None:
+                leaves = list(chain.from_iterable(unique))
+            texts = _column(leaves, inner)
+            items = map(("," + inner).join, zip(*[iter(texts)] * length))
+            return _mapped(map(("[" + inner + "%s" + newline + "]").__mod__, items),
+                           unique, rows)
     if len(values) > 1:
         return [_column([value], newline)[0] for value in values]
     if first in (dict, list, tuple) and not values[0]:
@@ -163,19 +176,39 @@ def _column(values, newline: str) -> list[str]:
 def _floats(values) -> list[str]:
     """JSON texts of a column led by a float, each distinct float spelled once if it repeats.
 
-    ``dict.fromkeys`` keys equal values together, so the column is mapped
-    through its distinct spellings only when every value is exactly a
-    ``float`` (``1``, ``True`` or a float subclass equal to a float key would
-    take its spelling) and no key is a zero (``0.0`` and ``-0.0`` share one).
-    Each NaN object stays its own key. A value that ``float.__repr__`` or a
-    ``set`` rejects raises ``TypeError``, as it does value by value.
+    A value that is not a float raises ``TypeError`` from ``float.__repr__``,
+    as it does value by value.
     """
-    prefix = values[:_PREFIX]
-    if 2 * len(set(prefix)) <= len(prefix) and set(map(type, values)) == {float}:
-        unique = dict.fromkeys(values)
-        if 0.0 not in unique:
-            return list(map(dict(zip(unique, _spelled(unique))).__getitem__, values))
-    return _spelled(values)
+    unique = _distinct(values, values)
+    return _mapped(_spelled(unique or values), unique, values)
+
+
+def _distinct(rows, leaves):
+    """``dict.fromkeys(rows)`` if the column repeats its rows and may write each once, or None.
+
+    ``rows`` are the column's floats (then ``leaves`` is ``rows`` itself) or
+    tuples of its rows' items, ``leaves`` all those items in order. The rows
+    that fit in the first :data:`_PREFIX` leaves, at least two, must be at
+    most half distinct. ``dict.fromkeys`` keys equal rows together, so each
+    distinct row is spelled once only if every leaf is exactly a ``float``
+    (``1``, ``True`` or a float subclass equal to a float would take its
+    spelling) and no leaf is a zero (``0.0`` and ``-0.0`` are equal). Each
+    NaN object stays its own key.
+    """
+    prefix = rows[:_PREFIX * len(rows) // len(leaves)]
+    if (len(prefix) > 1 and set(map(type, leaves[:_PREFIX])) == {float}
+            and 2 * len(set(prefix)) <= len(prefix) and set(map(type, leaves)) == {float}):
+        unique = dict.fromkeys(rows)
+        if 0.0 not in (unique if rows is leaves else chain.from_iterable(unique)):
+            return unique
+    return None
+
+
+def _mapped(texts, unique, rows) -> list[str]:
+    """The ``texts`` of all ``rows``, or those of the ``unique`` rows mapped onto ``rows``."""
+    if unique is None:
+        return list(texts)
+    return list(map(dict(zip(unique, texts)).__getitem__, rows))
 
 
 def _spelled(values) -> list[str]:

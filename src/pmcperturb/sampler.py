@@ -65,7 +65,7 @@ from .errors import (
     UnknownParameterError,
 )
 from .model import Assignment, DistributionParameter, Pmc, as_vector, is_distribution
-from .perturbation import ReferenceSolve
+from .perturbation import Direction, ReferenceSolve, condition_number_directional
 
 #: Fraction by which observed deltas may exceed the first-order bound before
 #: a validation run is considered inconsistent (the bound is asymptotic, not
@@ -531,12 +531,16 @@ def validate_bounds(reference: ReferenceSolve, deltas: Mapping[str, float],
     bound, exceeds = samples.bound.tolist(), samples.exceeds.tolist()
 
     requested_bound = sum(reference.kappa[pid] * requested[pid] for pid in reference.kappa)
+    # kappa_w from the induced weights: dividing the bound by the total
+    # distance loses precision once the bound is subnormal.
+    total = sum(requested.values())
+    direction = Direction({pid: d / total for pid, d in requested.items()})
     return ValidationReport(
         reference=reference,
         samples=samples,
         requested=requested,
         bound=float(requested_bound),
-        analytic_kappa=float(requested_bound / sum(requested.values())),
+        analytic_kappa=condition_number_directional(reference, direction),
         empirical_kappa=float(max((abs(x) / d for x, d in zip(exact, distance) if d > 0.0),
                                   default=0.0)),
         violations=sum(exceeds),

@@ -20,6 +20,7 @@ from pmcperturb import (
     build_zeroconf,
     gradient_coefficients,
     model_digest,
+    parse_model,
     render_model,
     validate_bounds,
 )
@@ -233,8 +234,13 @@ long_columns = st.lists(st.sampled_from(REPEATING), min_size=1, max_size=4, uniq
 def shapes(column: list, width: int) -> list:
     """``column`` as the writer meets it: flat, in rows of ``width`` and in dicts."""
     rows = [column[i:i + width] for i in range(0, len(column) - width + 1, width)]
-    return [column, rows, [tuple(row) for row in rows], [{"x": value} for value in column],
+    return [column, *row_shapes(rows), [{"x": value} for value in column],
             {"column": column, "rows": [{"row": row} for row in rows]}]
+
+
+def row_shapes(rows: list) -> list:
+    """``rows`` as lists, as tuples and as dicts with one key per item."""
+    return [rows, [tuple(row) for row in rows], [dict(zip("xyz", row)) for row in rows]]
 
 
 @settings(max_examples=300)
@@ -256,16 +262,57 @@ def test_long_repeating_columns(column, width):
     [math.nan, math.inf, -math.inf, 2.5] * 20,
 ], ids=lambda column: ",".join(map(repr, column[:2])))
 def test_repeating_column_edge_values(column):
-    for value in shapes(column, 2):
-        assert render_json(value) == json.dumps(value, indent=2) + "\n"
+    # Alternating, and in two blocks, so that the second spelling also comes
+    # after the leading values that decide whether the column repeats.
+    for ordered in (column, column[::2] + column[1::2]):
+        for value in shapes(ordered, 2):
+            assert render_json(value) == json.dumps(value, indent=2) + "\n"
 
 
-def test_repeating_floats_spelled_once_per_column(monkeypatch):
+# Rows that compare equal across types or spellings, and rows that hold one
+# NaN object or distinct ones, so a column that writes each distinct row once
+# must not merge rows that json.dumps spells differently.
+@pytest.mark.parametrize("rows", [
+    [(0.0, 0.5), (-0.0, 0.5)] * 40,
+    [(0.5, -0.0), (0.5, 0.0)] * 40,
+    [[1.0, 0.5], [1, 0.5]] * 40,
+    [[1.0, 0.5], [True, 0.5]] * 40,
+    [[0.1, 0.5], [np.float64(0.1), 0.5]] * 40,
+    [[0.5, 0.1], [0.5, Real(0.1)]] * 40,
+    [[math.nan, 0.5] for _ in range(80)],
+    [[float("nan"), 0.5] for _ in range(80)],
+    [[0.5, math.inf], (0.5, math.inf)] * 40,
+], ids=lambda rows: ",".join(map(repr, rows[:2])))
+def test_repeating_row_edge_values(rows):
+    for ordered in (rows, rows[::2] + rows[1::2]):
+        for value in row_shapes(ordered):
+            for shape in (value, {"rows": value, "last": value[-1]}):
+                assert render_json(shape) == json.dumps(shape, indent=2) + "\n"
+
+
+@pytest.fixture(scope="module")
+def zeroconf_record() -> dict:
     # Zeroconf's parameters have two entries, so at distance 0.01 each one
     # takes one of two vectors, and the sampled records repeat their floats.
     reference = gradient_coefficients(*build_zeroconf())
-    record = validation_record(validate_bounds(
+    return validation_record(validate_bounds(
         reference, {p.id: 0.01 for p in reference.pmc.parameters}, n_samples=500, seed=1))
+
+
+def spelled_floats(monkeypatch) -> list:
+    """The floats that the writer spells from now on, in order."""
+    spelled = []
+
+    def spell(value):
+        spelled.append(value)
+        return float.__repr__(value)
+
+    monkeypatch.setattr(report, "_FLOAT", spell)
+    return spelled
+
+
+def test_repeating_floats_spelled_once_per_column(monkeypatch, zeroconf_record):
+    record = zeroconf_record
 
     def count(value) -> int:
         if isinstance(value, dict):
@@ -274,15 +321,42 @@ def test_repeating_floats_spelled_once_per_column(monkeypatch):
             return sum(map(count, value))
         return isinstance(value, float)
 
-    spelled = []
-
-    def spell(value):
-        spelled.append(value)
-        return float.__repr__(value)
-
-    monkeypatch.setattr(report, "_FLOAT", spell)
+    spelled = spelled_floats(monkeypatch)
     assert render_json(record) == json.dumps(record, indent=2) + "\n"
     assert 0 < 10 * len(spelled) < count(record)
+
+
+def test_repeating_rows_written_once_per_distinct_row(monkeypatch, zeroconf_record):
+    # Every sample moves each parameter by exactly 0.01, so all distances
+    # dicts are one row, and each parameter's assignment takes two vectors.
+    samples = zeroconf_record["samples"]
+    pids = list(samples[0]["distances"])
+    spelled = spelled_floats(monkeypatch)
+    assert render_json(zeroconf_record) == json.dumps(zeroconf_record, indent=2) + "\n"
+    for column, expected in (
+            ([s["distances"] for s in samples],
+             [x for row in dict.fromkeys(tuple(s["distances"].values()) for s in samples)
+              for x in row]),
+            ([s["assignment"] for s in samples],
+             [x for pid in pids
+              for row in dict.fromkeys(tuple(s["assignment"][pid]) for s in samples)
+              for x in row])):
+        spelled.clear()
+        assert render_json(column) == json.dumps(column, indent=2) + "\n"
+        assert spelled == expected
+        assert 0 < 100 * len(spelled) < 2 * len(pids) * len(samples)
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_model_with_repeating_rows(n):
+    # Every concrete row is one full-support distribution, so the file's
+    # "concrete" lists are one repeating row column.
+    row = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
+    pmc = Pmc(n=n, initial=np.eye(n)[0], parameters=(),
+              concrete_rows={state: row for state in range(1, n + 1)})
+    text = render_model(pmc)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert model_digest(parse_model(text).pmc) == model_digest(pmc)
 
 
 

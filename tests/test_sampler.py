@@ -317,6 +317,18 @@ class TestValidateBounds:
             assert sample.distance == pytest.approx(sum(sample.distances.values()),
                                                     abs=1e-15)
 
+    @pytest.mark.parametrize("delta", [1e-320, 3e-308])
+    def test_analytic_kappa_at_subnormal_bound(self, frog, zeroconf, delta):
+        # The bound sum_i kappa_i * Delta_i is subnormal here; dividing it by
+        # sum_i Delta_i gave 0.31225296442687744 for frog at 1e-320.
+        for pmc, problem, _ in (frog, zeroconf):
+            reference = gradient_coefficients(pmc, problem)
+            report = validate_bounds(reference, {p.id: delta for p in pmc.parameters},
+                                     n_samples=2, seed=0)
+            uniform = sum(reference.kappa.values()) / len(reference.kappa)
+            assert report.analytic_kappa == uniform
+        assert report.analytic_kappa == 0.0019493158834027321
+
     def test_reproducible(self, zeroconf):
         pmc, problem, _ = zeroconf
         reference = gradient_coefficients(pmc, problem)
