@@ -106,11 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_model(args):
-    try:
-        text = args.model.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PmcError(f"cannot read {args.model}: {exc}") from None
-    parsed = parse_model(text)
+    parsed = parse_model(args.model)
     problem = parsed.problem
     if args.constraint is not None or args.destination is not None:
         constraint = args.constraint

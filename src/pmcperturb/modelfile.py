@@ -25,15 +25,25 @@ Unknown fields are rejected. Parsing validates the resulting model, and the
 ids of a ``direction`` must be the model's parameter ids. Rendering is the
 exact inverse of parsing on the data model.
 
-Each row's ``concrete`` or ``reference`` numbers become a read-only float64
-array while the JSON decoder runs, as soon as that row is decoded, so the
-document never holds all n² numbers as Python floats. The peak memory of a
-parse is therefore the text plus the final arrays.
+A file is read a chunk of ``CHUNK_BYTES`` at a time: one reader walks the
+top-level object and its ``rows`` array itself and hands every key and
+every other value, each row included, to the JSON decoder. Each row's
+``concrete`` or ``reference`` numbers become a read-only float64 array as
+soon as that row is decoded, so the parse never holds all n² numbers as
+Python floats, nor the whole text or the whole bytes of the file. The peak
+memory of a parse is therefore about one chunk plus the final arrays. Input
+the reader does not accept (malformed JSON, a top level that is not an
+object, a byte-order mark, a byte that is not UTF-8) is read whole and
+handed to ``json.loads``, which raises the error.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
+import os
+import re
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +53,7 @@ from .errors import (
     ModelSchemaError,
     ModelSyntaxError,
     ModelValidationError,
+    PmcError,
 )
 from .model import DistributionParameter, Pmc, validate_pmc
 from .perturbation import Direction
@@ -50,6 +61,13 @@ from .reachability import ReachabilityProblem
 from .report import render_json
 
 SCHEMA_VERSION = 1
+
+#: Bytes read from a model file at a time. The reader also refills its
+#: window of text before fewer than this many characters are left unread.
+CHUNK_BYTES = 1 << 18
+
+_NUMBER_TYPES = frozenset((int, float))
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
 class ParsedModel(NamedTuple):
@@ -75,7 +93,7 @@ def _float_array(value) -> np.ndarray:
             the double range; the message lacks the location.
     """
     # json.loads yields only builtin types, so exact types reject bools too.
-    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
+    if not isinstance(value, list) or not _NUMBER_TYPES.issuperset(map(type, value)):
         raise ModelSchemaError("expected a list of numbers")
     try:
         arr = np.array(value, dtype=np.float64)
@@ -115,10 +133,184 @@ def _int_list(value, where: str) -> list[int]:
     return list(value)
 
 
-def parse_model(text: str) -> ParsedModel:
-    """Parse and validate a model file.
+_DECODER = json.JSONDecoder(object_hook=_rows_to_arrays)
+_ROWS = object()  # the value of a ``rows`` member that is read row by row
+
+
+class _Rejected(Exception):
+    """The text at the reader's position is not what the walk expects."""
+
+
+class _Window:
+    """Unread text of a JSON document, refilled from an iterator of str chunks.
+
+    ``text[pos:]`` is unread; ``chunks`` yields the rest of the document,
+    and ``eof`` is set once it has yielded everything. Without ``chunks``,
+    ``text`` is the whole document.
+    """
+
+    def __init__(self, text: str, chunks=None):
+        self.text, self.pos, self.chunks, self.eof = text, 0, chunks, chunks is None
+
+    def fill(self, need: int) -> None:
+        """Drop the read text and append chunks until ``need`` characters are unread."""
+        parts = [self.text[self.pos:]]
+        self.text = ""  # freed before the join
+        have = len(parts[0])
+        while have < need:
+            chunk = next(self.chunks, None)
+            if chunk is None:
+                self.eof = True
+                break
+            parts.append(chunk)
+            have += len(chunk)
+        self.text, self.pos = "".join(parts), 0
+
+    def step(self, read, *args):
+        """``read(*args)`` at the current position, on a window that holds it.
+
+        The window is rebased and refilled before fewer than
+        ``CHUNK_BYTES`` characters are unread, so a decode rarely fails on a
+        cut value, and a failed decode (which counts the newlines before its
+        position) counts them in a short window. Before the end of the
+        document, a step that fails is re-run on twice its unread text: its
+        value may be cut, and a number cut at the window's end decodes as a
+        shorter number, so every step ends with the delimiter after its value.
+        """
+        need = CHUNK_BYTES
+        while True:
+            if not self.eof and len(self.text) - self.pos < need:
+                self.fill(need)
+            start = self.pos
+            try:
+                return read(*args)
+            except (ValueError, RecursionError, _Rejected):
+                if self.eof:
+                    raise
+                self.pos = start
+                need = 2 * (len(self.text) - start)
+
+    def skip(self) -> int:
+        """Position of the next non-whitespace character; ``_Rejected`` at the window's end."""
+        self.pos = _WHITESPACE.match(self.text, self.pos).end()
+        if self.pos == len(self.text):
+            raise _Rejected
+        return self.pos
+
+    def expect(self, chars: str) -> str:
+        """The next token, which must be one of ``chars``."""
+        token = self.text[self.skip()]
+        if token not in chars:
+            raise _Rejected
+        self.pos += 1
+        return token
+
+    def opens(self, char: str) -> bool:
+        """Whether the next token is ``char``; it is read if so."""
+        if self.text[self.skip()] != char:
+            return False
+        self.pos += 1
+        return True
+
+    def value(self):
+        """The next JSON value, decoded with ``_rows_to_arrays``."""
+        value, self.pos = _DECODER.raw_decode(self.text, self.skip())
+        return value
+
+    def element(self, close: str):
+        """A value and the delimiter after it; whether that closed the container."""
+        return self.value(), self.expect("," + close) == close
+
+    def member(self):
+        """A key and its value, and whether the object closed after it.
+
+        The value of ``rows`` is left open after its ``[``: ``_ROWS``.
+        """
+        key = self.value()
+        if type(key) is not str:
+            raise _Rejected
+        self.expect(":")
+        if key == "rows" and self.opens("["):
+            return key, _ROWS, False
+        return (key, *self.element("}"))
+
+    def read_object(self) -> dict:
+        """The document's top-level object, through ``_rows_to_arrays``."""
+        doc = {}
+        self.step(self.expect, "{")
+        closed = self.step(self.opens, "}")
+        while not closed:
+            key, value, closed = self.step(self.member)
+            if value is _ROWS:
+                value = []
+                done = self.step(self.opens, "]")
+                while not done:
+                    row, done = self.step(self.element, "]")
+                    value.append(row)
+                closed = self.step(self.expect, ",}") == "}"
+            doc[key] = value
+        while True:  # only whitespace may follow
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                raise _Rejected
+            if self.eof:
+                return _rows_to_arrays(doc)
+            self.fill(CHUNK_BYTES)
+
+
+def _file_chunks(path):
+    """A file's text, decoded as UTF-8 ``CHUNK_BYTES`` bytes at a time."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    with open(path, "rb") as fh:
+        while chunk := fh.read(CHUNK_BYTES):
+            text = decode(chunk)
+            del chunk  # not held while the window joins the text
+            yield text
+    yield decode(b"", final=True)
+
+
+def _read_document(source: str | os.PathLike) -> dict | None:
+    """The top-level object of a model's text or file, read a chunk at a time.
+
+    None where the reader does not accept the input or the file fails to
+    read; ``_load_document`` then gives the document or the error.
+    """
+    if isinstance(source, os.PathLike):
+        chunks = _file_chunks(source)
+        window = _Window("", chunks)
+    elif isinstance(source, str):
+        chunks, window = None, _Window(source)
+    else:  # bytes, which json.loads decodes
+        return None
+    try:
+        return window.read_object()
+    except (OSError, ValueError, RecursionError, _Rejected):
+        return None
+    finally:
+        if chunks is not None:
+            chunks.close()
+
+
+def _load_document(source: str | os.PathLike):
+    """``json.loads`` of the whole text: the path of input ``_read_document`` rejects."""
+    text = source
+    if isinstance(source, os.PathLike):
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PmcError(f"cannot read {source}: {exc}") from None
+    try:
+        return json.loads(text, object_hook=_rows_to_arrays)
+    except json.JSONDecodeError as exc:
+        raise ModelSyntaxError(
+            f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
+def parse_model(source: str | os.PathLike) -> ParsedModel:
+    """Parse and validate a model from its text (a ``str``) or its file's path.
 
     Raises:
+        PmcError: the file cannot be read or is not UTF-8 ("cannot read").
         ModelSyntaxError: not well-formed JSON (location included).
         ModelSchemaError: well-formed but schema-violating (field named).
         ModelValidationError: schema-conforming but semantically invalid;
@@ -126,11 +318,9 @@ def parse_model(text: str) -> ParsedModel:
         DirectionMismatchError: the ``direction`` block's ids are not the
             model's parameter ids.
     """
-    try:
-        doc = json.loads(text, object_hook=_rows_to_arrays)
-    except json.JSONDecodeError as exc:
-        raise ModelSyntaxError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    doc = _read_document(source)
+    if doc is None:
+        doc = _load_document(source)
 
     if not isinstance(doc, dict):
         raise ModelSchemaError("top level: expected an object")
