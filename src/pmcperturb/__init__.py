@@ -45,16 +45,13 @@ from .model import (
 from .modelfile import ParsedModel, parse_model, render_model
 from .perturbation import (
     Direction,
-    LinkIdentityCheck,
     ReferenceSolve,
     SensitivityReport,
     analyze,
     condition_number_basic,
     condition_number_directional,
-    condition_number_parameterwise,
     gradient_coefficients,
     linear_estimate,
-    link_identity_check,
 )
 from .reachability import (
     CanonicalProblem,
@@ -72,7 +69,6 @@ from .sampler import (
     SampleBatch,
     VIOLATION_SLACK,
     ValidationReport,
-    empirical_kappa,
     evaluate_assignments,
     extremal_perturbation,
     sample_on_simplex,
@@ -94,15 +90,13 @@ __all__ = [
     "ValidationResult", "Violation", "ViolationKind", "absolute_distance",
     "instantiate", "model_digest", "reference_assignment", "validate_pmc",
     "ParsedModel", "parse_model", "render_model",
-    "Direction", "LinkIdentityCheck", "ReferenceSolve", "SensitivityReport",
+    "Direction", "ReferenceSolve", "SensitivityReport",
     "analyze", "condition_number_basic", "condition_number_directional",
-    "condition_number_parameterwise", "gradient_coefficients",
-    "linear_estimate", "link_identity_check",
+    "gradient_coefficients", "linear_estimate",
     "CanonicalProblem", "LinearSystem", "ReachabilityProblem", "canonicalize",
     "constrained_initial", "extract_system", "reach_positive_mask",
     "solve_reachability", "total_probability",
     "PerturbationSample", "SampleBatch", "VIOLATION_SLACK", "ValidationReport",
-    "empirical_kappa", "evaluate_assignments", "extremal_perturbation",
-    "sample_on_simplex",
+    "evaluate_assignments", "extremal_perturbation", "sample_on_simplex",
     "validate_bounds",
 ]

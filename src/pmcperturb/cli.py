@@ -136,6 +136,8 @@ def _direction_from_flag(flag: str) -> Direction | None:
         raise PmcError(f"cannot read direction file {flag!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise PmcError(f"direction file {flag!r}: {exc}") from None
+    except RecursionError:
+        raise PmcError(f"direction file {flag!r}: values nested too deeply to decode") from None
     return parse_direction(doc, f"direction file {flag!r}")
 
 

@@ -31,10 +31,12 @@ every other value, each row included, to the JSON decoder. Each row's
 ``concrete`` or ``reference`` numbers become a read-only float64 array as
 soon as that row is decoded, so the parse never holds all n² numbers as
 Python floats, nor the whole text or the whole bytes of the file. The peak
-memory of a parse is therefore about one chunk plus the final arrays. Input
-the reader does not accept (malformed JSON, a top level that is not an
-object, a byte-order mark, a byte that is not UTF-8) is read whole and
-handed to ``json.loads``, which raises the error.
+memory of a parse is therefore about one chunk plus the final arrays. A syntax
+error inside a value, after its first character, is reported by the reader
+itself, with the decoder's message and the line and column in the whole
+file. Other input the reader does not accept (malformed JSON elsewhere, a
+top level that is not an object, a byte-order mark, a byte that is not
+UTF-8) is read whole and handed to ``json.loads``, which raises the error.
 """
 
 from __future__ import annotations
@@ -141,20 +143,36 @@ class _Rejected(Exception):
     """The text at the reader's position is not what the walk expects."""
 
 
+def _lone_crs(text: str, end: int) -> int:
+    """Carriage returns in ``text[:end]`` that no line feed follows."""
+    if text.find("\r", 0, end) < 0:
+        return 0
+    return text.count("\r", 0, end) - text.count("\r\n", 0, end)
+
+
 class _Window:
     """Unread text of a JSON document, refilled from an iterator of str chunks.
 
     ``text[pos:]`` is unread; ``chunks`` yields the rest of the document,
     and ``eof`` is set once it has yielded everything. Without ``chunks``,
-    ``text`` is the whole document.
+    ``text`` is the whole document. ``lines`` and ``column`` count the line
+    feeds in the dropped text and the characters after its last one;
+    ``lone_crs`` counts its lone carriage returns, which a file read as text
+    turns into line feeds.
     """
 
     def __init__(self, text: str, chunks=None):
         self.text, self.pos, self.chunks, self.eof = text, 0, chunks, chunks is None
+        self.lines = self.column = self.lone_crs = 0
 
     def fill(self, need: int) -> None:
         """Drop the read text and append chunks until ``need`` characters are unread."""
-        parts = [self.text[self.pos:]]
+        pos = self.pos
+        last = self.text.rfind("\n", 0, pos)
+        self.lines += self.text.count("\n", 0, pos)
+        self.column = pos - last - 1 if last >= 0 else self.column + pos
+        self.lone_crs += _lone_crs(self.text, pos)
+        parts = [self.text[pos:]]
         self.text = ""  # freed before the join
         have = len(parts[0])
         while have < need:
@@ -218,8 +236,27 @@ class _Window:
         return value
 
     def element(self, close: str):
-        """A value and the delimiter after it; whether that closed the container."""
-        return self.value(), self.expect("," + close) == close
+        """A value and the delimiter after it; whether that closed the container.
+
+        A syntax error past the value's first character is raised as
+        ``ModelSyntaxError`` once the window holds the rest of the document
+        (a failed step grows it to the end first). The decoder runs the
+        nested scan that ``json.loads`` of the whole text would, so the
+        message is the one ``json.loads`` gives. A file with a lone carriage
+        return is left to ``json.loads``, which counts that as a line break.
+        """
+        start = self.skip()
+        try:
+            value = self.value()
+        except json.JSONDecodeError as exc:
+            lone_crs = self.chunks is not None and (
+                self.lone_crs or _lone_crs(self.text, exc.pos))
+            if not self.eof or exc.pos == start or lone_crs:
+                raise
+            column = exc.colno + (self.column if exc.lineno == 1 else 0)
+            raise ModelSyntaxError(
+                f"line {self.lines + exc.lineno}, column {column}: {exc.msg}") from None
+        return value, self.expect("," + close) == close
 
     def member(self):
         """A key and its value, and whether the object closed after it.
@@ -273,7 +310,8 @@ def _read_document(source: str | os.PathLike) -> dict | None:
     """The top-level object of a model's text or file, read a chunk at a time.
 
     None where the reader does not accept the input or the file fails to
-    read; ``_load_document`` then gives the document or the error.
+    read; ``_load_document`` then gives the document or the error. A syntax
+    error inside a value raises ``ModelSyntaxError`` here (``_Window.element``).
     """
     if isinstance(source, os.PathLike):
         chunks = _file_chunks(source)
@@ -304,6 +342,8 @@ def _load_document(source: str | os.PathLike):
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ModelSyntaxError("values nested too deeply to decode") from None
 
 
 def parse_model(source: str | os.PathLike) -> ParsedModel:
@@ -311,7 +351,8 @@ def parse_model(source: str | os.PathLike) -> ParsedModel:
 
     Raises:
         PmcError: the file cannot be read or is not UTF-8 ("cannot read").
-        ModelSyntaxError: not well-formed JSON (location included).
+        ModelSyntaxError: not well-formed JSON (location included), or
+            nested too deeply to decode.
         ModelSchemaError: well-formed but schema-violating (field named).
         ModelValidationError: schema-conforming but semantically invalid;
             the individual violations are attached.

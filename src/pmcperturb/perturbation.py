@@ -44,8 +44,6 @@ from .errors import (
     ArityMismatchError,
     DirectionMismatchError,
     EmptyVectorError,
-    NonpositiveDeltaError,
-    UnknownParameterError,
     WeightsNotNormalizedError,
 )
 from .model import Assignment, Pmc, STOCHASTIC_TOL, as_vector
@@ -209,52 +207,6 @@ def condition_number_directional(reference: ReferenceSolve, direction: Direction
             f"direction covers {sorted(direction.weights)}, "
             f"parameters are {sorted(reference.kappa)}")
     return float(sum(w * reference.kappa[pid] for pid, w in direction.weights.items()))
-
-
-def condition_number_parameterwise(reference: ReferenceSolve, pid: str) -> float:
-    """Condition number of a single parameter (direction concentrated on it).
-
-    Raises:
-        UnknownParameterError: ``pid`` is not a parameter of the model.
-    """
-    if pid not in reference.kappa:
-        raise UnknownParameterError(f"no gradient for parameter {pid!r}")
-    return reference.kappa[pid]
-
-
-@dataclass(frozen=True)
-class LinkIdentityCheck:
-    """Both sides of ``sum_i kappa_i Delta_i = kappa_w Delta`` and their gap."""
-
-    lhs: float
-    rhs: float
-    discrepancy: float
-
-
-def link_identity_check(reference: ReferenceSolve,
-                        deltas: Mapping[str, float]) -> LinkIdentityCheck:
-    """Evaluate the parameter-wise/directional bound identity.
-
-    ``lhs = sum_i kappa_i Delta_i`` and ``rhs = kappa_w * sum_i Delta_i``
-    with ``w(i) = Delta_i / sum_j Delta_j``; the two agree exactly up to
-    rounding.
-
-    Raises:
-        NonpositiveDeltaError: some ``Delta_i <= 0``.
-        DirectionMismatchError: ids do not match the model's parameter ids.
-    """
-    deltas = {str(k): float(v) for k, v in dict(deltas).items()}
-    if not all(d > 0.0 for d in deltas.values()):
-        raise NonpositiveDeltaError(f"all distances must be positive: {deltas}")
-    if set(deltas) != set(reference.kappa):
-        raise DirectionMismatchError(
-            f"distances cover {sorted(deltas)}, parameters are {sorted(reference.kappa)}")
-    total = sum(deltas.values())
-    lhs = sum(reference.kappa[pid] * d for pid, d in deltas.items())
-    direction = Direction({pid: d / total for pid, d in deltas.items()})
-    rhs = condition_number_directional(reference, direction) * total
-    return LinkIdentityCheck(lhs=float(lhs), rhs=float(rhs),
-                             discrepancy=float(abs(lhs - rhs)))
 
 
 def linear_estimate(reference: ReferenceSolve, assignment: Assignment) -> float:

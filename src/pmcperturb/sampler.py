@@ -368,53 +368,6 @@ def _extremal_rows(param: DistributionParameter, h: np.ndarray, delta: float) ->
     return np.stack(rows)
 
 
-def _check_run(pmc: Pmc, n_samples: int, seed: int) -> None:
-    """Reject a run with no parameter to perturb, or a count or seed not an integer >= 0."""
-    if not pmc.parameters:
-        raise EmptyVectorError("the model has no distribution parameters to perturb")
-    for name, value in (("sample count", n_samples), ("seed", seed)):
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise DomainError(f"{name} must be an integer, got {value!r}") from None
-        if value < 0:
-            raise DomainError(f"{name} must be non-negative, got {value!r}")
-
-
-def empirical_kappa(reference: ReferenceSolve, delta: float,
-                    n_samples: int, seed: int) -> float:
-    """Empirical supremum of ``|exact delta| / delta`` at distance ``delta``.
-
-    Each random sample perturbs one parameter (cycling through them) by the
-    full distance; the two extremal moves of every parameter are always
-    evaluated in addition, so the result realizes the analytic condition
-    number up to a quadratic remainder.
-
-    Raises:
-        EmptyVectorError: the model has no distribution parameters.
-        DomainError: ``delta`` is not positive (or NaN), or ``n_samples`` or
-            ``seed`` is not a non-negative integer.
-        InfeasibleDistanceError: ``delta`` exceeds 2 or is infinite.
-    """
-    _check_run(reference.pmc, n_samples, seed)
-    if not delta > 0.0:
-        raise DomainError(f"perturbation distance must be positive, got {float(delta)!r}")
-    if delta > 2.0:
-        raise InfeasibleDistanceError(f"no probability vectors at distance {float(delta)!r} > 2")
-    params = reference.pmc.parameters
-    count = len(params)
-    labels = ["extremal+", "extremal-"] * count + ["random"] * n_samples
-    vectors = {}
-    for j, param in enumerate(params):
-        rows = np.tile(param.reference, (len(labels), 1))
-        rows[2 * j:2 * j + 2] = _extremal_rows(param, reference.h[param.id], delta)
-        drawn = _random_rows([param], {param.id: delta}, seed, range(j, n_samples, count))
-        rows[2 * count + j::count] = drawn[param.id]
-        vectors[param.id] = rows
-    exact = evaluate_assignments(reference, labels, vectors).exact.tolist()
-    return max(abs(x) / delta for x in exact)
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -506,7 +459,15 @@ def validate_bounds(reference: ReferenceSolve, deltas: Mapping[str, float],
         InfeasibleDistanceError: a requested distance exceeds 2 or is infinite.
     """
     params = reference.pmc.parameters
-    _check_run(reference.pmc, n_samples, seed)
+    if not params:
+        raise EmptyVectorError("the model has no distribution parameters to perturb")
+    for name, value in (("sample count", n_samples), ("seed", seed)):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        if value < 0:
+            raise DomainError(f"{name} must be non-negative, got {value!r}")
     requested = {str(k): float(v) for k, v in dict(deltas).items()}
     for param in params:
         if param.id not in requested:

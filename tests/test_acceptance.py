@@ -28,14 +28,13 @@ from pmcperturb import (
     canonicalize,
     condition_number_basic,
     condition_number_directional,
-    empirical_kappa,
     evaluate_assignments,
     extract_system,
     gradient_coefficients,
     linear_estimate,
-    link_identity_check,
     solve_reachability,
     total_probability,
+    validate_bounds,
 )
 
 
@@ -144,12 +143,12 @@ def test_criterion_7_link_identity():
             gradients = gradient_coefficients(pmc, problem)
             deltas = {pid: float(rng.uniform(1e-4, 0.2))
                       for pid in gradients.pmc.parameter_ids}
-            check = link_identity_check(gradients, deltas)
-            assert check.discrepancy <= 1e-12
+            report = validate_bounds(gradients, deltas, n_samples=0, seed=0)
             total = sum(deltas.values())
+            assert abs(report.bound - report.analytic_kappa * total) <= 1e-12
             direction = Direction({pid: d / total for pid, d in deltas.items()})
             kappa_w = condition_number_directional(gradients, direction)
-            assert check.rhs == pytest.approx(kappa_w * total, abs=1e-15)
+            assert report.analytic_kappa * total == pytest.approx(kappa_w * total, abs=1e-15)
 
 
 def test_criterion_8_remainder_decay():
@@ -208,6 +207,6 @@ def test_criterion_10_empirical_kappa_sandwich():
             if kappa < 1e-3:
                 continue
             checked += 1
-            value = empirical_kappa(gradients, delta, n_samples=10,
-                                    seed=int(rng.integers(0, 2 ** 31)))
+            value = validate_bounds(gradients, {pmc.parameters[0].id: delta}, n_samples=10,
+                                    seed=int(rng.integers(0, 2 ** 31))).empirical_kappa
             assert 0.99 * kappa <= value <= 1.01 * kappa + 1e-9

@@ -104,6 +104,20 @@ def test_sensitivity_direction_file_schema(capsys, tmp_path, doc, suffix):
     assert (code, out, err) == (1, "", f"pmcperturb: direction{suffix}\n")
 
 
+@pytest.mark.parametrize("command", ["check", "sensitivity --direction"])
+def test_deeply_nested_input_is_an_input_error(capsys, tmp_path, command):
+    # Nesting past the decoder's recursion limit is a one-line input error.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    if command == "check":
+        argv, where = ["check", str(path)], ""
+    else:
+        argv, where = ["sensitivity", FROG, "--direction", str(path)], \
+            f"direction file {str(path)!r}: "
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"pmcperturb: {where}values nested too deeply to decode\n")
+
+
 def model_file(tmp_path, change):
     """Path of the frog model file after ``change`` edits its decoded document."""
     doc = json.loads(Path(FROG).read_text())

@@ -317,13 +317,21 @@ def test_reader_matches_json_loads(tmp_path_factory, text, chunk):
     path.write_bytes(text.encode("utf-8"))
     assert_same_as_reference(path, chunk)
     # The error path must not hide a reader that gives up on valid input.
+    # Input it does not accept gives None, or a syntax error it raises itself.
     try:
         accepted = isinstance(json.loads(text), dict)
     except ValueError:
         accepted = False
-    assert (modelfile._read_document(text) is not None) == accepted
+
+    def reads(source):
+        try:
+            return modelfile._read_document(source) is not None
+        except ModelSyntaxError:
+            return False
+
+    assert reads(text) == accepted
     with mock.patch.object(modelfile, "CHUNK_BYTES", chunk):
-        assert (modelfile._read_document(path) is not None) == accepted
+        assert reads(path) == accepted
 
 
 @pytest.mark.parametrize("chunk", range(1, 40))
@@ -341,6 +349,11 @@ def test_reader_splits_rows_at_every_offset(tmp_path, chunk):
 
 
 FROG_BYTES = (MODELS / "frog.model").read_bytes()
+_LAST_NUMBER = FROG_BYTES.rindex(b"0.3333333333333333")
+# An "x" inside the last row's last number: a syntax error past the row's
+# first character, in the last chunk.
+LATE_X = FROG_BYTES[:_LAST_NUMBER + 4] + b"x" + FROG_BYTES[_LAST_NUMBER + 5:]
+_HALF = len(LATE_X) // 2
 BAD_FILES = {
     "bom": b"\xef\xbb\xbf" + FROG_BYTES,
     "not utf-8": b"\xff\xfe{",
@@ -353,6 +366,14 @@ BAD_FILES = {
     "trailing data": FROG_BYTES + b"{}",
     "trailing comma": FROG_BYTES.rstrip()[:-1] + b", }",
     "key not a string": b'{"version": 1, 2: 3}',
+    "x in the last row": LATE_X,
+    "x in the last row, CRLF": LATE_X.replace(b"\n", b"\r\n"),
+    "x in the last row, CR": LATE_X.replace(b"\n", b"\r"),
+    "x in the last row, CR before it": LATE_X[:_HALF].replace(b"\n", b"\r")
+    + LATE_X[_HALF:].replace(b"\n", b" "),
+    "x in the last row, one line": LATE_X.replace(b"\n", b" "),
+    "nested too deeply": b"[" * 200_000,
+    "value nested too deeply": b'{"version": ' + b"[" * 200_000,
 }
 
 
@@ -364,6 +385,26 @@ def test_reader_errors_are_today_s(tmp_path, name, chunk):
     expected = reference_outcome(path)
     assert isinstance(expected[0], type) and issubclass(expected[0], PmcError)
     assert_same_as_reference(path, chunk)
+
+
+@pytest.mark.parametrize("name, location", [
+    ("x in the last row", "line 47, column 13"),
+    ("x in the last row, CRLF", "line 47, column 13"),
+    ("x in the last row, one line", "line 1, column 598"),
+])
+@pytest.mark.parametrize("chunk", [3, 64, 1 << 18])
+def test_late_syntax_error_is_read_once(tmp_path, name, location, chunk):
+    # The reader reports an error inside the last value itself, at its line
+    # and column in the whole file, without parsing the text again.
+    path = tmp_path / "bad.model"
+    path.write_bytes(BAD_FILES[name])
+    text = BAD_FILES[name].decode()
+    expected = (ModelSyntaxError, f"{location}: Expecting ',' delimiter")
+    assert reference_outcome(path) == reference_outcome(text) == expected
+    parsed_again = AssertionError("the whole text was parsed again")
+    with mock.patch.object(modelfile, "CHUNK_BYTES", chunk), \
+            mock.patch.object(modelfile, "_load_document", side_effect=parsed_again):
+        assert outcome(parse_model, path) == outcome(parse_model, text) == expected
 
 
 def test_late_bad_byte_reports_its_file_position(tmp_path):

@@ -1,4 +1,9 @@
-"""Simplex sampling, extremal moves, empirical condition numbers, bound checks."""
+"""Simplex sampling, extremal moves, empirical condition numbers, bound checks.
+
+The empirical condition number is the ``empirical_kappa`` field of a
+:func:`validate_bounds` report: the largest ``|exact| / distance`` over the
+extremal moves and the random samples of one run.
+"""
 
 from __future__ import annotations
 
@@ -34,7 +39,6 @@ from pmcperturb import (
     absolute_distance,
     canonicalize,
     condition_number_basic,
-    empirical_kappa,
     evaluate_assignments,
     extract_system,
     extremal_perturbation,
@@ -199,14 +203,15 @@ class TestEmpiricalKappa:
     def test_frog_small_delta_sandwich(self, frog):
         pmc, problem, _ = frog
         reference = gradient_coefficients(pmc, problem)
-        value = empirical_kappa(reference, delta=1e-4, n_samples=20, seed=3)
+        value = validate_bounds(reference, {"hop": 1e-4}, n_samples=20, seed=3).empirical_kappa
         assert value >= 0.99 * FROG_KAPPA
         assert value <= 1.01 * FROG_KAPPA + 1e-9
 
     def test_frog_published_distance(self, frog):
         pmc, problem, _ = frog
         reference = gradient_coefficients(pmc, problem)
-        value = empirical_kappa(reference, delta=0.004, n_samples=10_000, seed=4)
+        value = validate_bounds(reference, {"hop": 0.004}, n_samples=10_000,
+                                seed=4).empirical_kappa
         assert value <= FROG_KAPPA * 1.05
 
     def test_insensitive_chain(self):
@@ -219,7 +224,8 @@ class TestEmpiricalKappa:
                   parameters=(DistributionParameter("q", 3, (1, 2), (0.5, 0.5)),))
         reference = gradient_coefficients(
             pmc, ReachabilityProblem(frozenset({1}), frozenset({2})))
-        assert empirical_kappa(reference, delta=1e-3, n_samples=50, seed=5) <= 1e-12
+        report = validate_bounds(reference, {"q": 1e-3}, n_samples=50, seed=5)
+        assert report.empirical_kappa <= 1e-12
 
     def test_rejects_parameter_free_model_and_negative_samples(self, frog):
         pmc, problem, _ = frog
@@ -229,20 +235,16 @@ class TestEmpiricalKappa:
                     parameters=())
         fixed_reference = gradient_coefficients(fixed, problem)
         with pytest.raises(EmptyVectorError):
-            empirical_kappa(fixed_reference, delta=1e-3, n_samples=5, seed=0)
-        with pytest.raises(EmptyVectorError):
             validate_bounds(fixed_reference, {}, n_samples=5, seed=0)
-        with pytest.raises(DomainError):
-            empirical_kappa(reference, delta=1e-3, n_samples=-1, seed=0)
         with pytest.raises(DomainError):
             validate_bounds(reference, {"hop": 1e-3}, n_samples=-1, seed=0)
 
     def test_distance_messages_print_plain_floats(self, frog):
         reference = gradient_coefficients(*frog[:2])
-        with pytest.raises(DomainError, match=r"got 0\.0$"):
-            empirical_kappa(reference, delta=np.float64(0.0), n_samples=1, seed=0)
-        with pytest.raises(InfeasibleDistanceError, match=r"at distance 3\.0 > 2$"):
-            empirical_kappa(reference, delta=np.float64(3.0), n_samples=1, seed=0)
+        with pytest.raises(NonpositiveDeltaError, match=r"\{'hop': 0\.0\}$"):
+            validate_bounds(reference, {"hop": np.float64(0.0)}, n_samples=1, seed=0)
+        with pytest.raises(InfeasibleDistanceError, match=r"\{'hop': 3\.0\}$"):
+            validate_bounds(reference, {"hop": np.float64(3.0)}, n_samples=1, seed=0)
 
     @pytest.mark.parametrize("n_samples, seed, message", [
         (2.5, 0, "sample count must be an integer, got 2.5"),
@@ -253,8 +255,6 @@ class TestEmpiricalKappa:
     ])
     def test_rejects_non_integer_count_and_seed(self, frog, n_samples, seed, message):
         reference = gradient_coefficients(*frog[:2])
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            empirical_kappa(reference, delta=0.01, n_samples=n_samples, seed=seed)
         with pytest.raises(DomainError, match=f"^{message}$"):
             validate_bounds(reference, {"hop": 0.01}, n_samples=n_samples, seed=seed)
 
@@ -270,8 +270,6 @@ class TestEmpiricalKappa:
     def test_rejects_negative_seed(self, frog, n_samples):
         pmc, problem, _ = frog
         reference = gradient_coefficients(pmc, problem)
-        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
-            empirical_kappa(reference, delta=1e-3, n_samples=n_samples, seed=-1)
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
             validate_bounds(reference, {"hop": 1e-3}, n_samples=n_samples, seed=-1)
 
@@ -380,8 +378,6 @@ class TestValidateBounds:
             deltas["probe3"] = bad
             with pytest.raises(error, match="probe3"):
                 validate_bounds(reference, deltas, n_samples=n_samples, seed=0)
-            with pytest.raises(DomainError if error is NonpositiveDeltaError else error):
-                empirical_kappa(reference, delta=bad, n_samples=n_samples, seed=0)
         # the diameter itself is a feasible distance
         validate_bounds(reference, {p.id: 2.0 for p in pmc.parameters}, n_samples=1, seed=0)
 
