@@ -33,10 +33,12 @@ soon as that row is decoded, so the parse never holds all n² numbers as
 Python floats, nor the whole text or the whole bytes of the file. The peak
 memory of a parse is therefore about one chunk plus the final arrays. A syntax
 error inside a value, after its first character, is reported by the reader
-itself, with the decoder's message and the line and column in the whole
-file. Other input the reader does not accept (malformed JSON elsewhere, a
-top level that is not an object, a byte-order mark, a byte that is not
-UTF-8) is read whole and handed to ``json.loads``, which raises the error.
+itself, with the decoder's message; only then is the file read again up to
+the error, to count its line and column. Other input the reader does not
+accept (malformed JSON elsewhere, a top level that is not an object, a
+byte-order mark, a byte that is not UTF-8) is read whole and handed to
+``json.loads``, which raises the error. A pipe, which cannot be read twice,
+is read whole once and parsed as text.
 """
 
 from __future__ import annotations
@@ -143,36 +145,23 @@ class _Rejected(Exception):
     """The text at the reader's position is not what the walk expects."""
 
 
-def _lone_crs(text: str, end: int) -> int:
-    """Carriage returns in ``text[:end]`` that no line feed follows."""
-    if text.find("\r", 0, end) < 0:
-        return 0
-    return text.count("\r", 0, end) - text.count("\r\n", 0, end)
-
-
 class _Window:
     """Unread text of a JSON document, refilled from an iterator of str chunks.
 
     ``text[pos:]`` is unread; ``chunks`` yields the rest of the document,
     and ``eof`` is set once it has yielded everything. Without ``chunks``,
-    ``text`` is the whole document. ``lines`` and ``column`` count the line
-    feeds in the dropped text and the characters after its last one;
-    ``lone_crs`` counts its lone carriage returns, which a file read as text
-    turns into line feeds.
+    ``text`` is the whole document. ``path`` names the file the chunks come
+    from, and ``dropped`` counts the characters dropped before ``text``.
     """
 
-    def __init__(self, text: str, chunks=None):
+    def __init__(self, text: str, chunks=None, path=None):
         self.text, self.pos, self.chunks, self.eof = text, 0, chunks, chunks is None
-        self.lines = self.column = self.lone_crs = 0
+        self.path, self.dropped = path, 0
 
     def fill(self, need: int) -> None:
         """Drop the read text and append chunks until ``need`` characters are unread."""
-        pos = self.pos
-        last = self.text.rfind("\n", 0, pos)
-        self.lines += self.text.count("\n", 0, pos)
-        self.column = pos - last - 1 if last >= 0 else self.column + pos
-        self.lone_crs += _lone_crs(self.text, pos)
-        parts = [self.text[pos:]]
+        self.dropped += self.pos
+        parts = [self.text[self.pos:]]
         self.text = ""  # freed before the join
         have = len(parts[0])
         while have < need:
@@ -238,24 +227,19 @@ class _Window:
     def element(self, close: str):
         """A value and the delimiter after it; whether that closed the container.
 
-        A syntax error past the value's first character is raised as
-        ``ModelSyntaxError`` once the window holds the rest of the document
-        (a failed step grows it to the end first). The decoder runs the
-        nested scan that ``json.loads`` of the whole text would, so the
-        message is the one ``json.loads`` gives. A file with a lone carriage
-        return is left to ``json.loads``, which counts that as a line break.
+        A syntax error past the value's first character is raised by
+        ``_syntax_error`` once the window holds the rest of the document (a
+        failed step grows it to the end first). The decoder runs the nested
+        scan that ``json.loads`` of the whole text would, so the message is
+        the one ``json.loads`` gives.
         """
         start = self.skip()
         try:
             value = self.value()
         except json.JSONDecodeError as exc:
-            lone_crs = self.chunks is not None and (
-                self.lone_crs or _lone_crs(self.text, exc.pos))
-            if not self.eof or exc.pos == start or lone_crs:
-                raise
-            column = exc.colno + (self.column if exc.lineno == 1 else 0)
-            raise ModelSyntaxError(
-                f"line {self.lines + exc.lineno}, column {column}: {exc.msg}") from None
+            if self.eof and exc.pos > start:
+                _syntax_error(self.path, exc, self.dropped + exc.pos)
+            raise
         return value, self.expect("," + close) == close
 
     def member(self):
@@ -306,6 +290,30 @@ def _file_chunks(path):
     yield decode(b"", final=True)
 
 
+def _syntax_error(path, exc: json.JSONDecodeError, offset: int) -> None:
+    """Raise ``json.loads``'s error for ``exc`` at character ``offset`` of the document.
+
+    A file (``path``) is read again up to ``offset``, a chunk at a time. After
+    a lone carriage return, a line break in a file read as text, this returns.
+    """
+    line, column, lone_crs = exc.lineno, exc.colno, 0
+    if path is not None:
+        line = column = 1
+        cr = False  # whether the previous chunk ends with "\r"
+        for text in _file_chunks(path):
+            text = text[:offset]
+            offset -= len(text)
+            lone_crs += text.count("\r") - text.count("\r\n") - (cr and text[:1] == "\n")
+            cr = text.endswith("\r")
+            line += text.count("\n")
+            last = text.rfind("\n")
+            column = len(text) - last if last >= 0 else column + len(text)
+            if not offset:
+                break
+    if not lone_crs:
+        raise ModelSyntaxError(f"line {line}, column {column}: {exc.msg}") from None
+
+
 def _read_document(source: str | os.PathLike) -> dict | None:
     """The top-level object of a model's text or file, read a chunk at a time.
 
@@ -314,10 +322,9 @@ def _read_document(source: str | os.PathLike) -> dict | None:
     error inside a value raises ``ModelSyntaxError`` here (``_Window.element``).
     """
     if isinstance(source, os.PathLike):
-        chunks = _file_chunks(source)
-        window = _Window("", chunks)
+        window = _Window("", _file_chunks(source), source)
     elif isinstance(source, str):
-        chunks, window = None, _Window(source)
+        window = _Window(source)
     else:  # bytes, which json.loads decodes
         return None
     try:
@@ -325,18 +332,20 @@ def _read_document(source: str | os.PathLike) -> dict | None:
     except (OSError, ValueError, RecursionError, _Rejected):
         return None
     finally:
-        if chunks is not None:
-            chunks.close()
+        if window.chunks is not None:
+            window.chunks.close()
+
+
+def _read_text(path: os.PathLike) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PmcError(f"cannot read {path}: {exc}") from None
 
 
 def _load_document(source: str | os.PathLike):
     """``json.loads`` of the whole text: the path of input ``_read_document`` rejects."""
-    text = source
-    if isinstance(source, os.PathLike):
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise PmcError(f"cannot read {source}: {exc}") from None
+    text = _read_text(source) if isinstance(source, os.PathLike) else source
     try:
         return json.loads(text, object_hook=_rows_to_arrays)
     except json.JSONDecodeError as exc:
@@ -359,6 +368,8 @@ def parse_model(source: str | os.PathLike) -> ParsedModel:
         DirectionMismatchError: the ``direction`` block's ids are not the
             model's parameter ids.
     """
+    if isinstance(source, os.PathLike) and not os.path.isfile(source):
+        source = _read_text(source)  # a pipe can be read only once
     doc = _read_document(source)
     if doc is None:
         doc = _load_document(source)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +33,8 @@ from pmcperturb import (
 )
 from pmcperturb import cli, modelfile
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 
 def test_bundled_frog():
@@ -392,10 +397,11 @@ def test_reader_errors_are_today_s(tmp_path, name, chunk):
     ("x in the last row, CRLF", "line 47, column 13"),
     ("x in the last row, one line", "line 1, column 598"),
 ])
-@pytest.mark.parametrize("chunk", [3, 64, 1 << 18])
+@pytest.mark.parametrize("chunk", [*range(1, 9), 64, 1 << 18])
 def test_late_syntax_error_is_read_once(tmp_path, name, location, chunk):
     # The reader reports an error inside the last value itself, at its line
-    # and column in the whole file, without parsing the text again.
+    # and column in the whole file, without parsing the text again. Reading
+    # the file again to count them splits every CRLF at the small chunks.
     path = tmp_path / "bad.model"
     path.write_bytes(BAD_FILES[name])
     text = BAD_FILES[name].decode()
@@ -405,6 +411,72 @@ def test_late_syntax_error_is_read_once(tmp_path, name, location, chunk):
     with mock.patch.object(modelfile, "CHUNK_BYTES", chunk), \
             mock.patch.object(modelfile, "_load_document", side_effect=parsed_again):
         assert outcome(parse_model, path) == outcome(parse_model, text) == expected
+
+
+@pytest.mark.parametrize("chunk", [*range(1, 9), 64, 1 << 18])
+def test_lone_carriage_return_is_left_to_json_loads(tmp_path, chunk):
+    path = tmp_path / "bad.model"
+    path.write_bytes(BAD_FILES["x in the last row, CR before it"])
+    expected = reference_outcome(path)
+    load = mock.Mock(wraps=modelfile._load_document)
+    with mock.patch.object(modelfile, "CHUNK_BYTES", chunk), \
+            mock.patch.object(modelfile, "_load_document", load):
+        assert outcome(parse_model, path) == expected
+    load.assert_called_once_with(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 64, modelfile.CHUNK_BYTES])
+def test_valid_files_never_locate_a_syntax_error(tmp_path, chunk):
+    pmc, problem, _ = birth_death_chain(30)
+    chain = tmp_path / "chain.model"
+    chain.write_text(render_model(pmc, problem), encoding="utf-8")
+    located = AssertionError("a valid file was read again for an error's location")
+    with mock.patch.object(modelfile, "CHUNK_BYTES", chunk), \
+            mock.patch.object(modelfile, "_syntax_error", side_effect=located):
+        for path in [*sorted(MODELS.glob("*.model")), chain]:
+            assert parse_model(path).pmc.n > 0
+
+
+def check_command(path: str, **kwargs):
+    """Exit code, stdout and stderr of ``python -m pmcperturb check path``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "pmcperturb", "check", path],
+                            capture_output=True, env=env, **kwargs)
+    return result.returncode, result.stdout.decode(), result.stderr.decode()
+
+
+def check_file(capsys, path: Path):
+    """``check_command`` of a regular file, run in this process."""
+    code = cli.main(["check", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", [*BAD_FILES, "frog"])
+def test_piped_model_reads_as_its_file(capsys, tmp_path, name):
+    # A pipe cannot be opened again, so it is read once, whole.
+    data = BAD_FILES.get(name, FROG_BYTES)
+    path = tmp_path / "model.model"
+    path.write_bytes(data)
+    code, out, err = check_command("/dev/stdin", input=data, timeout=120)
+    assert (code, out, err.replace("/dev/stdin", str(path))) == check_file(capsys, path)
+
+
+def test_fifo_model_is_opened_once(capsys, tmp_path):
+    # A syntax error the reader leaves to json.loads once made it open the
+    # FIFO again, which waits for a writer that never comes.
+    data = FROG_BYTES.replace(b'"version": 1,', b'"version": 1', 1)
+    path = tmp_path / "model.model"
+    path.write_bytes(data)
+    fifo = tmp_path / "model.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    read = check_command(str(fifo), timeout=60)
+    writer.join(timeout=60)
+    assert read == check_file(capsys, path)
+    assert read[2] == "pmcperturb: line 3, column 3: Expecting ',' delimiter\n"
 
 
 def test_late_bad_byte_reports_its_file_position(tmp_path):
