@@ -65,7 +65,6 @@ from .reachability import (
     total_probability,
 )
 from .sampler import (
-    PerturbationSample,
     SampleBatch,
     VIOLATION_SLACK,
     ValidationReport,
@@ -96,7 +95,6 @@ __all__ = [
     "CanonicalProblem", "LinearSystem", "ReachabilityProblem", "canonicalize",
     "constrained_initial", "extract_system", "reach_positive_mask",
     "solve_reachability", "total_probability",
-    "PerturbationSample", "SampleBatch", "VIOLATION_SLACK", "ValidationReport",
-    "evaluate_assignments", "extremal_perturbation", "sample_on_simplex",
-    "validate_bounds",
+    "SampleBatch", "VIOLATION_SLACK", "ValidationReport", "evaluate_assignments",
+    "extremal_perturbation", "sample_on_simplex", "validate_bounds",
 ]

@@ -163,13 +163,6 @@ class Assignment:
             coerced[str(pid)] = arr
         object.__setattr__(self, "vectors", coerced)
 
-    @classmethod
-    def _checked(cls, vectors: dict[str, np.ndarray]) -> "Assignment":
-        """Wrap read-only vectors that the caller has already checked on the simplex."""
-        assignment = object.__new__(cls)
-        object.__setattr__(assignment, "vectors", vectors)
-        return assignment
-
     def __getitem__(self, pid: str) -> np.ndarray:
         try:
             return self.vectors[pid]

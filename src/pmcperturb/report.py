@@ -371,26 +371,31 @@ def reference_tables_record() -> dict:
                   for p in zf.pmc.parameters}
     zf_samples = evaluate_assignments(zf, ["given"] * len(_ZF_PERTURBED), zf_vectors)
     zf_rows = []
-    for back, sample in zip(_ZF_PERTURBED, zf_samples):
+    for back, exact, distance, bound, exceeds in zip(
+            _ZF_PERTURBED, zf_samples.exact.tolist(),
+            zf_samples.distances[zf.pmc.parameters[0].id].tolist(),
+            zf_samples.bound.tolist(), zf_samples.exceeds.tolist()):
         zf_rows.append({
             "back_probability_x1e3": back * 1e3,
-            "delta_x1e3": sample.exact * 1e3,
-            "distance_per_parameter_x1e3": sample.distances[zf.pmc.parameters[0].id] * 1e3,
-            "range_x1e3": sample.bound * 1e3,
-            "exceeds": sample.exceeds,
+            "delta_x1e3": exact * 1e3,
+            "distance_per_parameter_x1e3": distance * 1e3,
+            "range_x1e3": bound * 1e3,
+            "exceeds": exceeds,
         })
 
     fg = gradient_coefficients(*build_frog())
     fg_samples = evaluate_assignments(fg, ["given"] * len(_FG_PERTURBED),
                                       {"hop": _FG_PERTURBED})
     fg_rows = []
-    for dist, sample in zip(_FG_PERTURBED, fg_samples):
+    for dist, exact, distance, bound, exceeds in zip(
+            _FG_PERTURBED, fg_samples.exact.tolist(), fg_samples.distance.tolist(),
+            fg_samples.bound.tolist(), fg_samples.exceeds.tolist()):
         fg_rows.append({
             "distribution_x1e3": [x * 1e3 for x in dist],
-            "delta_x1e3": sample.exact * 1e3,
-            "distance_x1e3": sample.distance * 1e3,
-            "range_x1e3": sample.bound * 1e3,
-            "exceeds": sample.exceeds,
+            "delta_x1e3": exact * 1e3,
+            "distance_x1e3": distance * 1e3,
+            "range_x1e3": bound * 1e3,
+            "exceeds": exceeds,
         })
 
     return {

@@ -16,9 +16,7 @@ normalise over each side to a Dirichlet(1) split of ``Delta/2``. For arity
 skipped and the stream is the same. A validation run draws every parameter
 of one arity with those calls per sample, then clips and rescales all
 samples as one array; :func:`sample_on_simplex` is the same move for a
-batch of one. This is the same distribution as an earlier per-vector draw
-(``permutation``, ``integers``, two ``dirichlet`` calls), but a given seed
-gives different vectors than that draw did.
+batch of one.
 
 Extremal perturbations move ``+Delta/2`` onto the support position with the
 largest linear coefficient and ``-Delta/2`` off the smallest (lowest index
@@ -31,8 +29,7 @@ published perturbed models), goes through :func:`evaluate_assignments`,
 which takes them as one batch per parameter and measures them against the
 model's :class:`~pmcperturb.perturbation.ReferenceSolve`, reading its ``t``,
 ``h`` and ``kappa``; ``reachability`` re-solves the samples. The result is
-one :class:`SampleBatch` of columns, which the report reads as columns; a
-:class:`PerturbationSample` of one sample is built only when it is read.
+one :class:`SampleBatch` of columns, which the report reads as columns.
 Requested distances must lie in ``(0, 2]``, the diameter of the simplex in
 this distance; others are rejected before anything is sampled.
 
@@ -64,7 +61,7 @@ from .errors import (
     SimplexViolationError,
     UnknownParameterError,
 )
-from .model import Assignment, DistributionParameter, Pmc, as_vector, is_distribution
+from .model import DistributionParameter, as_vector, is_distribution
 from .perturbation import Direction, ReferenceSolve, condition_number_directional
 
 #: Fraction by which observed deltas may exceed the first-order bound before
@@ -73,38 +70,18 @@ from .perturbation import Direction, ReferenceSolve, condition_number_directiona
 VIOLATION_SLACK = 0.05
 
 
-@dataclass(frozen=True)
-class PerturbationSample:
-    """One perturbed assignment with its measured effect and bound.
-
-    ``distances`` holds the achieved per-parameter distances, ``distance``
-    their total, ``bound`` the first-order range ``sum_i kappa_i * Delta_i``
-    at those distances, and ``exceeds`` whether ``|exact| > bound``.
-    """
-
-    label: str
-    assignment: Assignment
-    distances: Mapping[str, float]
-    distance: float
-    exact: float
-    linear: float
-    bound: float
-    exceeds: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "distances", dict(self.distances))
-
-
 @dataclass(frozen=True, eq=False)
-class SampleBatch(Sequence):
+class SampleBatch:
     """Evaluated samples as read-only columns, one entry per sample.
 
-    ``vectors[pid]`` holds the ``(count, arity)`` rows assigned to parameter
-    ``pid`` and ``distances[pid]`` their ``(count,)`` achieved distances, in
-    model order; ``distance``, ``exact``, ``linear`` and ``bound`` are
-    float64 columns and ``exceeds`` a bool column, with the meanings of the
-    :class:`PerturbationSample` fields. ``len``, indexing and iteration give
-    :class:`PerturbationSample` views, built on access; a slice is a batch.
+    ``labels`` names each sample. ``vectors[pid]`` holds the
+    ``(count, arity)`` rows assigned to parameter ``pid`` and
+    ``distances[pid]`` their ``(count,)`` achieved distances, in model
+    order. ``distance`` is their total, ``exact`` the re-solved change of
+    the probability, ``linear`` its first-order estimate and ``bound`` the
+    range ``sum_i kappa_i * Delta_i`` at those distances, all float64
+    columns; ``exceeds`` is the bool column ``|exact| > bound``. ``len``
+    gives the sample count.
     """
 
     labels: tuple[str, ...]
@@ -118,24 +95,6 @@ class SampleBatch(Sequence):
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return SampleBatch(self.labels[k], {pid: v[k] for pid, v in self.vectors.items()},
-                               {pid: d[k] for pid, d in self.distances.items()},
-                               self.distance[k], self.exact[k], self.linear[k], self.bound[k],
-                               self.exceeds[k])
-        label = self.labels[k]  # raises IndexError and TypeError as a tuple does
-        return PerturbationSample(
-            label=label,
-            assignment=Assignment._checked({pid: v[k] for pid, v in self.vectors.items()}),
-            distances={pid: float(d[k]) for pid, d in self.distances.items()},
-            distance=float(self.distance[k]), exact=float(self.exact[k]),
-            linear=float(self.linear[k]), bound=float(self.bound[k]),
-            exceeds=bool(self.exceeds[k]))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -386,6 +345,7 @@ def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
 
     Raises:
         MissingParameterError: ``vectors`` misses a parameter.
+        UnknownParameterError: ``vectors`` names an id that is not a parameter.
         ArityMismatchError: a parameter's rows are not ``len(labels)`` by its
             arity, or are ragged.
         SimplexViolationError: some row is not a probability vector, or has
@@ -418,6 +378,9 @@ def evaluate_assignments(reference: ReferenceSolve, labels: Sequence[str],
             raise SimplexViolationError(
                 f"an assignment for parameter {param.id!r} is not a probability vector")
         batch[param.id] = _read_only(rows)
+    unknown = [pid for pid in vectors if pid not in batch]
+    if unknown:
+        raise UnknownParameterError(f"assignments for unknown parameters {unknown}")
 
     # Reductions over the batch, accumulated over parameters in model order
     # as the per-sample sums did, so distances and bounds keep their bits.

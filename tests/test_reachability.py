@@ -487,8 +487,9 @@ def test_one_mask_and_one_factorization_per_reference_solve(monkeypatch, frog, k
     # sample. Only a sample that moves an entry to or from 0 needs its own
     # reach search: none on the frog, and on the chain those that raise its
     # reference zero.
-    moved = sum(any(((sample.assignment[p.id] > 0.0) != (p.reference > 0.0)).any()
-                    for p in pmc.parameters) for sample in report.samples)
+    batch = report.samples
+    count = len(batch.labels)
+    moved = sum(any(((batch.vectors[p.id][k] > 0.0) != (p.reference > 0.0)).any()
+                    for p in pmc.parameters) for k in range(count))
     assert moved == 0 if dense else moved > 0
-    assert calls == {**once, "reach_positive_mask": 1 + moved,
-                     lu: reference_blocks + len(report.samples)}
+    assert calls == {**once, "reach_positive_mask": 1 + moved, lu: reference_blocks + count}

@@ -361,18 +361,23 @@ def test_model_with_repeating_rows(n):
 
 
 def per_sample_record(run) -> dict:
-    """The validation record built one sample at a time, from the batch's sample views.
+    """The validation record built one sample at a time, indexing the batch's columns.
 
-    This is the construction ``validation_record`` used before it read the
-    batch's columns; the run statistics are checked against the per-sample
-    expressions they were computed by before.
+    This is the row-by-row construction of the record that
+    ``validation_record`` builds column by column; the run statistics are
+    checked against the per-sample expressions they were computed by before.
     """
-    samples = [run.samples[k] for k in range(len(run.samples))]
+    batch = run.samples
+    count = len(batch.labels)
+    exact = [float(batch.exact[k]) for k in range(count)]
+    distance = [float(batch.distance[k]) for k in range(count)]
+    bound = [float(batch.bound[k]) for k in range(count)]
+    exceeds = [bool(batch.exceeds[k]) for k in range(count)]
     assert run.empirical_kappa == float(max(
-        (abs(x.exact) / x.distance for x in samples if x.distance > 0.0), default=0.0))
-    assert run.violations == sum(x.exceeds for x in samples)
+        (abs(exact[k]) / distance[k] for k in range(count) if distance[k] > 0.0), default=0.0))
+    assert run.violations == sum(exceeds)
     assert run.max_excess == float(max(
-        (abs(x.exact) - x.bound for x in samples if x.exceeds), default=0.0))
+        (abs(exact[k]) - bound[k] for k in range(count) if exceeds[k]), default=0.0))
     problem = run.reference.problem
     return {
         "model_hash": model_digest(run.reference.pmc),
@@ -390,16 +395,16 @@ def per_sample_record(run) -> dict:
         "bound_convention": report.BOUND_CONVENTION,
         "samples": [
             {
-                "label": s.label,
-                "assignment": {pid: vec.tolist() for pid, vec in s.assignment.vectors.items()},
-                "distances": dict(s.distances),
-                "distance": s.distance,
-                "exact": s.exact,
-                "linear": s.linear,
-                "bound": s.bound,
-                "exceeds": s.exceeds,
+                "label": batch.labels[k],
+                "assignment": {pid: rows[k].tolist() for pid, rows in batch.vectors.items()},
+                "distances": {pid: float(column[k]) for pid, column in batch.distances.items()},
+                "distance": distance[k],
+                "exact": exact[k],
+                "linear": float(batch.linear[k]),
+                "bound": bound[k],
+                "exceeds": exceeds[k],
             }
-            for s in samples
+            for k in range(count)
         ],
     }
 

@@ -30,7 +30,6 @@ from pmcperturb import (
     InfeasibleDistanceError,
     MissingParameterError,
     NonpositiveDeltaError,
-    PerturbationSample,
     Pmc,
     ReachabilityProblem,
     SimplexViolationError,
@@ -262,7 +261,7 @@ class TestEmpiricalKappa:
         reference = gradient_coefficients(*frog[:2])
         given = validate_bounds(reference, {"hop": 0.01}, n_samples=np.int64(3), seed=np.int32(2))
         plain = validate_bounds(reference, {"hop": 0.01}, n_samples=3, seed=2)
-        assert [x.exact for x in given.samples] == [x.exact for x in plain.samples]
+        assert given.samples.exact.tolist() == plain.samples.exact.tolist()
         with pytest.raises(DomainError, match="^seed must be non-negative, got -1$"):
             validate_bounds(reference, {"hop": 0.01}, n_samples=3, seed=np.int64(-1))
 
@@ -278,42 +277,45 @@ class TestValidateBounds:
     def test_zeroconf_published_violation(self, zeroconf):
         pmc, problem, _ = zeroconf
         reference = gradient_coefficients(pmc, problem)
-        [sample] = evaluate_assignments(reference, ["given"],
-                                        {p.id: [(0.747, 0.253)] for p in pmc.parameters})
-        assert sample.label == "given"
-        assert sample.exact == pytest.approx(-4.763017175250e-05, abs=1e-11)
-        assert sample.bound == pytest.approx(4.6783581202e-05, abs=1e-12)
-        assert sample.exceeds
+        batch = evaluate_assignments(reference, ["given"],
+                                     {p.id: [(0.747, 0.253)] for p in pmc.parameters})
+        assert batch.labels == ("given",)
+        assert batch.exact[0] == pytest.approx(-4.763017175250e-05, abs=1e-11)
+        assert batch.bound[0] == pytest.approx(4.6783581202e-05, abs=1e-12)
+        assert batch.exceeds[0]
 
     def test_small_distances_no_hard_violations(self, zeroconf):
         pmc, problem, _ = zeroconf
         reference = gradient_coefficients(pmc, problem)
         report = validate_bounds(reference, {p.id: 1e-5 for p in pmc.parameters},
                                  n_samples=100, seed=6)
-        for sample in report.samples:
-            assert abs(sample.exact) <= sample.bound * (1.0 + report.slack)
+        batch = report.samples
+        for k in range(len(batch.labels)):
+            assert abs(batch.exact[k]) <= batch.bound[k] * (1.0 + report.slack)
 
     def test_linear_never_exceeds_bound(self, zeroconf):
         pmc, problem, _ = zeroconf
         reference = gradient_coefficients(pmc, problem)
         report = validate_bounds(reference, {p.id: 0.004 for p in pmc.parameters},
                                  n_samples=200, seed=7)
-        for sample in report.samples:
-            assert abs(sample.linear) <= sample.bound + 1e-15
-            for pid, vec in sample.assignment.vectors.items():
-                assert vec.min() >= 0.0 and abs(vec.sum() - 1.0) <= 1e-12
+        batch = report.samples
+        for k in range(len(batch.labels)):
+            assert abs(batch.linear[k]) <= batch.bound[k] + 1e-15
+            for pid, rows in batch.vectors.items():
+                assert rows[k].min() >= 0.0 and abs(rows[k].sum() - 1.0) <= 1e-12
 
     def test_sample_distances_recorded(self, zeroconf):
         pmc, problem, _ = zeroconf
         reference = gradient_coefficients(pmc, problem)
         report = validate_bounds(reference, {p.id: 0.002 for p in pmc.parameters},
                                  n_samples=20, seed=8)
-        for sample in report.samples:
+        batch = report.samples
+        for k in range(len(batch.labels)):
             for p in pmc.parameters:
-                assert sample.distances[p.id] == pytest.approx(
-                    absolute_distance(sample.assignment[p.id], p.reference), abs=1e-15)
-            assert sample.distance == pytest.approx(sum(sample.distances.values()),
-                                                    abs=1e-15)
+                assert batch.distances[p.id][k] == pytest.approx(
+                    absolute_distance(batch.vectors[p.id][k], p.reference), abs=1e-15)
+            assert batch.distance[k] == pytest.approx(
+                sum(column[k] for column in batch.distances.values()), abs=1e-15)
 
     @pytest.mark.parametrize("delta", [1e-320, 3e-308])
     def test_analytic_kappa_at_subnormal_bound(self, frog, zeroconf, delta):
@@ -335,10 +337,12 @@ class TestValidateBounds:
         second = validate_bounds(reference, deltas, n_samples=50, seed=99)
         assert first.empirical_kappa == second.empirical_kappa
         assert first.violations == second.violations
-        for a, b in zip(first.samples, second.samples):
-            assert a.exact == b.exact and a.linear == b.linear
-            for pid in a.assignment.vectors:
-                np.testing.assert_array_equal(a.assignment[pid], b.assignment[pid])
+        a, b = first.samples, second.samples
+        np.testing.assert_array_equal(a.exact, b.exact)
+        np.testing.assert_array_equal(a.linear, b.linear)
+        assert a.vectors.keys() == b.vectors.keys()
+        for pid in a.vectors:
+            np.testing.assert_array_equal(a.vectors[pid], b.vectors[pid])
 
     def test_samples_indexed_by_seed(self, zeroconf):
         # sample k's randomness depends only on (seed, k), not on the run size
@@ -347,9 +351,9 @@ class TestValidateBounds:
         deltas = {p.id: 0.003 for p in pmc.parameters}
         long = validate_bounds(reference, deltas, n_samples=30, seed=12)
         short = validate_bounds(reference, deltas, n_samples=5, seed=12)
-        for a, b in zip(short.samples, long.samples):
-            for pid in a.assignment.vectors:
-                np.testing.assert_array_equal(a.assignment[pid], b.assignment[pid])
+        count = len(short.samples.labels)
+        for pid, rows in short.samples.vectors.items():
+            np.testing.assert_array_equal(rows, long.samples.vectors[pid][:count])
 
     def test_errors(self, zeroconf, frog):
         pmc, problem, _ = zeroconf
@@ -392,7 +396,7 @@ class TestValidateBounds:
                                  n_samples=7, seed=3)
         assert calls == {"gradient_coefficients": 0, "evaluate_assignments": 1}
         assert report.reference is reference
-        assert [s.label for s in report.samples] == ["extremal+", "extremal-"] + ["random"] * 7
+        assert report.samples.labels == ("extremal+", "extremal-") + ("random",) * 7
 
     def test_random_case_consistency(self):
         rng = np.random.default_rng(31)
@@ -405,16 +409,21 @@ class TestValidateBounds:
         assert report.empirical_kappa <= kappa_sum * (1 + report.slack) + 1e-12
 
 
-def assert_sample_matches_direct_resolve(pmc, cp, gradients, sample):
-    assignment = Assignment(sample.assignment.vectors)
+def sample_assignment(batch, k):
+    """Sample ``k`` of ``batch`` as an :class:`Assignment`, checked on the simplex."""
+    return Assignment({pid: rows[k] for pid, rows in batch.vectors.items()})
+
+
+def assert_sample_matches_direct_resolve(pmc, cp, gradients, batch, k):
+    assignment = sample_assignment(batch, k)
     distances = {p.id: absolute_distance(assignment[p.id], p.reference)
                  for p in pmc.parameters}
     kappas = {pid: condition_number_basic(h) for pid, h in gradients.h.items()}
-    assert sample.exact == direct_resolve(pmc, cp, assignment)
-    assert sample.distances == distances
-    assert sample.distance == sum(distances.values())
-    assert sample.bound == sum(kappas[pid] * d for pid, d in distances.items())
-    assert abs(sample.linear - linear_estimate(gradients, assignment)) <= 1e-15
+    assert batch.exact[k] == direct_resolve(pmc, cp, assignment)
+    assert {pid: column[k] for pid, column in batch.distances.items()} == distances
+    assert batch.distance[k] == sum(distances.values())
+    assert batch.bound[k] == sum(kappas[pid] * d for pid, d in distances.items())
+    assert abs(batch.linear[k] - linear_estimate(gradients, assignment)) <= 1e-15
 
 
 def support_moves(rng, reference):
@@ -460,8 +469,8 @@ class TestBatchEvaluation:
             gradients = gradient_coefficients(pmc, problem)
             report = validate_bounds(gradients, {p.id: 0.02 for p in pmc.parameters},
                                      n_samples=40, seed=17)
-            for sample in report.samples:
-                assert_sample_matches_direct_resolve(pmc, cp, gradients, sample)
+            for k in range(len(report.samples.labels)):
+                assert_sample_matches_direct_resolve(pmc, cp, gradients, report.samples, k)
 
     def test_sparse_models_match_direct_resolve(self):
         # Random sparse models: zero entries, absorbing and dead-end states, and
@@ -484,7 +493,7 @@ class TestBatchEvaluation:
             reference_mask = reach_positive_mask(reference.a, reference.b)
             report = validate_bounds(gradients, {p.id: 0.1 for p in pmc.parameters},
                                      n_samples=3, seed=draw)
-            samples = list(report.samples)
+            samples = [(report.samples, k) for k in range(len(report.samples.labels))]
             for param in pmc.parameters:
                 for kind, moved in zip(("raised", "cleared"),
                                        support_moves(rng, param.reference)):
@@ -492,13 +501,13 @@ class TestBatchEvaluation:
                         continue
                     vectors = {p.id: [moved if p is param else p.reference]
                                for p in pmc.parameters}
-                    [sample] = evaluate_assignments(gradients, [kind], vectors)
-                    samples.append(sample)
-                    system = extract_system(pmc, cp, Assignment(sample.assignment.vectors))
+                    batch = evaluate_assignments(gradients, [kind], vectors)
+                    samples.append((batch, 0))
+                    system = extract_system(pmc, cp, sample_assignment(batch, 0))
                     if (reach_positive_mask(system.a, system.b) != reference_mask).any():
                         mask_changes[kind] += 1
-            for sample in samples:
-                assert_sample_matches_direct_resolve(pmc, cp, gradients, sample)
+            for batch, k in samples:
+                assert_sample_matches_direct_resolve(pmc, cp, gradients, batch, k)
         assert min(mask_changes.values()) >= 10, mask_changes
 
     def test_mixed_batch_matches_direct_resolve(self, frog):
@@ -525,11 +534,11 @@ class TestBatchEvaluation:
                 vectors[param.id] = rows
             samples = evaluate_assignments(gradients, labels, vectors)
             reference_mask = gradients.factor.mask
-            for sample in samples:
-                assert_sample_matches_direct_resolve(pmc, cp, gradients, sample)
-                system = extract_system(pmc, cp, Assignment(sample.assignment.vectors))
+            for k, label in enumerate(samples.labels):
+                assert_sample_matches_direct_resolve(pmc, cp, gradients, samples, k)
+                system = extract_system(pmc, cp, sample_assignment(samples, k))
                 changed = (reach_positive_mask(system.a, system.b) != reference_mask).any()
-                assert not (changed and sample.label == "keep")
+                assert not (changed and label == "keep")
                 mask_changes += bool(changed)
         assert mask_changes >= 20, mask_changes
 
@@ -561,14 +570,16 @@ class TestBatchEvaluation:
                                  n_samples=8, seed=0)
         monkeypatch.undo()
 
-        clipped = sum(any((sample.assignment[p.id] == 0.0).any() for p in pmc.parameters)
-                      for sample in report.samples)
-        assert clipped >= len(report.samples) // 2
-        assert calls == {"reach_positive_mask": clipped, "gesv": len(report.samples)}
+        batch = report.samples
+        count = len(batch.labels)
+        clipped = sum(any((batch.vectors[p.id][k] == 0.0).any() for p in pmc.parameters)
+                      for k in range(count))
+        assert clipped >= count // 2
+        assert calls == {"reach_positive_mask": clipped, "gesv": count}
         assert gathers == []
-        for sample in report.samples:
-            assert_sample_matches_direct_resolve(pmc, cp, reference, sample)
-            system = extract_system(pmc, cp, Assignment(sample.assignment.vectors))
+        for k in range(count):
+            assert_sample_matches_direct_resolve(pmc, cp, reference, batch, k)
+            system = extract_system(pmc, cp, sample_assignment(batch, k))
             np.testing.assert_array_equal(reach_positive_mask(system.a, system.b),
                                           reference.factor.mask)
 
@@ -677,7 +688,11 @@ class TestBatchEvaluation:
         with pytest.raises(SimplexViolationError, match="hop"):
             evaluate_assignments(gradients, ["nan"],
                                  {"hop": [(0.375, 0.125, 0.25, float("nan"))]})
-        assert list(evaluate_assignments(gradients, [], {})) == []
+        with pytest.raises(UnknownParameterError, match="'hpo'"):  # a mistyped id
+            evaluate_assignments(gradients, ["given"],
+                                 {"hop": [(0.374, 0.124, 0.251, 0.251)], "hpo": [(1.0,)]})
+        empty = evaluate_assignments(gradients, [], {})
+        assert empty.labels == () and empty.exact.shape == (0,)
 
     def test_per_vector_work_does_not_grow_with_samples(self, zeroconf, monkeypatch):
         import pmcperturb.model as model
@@ -712,9 +727,9 @@ class TestBatchEvaluation:
         reference = gradient_coefficients(pmc, problem)
         [param] = pmc.parameters
         report = validate_bounds(reference, {param.id: 0.1}, n_samples=20, seed=5)
-        for k, sample in enumerate(report.samples[2:]):
+        for k, row in enumerate(report.samples.vectors[param.id][2:]):
             expected = sample_on_simplex(param.reference, 0.1, np.random.default_rng([5, k]))
-            np.testing.assert_array_equal(sample.assignment[param.id], expected)
+            np.testing.assert_array_equal(row, expected)
 
 
 class TestSampleBatch:
@@ -725,52 +740,11 @@ class TestSampleBatch:
         return validate_bounds(reference, {p.id: 0.05 for p in pmc.parameters},
                                n_samples=6, seed=4)
 
-    def test_views_read_the_columns(self, report):
-        batch = report.samples
-        assert len(batch) == 8 and batch.labels == ("extremal+", "extremal-") + ("random",) * 6
-        for k, sample in enumerate(batch):
-            assert isinstance(sample, PerturbationSample)
-            assert sample.label == batch.labels[k]
-            for pid, rows in batch.vectors.items():
-                np.testing.assert_array_equal(sample.assignment[pid], rows[k])
-                assert sample.distances[pid] == batch.distances[pid][k]
-            for field in ("distance", "exact", "linear", "bound"):
-                value = getattr(sample, field)
-                assert type(value) is float and value == getattr(batch, field)[k]
-            assert sample.exceeds is bool(batch.exceeds[k])
-
-    def test_indexing(self, report):
-        batch = report.samples
-        assert [s.exact for s in batch] == [batch[k].exact for k in range(len(batch))]
-        assert batch[-1].exact == batch[len(batch) - 1].exact
-        assert batch[-len(batch)].label == "extremal+"
-        for k in (len(batch), -len(batch) - 1):
-            with pytest.raises(IndexError):
-                batch[k]
-        with pytest.raises(TypeError):
-            batch["random"]
-        tail = batch[2::2]
-        assert len(tail) == 3 and [s.exact for s in tail] == [s.exact for s in list(batch)[2::2]]
-        assert list(batch[8:]) == []
-
-    def test_samples_compare_by_value(self, report):
-        # zeroconf's parameters have two entries, so random samples at one
-        # distance can repeat; the two extremal samples always differ
-        batch = report.samples
-        assert batch[3] == batch[3] and batch[3] is not batch[3]
-        assert batch[0] != batch[1] and batch[0].assignment != batch[1].assignment
-        assert batch[3].assignment == batch[3].assignment
-        assert batch[5] in batch and batch[5:].index(batch[5]) == 0
-        assert batch[0] not in batch[1:]
-        for k, sample in enumerate(batch):
-            first = batch.index(sample)
-            assert first <= k and batch[first] == sample
-            assert all(batch[j] != sample for j in range(first))
-
     def test_columns_are_read_only(self, report):
         batch = report.samples
+        assert batch.labels == ("extremal+", "extremal-") + ("random",) * 6
+        assert len(batch) == 8
         columns = [*batch.vectors.values(), *batch.distances.values(), batch.distance,
                    batch.exact, batch.linear, batch.bound, batch.exceeds]
         assert not any(column.flags.writeable for column in columns)
-        assert not batch[0].assignment[next(iter(batch.vectors))].flags.writeable
         assert batch.exact.dtype == np.float64 and batch.exceeds.dtype == bool

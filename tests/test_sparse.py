@@ -119,15 +119,15 @@ class TestChain:
         reference = gradient_coefficients(pmc, problem)
         report = validate_bounds(reference, {p.id: 0.02 for p in pmc.parameters},
                                  n_samples=6, seed=3)
+        batch = report.samples
         # The stored reference zero moves off 0 in a random sample.
-        assert any(sample.assignment[pmc.parameters[0].id][3] > 0.0
-                   for sample in report.samples)
-        for sample in report.samples:
-            assert sample.exact == pytest.approx(
-                dense_delta(pmc, reference, sample.assignment.vectors), abs=DELTA_ATOL, rel=0)
+        assert (batch.vectors[pmc.parameters[0].id][:, 3] > 0.0).any()
+        for k in range(len(batch.labels)):
+            vectors = {pid: rows[k] for pid, rows in batch.vectors.items()}
+            assert batch.exact[k] == pytest.approx(
+                dense_delta(pmc, reference, vectors), abs=DELTA_ATOL, rel=0)
             # bit for bit the re-solve of the system read at the sample
-            assert sample.exact == direct_resolve(pmc, reference.cp,
-                                                  Assignment(sample.assignment.vectors))
+            assert batch.exact[k] == direct_resolve(pmc, reference.cp, Assignment(vectors))
 
     def test_mask_changing_and_unmoved_samples(self, chain):
         # Clearing the up-move of a parameter row cuts every state below it
@@ -142,15 +142,15 @@ class TestChain:
         labels = ["unmoved", "cut", "unmoved", "absorbing"]
         vectors = {p.id: [p.reference] * len(labels) for p in pmc.parameters}
         vectors[param.id] = [moves.get(label, param.reference) for label in labels]
-        samples = evaluate_assignments(reference, labels, vectors)
-        assert samples[0].exact == 0.0 and samples[2].exact == 0.0
-        for sample in samples:
-            assert sample.exact == direct_resolve(pmc, reference.cp,
-                                                  Assignment(sample.assignment.vectors))
-        for sample in samples[1::2]:
-            assert sample.exact == pytest.approx(
-                dense_delta(pmc, reference, sample.assignment.vectors), abs=DELTA_ATOL, rel=0)
-            assert sample.exact == pytest.approx(-reference.probability, rel=RTOL)
+        batch = evaluate_assignments(reference, labels, vectors)
+        assert batch.exact[0] == 0.0 and batch.exact[2] == 0.0
+        for k in range(len(labels)):
+            sample = {pid: rows[k] for pid, rows in batch.vectors.items()}
+            assert batch.exact[k] == direct_resolve(pmc, reference.cp, Assignment(sample))
+            if k % 2:
+                assert batch.exact[k] == pytest.approx(
+                    dense_delta(pmc, reference, sample), abs=DELTA_ATOL, rel=0)
+                assert batch.exact[k] == pytest.approx(-reference.probability, rel=RTOL)
 
     def test_parameter_rows_outside_the_constraint_block(self, chain):
         # No A or b entry belongs to a parameter row, so no sample moves t.
@@ -162,7 +162,7 @@ class TestChain:
         assert kind(reference.system) == "sparse"
         report = validate_bounds(reference, {p.id: 0.02 for p in pmc.parameters},
                                  n_samples=4, seed=3)
-        assert [sample.exact for sample in report.samples] == [0.0] * len(report.samples)
+        assert report.samples.exact.tolist() == [0.0] * len(report.samples.labels)
 
 
 def kind(system):
