@@ -30,6 +30,7 @@ from .errors import (
 from .example_models import build_frog, build_zeroconf
 from .model import (
     Assignment,
+    ConcreteRows,
     DistributionParameter,
     Pmc,
     STOCHASTIC_TOL,
@@ -85,7 +86,7 @@ __all__ = [
     "SimplexViolationError", "SingularSystemError", "UnknownParameterError",
     "WeightsNotNormalizedError",
     "build_frog", "build_zeroconf",
-    "Assignment", "DistributionParameter", "Pmc", "STOCHASTIC_TOL",
+    "Assignment", "ConcreteRows", "DistributionParameter", "Pmc", "STOCHASTIC_TOL",
     "ValidationResult", "Violation", "ViolationKind", "absolute_distance",
     "instantiate", "model_digest", "reference_assignment", "validate_pmc",
     "ParsedModel", "parse_model", "render_model",

@@ -16,9 +16,10 @@ computations downstream.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .errors import (
 
 #: Absolute tolerance on row sums and entry signs for probability vectors.
 STOCHASTIC_TOL = 1e-12
+#: Entries of dense concrete rows made at once from the CSR store (512 kB).
+_DENSE_ENTRIES = 1 << 16
 
 
 def as_vector(values) -> np.ndarray:
@@ -106,28 +109,130 @@ class DistributionParameter:
         return len(self.support)
 
 
+class SparseRow(NamedTuple):
+    """One row in compact form: its length, and the 0-based columns and values it keeps."""
+
+    size: int
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def sparse_row(values) -> SparseRow:
+    """The compact form of a row: every entry whose bits are not +0.0.
+
+    ``-0.0`` and NaN entries are kept, so the dense row comes back exactly.
+    """
+    vec = np.asarray(values, dtype=np.float64).reshape(-1)
+    at = vec.view(np.uint64).nonzero()[0]
+    return SparseRow(vec.size, at.astype(np.int32), vec[at])
+
+
+class ConcreteRows(Mapping):
+    """The concrete rows of a PMC, as one read-only CSR store over states.
+
+    ``states`` holds each row's 1-based state, strictly ascending, and
+    ``lengths`` its declared length (``n`` in a valid model). Row ``i``
+    keeps the entries at the 0-based columns ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending, with the values ``data[indptr[i]:indptr[i + 1]]``: every
+    entry whose bits are not +0.0 (:func:`sparse_row`), so a dense row is
+    recovered bit for bit. :meth:`from_rows` builds the store from dense
+    rows. As a ``Mapping[int, ndarray]``, a lookup densifies one row; the
+    package reads the arrays, or :meth:`dense_rows` a block at a time.
+    """
+
+    __slots__ = ("states", "lengths", "indptr", "indices", "data")
+
+    def __init__(self, states, lengths, indptr, indices, data):
+        self.states = np.asarray(states, dtype=np.int64)
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.data = np.asarray(data, dtype=np.float64)
+        if not (self.lengths.size == self.states.size == self.indptr.size - 1
+                and self.indices.size == self.data.size == self.indptr[-1]
+                and (self.states[1:] > self.states[:-1]).all()):
+            raise ValueError("ConcreteRows: inconsistent arrays, or states not ascending")
+        for array in (self.states, self.lengths, self.indptr, self.indices, self.data):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_rows(cls, rows) -> ConcreteRows:
+        """The store of ``(state, vector)`` pairs, in any order, one pair per state."""
+        pairs = sorted(((int(state), sparse_row(vec)) for state, vec in rows),
+                       key=lambda pair: pair[0])
+        return cls([state for state, _ in pairs], [row.size for _, row in pairs],
+                   np.cumsum([0, *(row.data.size for _, row in pairs)]),
+                   np.concatenate([np.zeros(0, np.int32), *(row.indices for _, row in pairs)]),
+                   np.concatenate([np.zeros(0), *(row.data for _, row in pairs)]))
+
+    def dense_rows(self):
+        """Each stored row as a read-only vector, in state order.
+
+        The rows are densified a block at a time, of at most
+        ``_DENSE_ENTRIES`` numbers (or one row), never all at once. A block
+        whose rows store every entry is read from ``data`` as it is.
+        """
+        width = int(self.lengths.max(initial=1))
+        step = max(1, _DENSE_ENTRIES // width)
+        for start in range(0, len(self), step):
+            bounds = self.indptr[start:start + step + 1]
+            lo, hi, count = bounds[0], bounds[-1], bounds.size - 1
+            if hi - lo == count * width:  # each row stores all of its width columns
+                block = self.data[lo:hi].reshape(count, width)
+            else:
+                block = np.zeros((count, width))
+                block[np.repeat(np.arange(count), np.diff(bounds)),
+                      self.indices[lo:hi]] = self.data[lo:hi]
+                block.flags.writeable = False
+            for j, size in enumerate(self.lengths[start:start + step].tolist()):
+                yield block[j, :size]
+
+    def __getitem__(self, state) -> np.ndarray:
+        """The row of ``state`` as a fresh read-only dense vector."""
+        try:
+            i = int(np.searchsorted(self.states, operator.index(state)))
+        except (TypeError, OverflowError):
+            raise KeyError(state) from None
+        if i == self.states.size or self.states[i] != state:
+            raise KeyError(state)
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        vec = np.zeros(self.lengths[i])
+        vec[self.indices[lo:hi]] = self.data[lo:hi]
+        vec.flags.writeable = False
+        return vec
+
+    def __iter__(self):
+        return iter(self.states.tolist())
+
+    def __len__(self) -> int:
+        return self.states.size
+
+
 @dataclass(frozen=True)
 class Pmc:
     """A parametric Markov chain.
 
     Every state ``1..n`` owns exactly one outgoing row, either a concrete
     probability vector in ``concrete_rows`` or a single entry of
-    ``parameters`` (at most one parameter per row). Construction only
-    coerces types; semantic checks live in :func:`validate_pmc` so that
-    malformed models can be inspected and reported rather than rejected
-    at construction time.
+    ``parameters`` (at most one parameter per row). ``concrete_rows`` may
+    be given as any mapping of state to vector; it is kept as one
+    :class:`ConcreteRows` store, which holds the rows' stored entries
+    only. Construction only coerces types; semantic checks live in
+    :func:`validate_pmc` so that malformed models can be inspected and
+    reported rather than rejected at construction time.
     """
 
     n: int
     initial: np.ndarray
-    concrete_rows: Mapping[int, np.ndarray]
+    concrete_rows: ConcreteRows
     parameters: tuple[DistributionParameter, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "initial", as_vector(self.initial))
-        rows = {int(k): as_vector(v) for k, v in dict(self.concrete_rows).items()}
-        object.__setattr__(self, "concrete_rows", rows)
+        if not isinstance(self.concrete_rows, ConcreteRows):
+            object.__setattr__(self, "concrete_rows",
+                               ConcreteRows.from_rows(dict(self.concrete_rows).items()))
         object.__setattr__(self, "parameters", tuple(self.parameters))
 
     @property
@@ -221,6 +326,47 @@ def _check_probability_vector(vec: np.ndarray, row: int | None, what: str,
                              f"{what} sums to {float(vec.sum())!r}, expected 1"))
 
 
+def _concrete_violations(rows: ConcreteRows, n: int, out: list[Violation]) -> None:
+    """The violations of the concrete rows, in state order, by segment reductions.
+
+    Each row's min and sum are reduced over its stored entries (an implicit
+    zero fails neither check). Only a failing row is read again, for the
+    position of its entry.
+    """
+    placed = (rows.states >= 1) & (rows.states <= n)
+    sized = placed & (rows.lengths == n)
+    stored = np.diff(rows.indptr)
+    filled = np.flatnonzero(stored)  # reduceat gives an empty segment the next one's entry
+    sums, mins = np.zeros(stored.size), np.zeros(stored.size)
+    if filled.size:
+        starts = rows.indptr[filled]
+        sums[filled] = np.add.reduceat(rows.data, starts)
+        mins[filled] = np.minimum.reduceat(rows.data, starts)
+    # Written so that a NaN fails both checks: every comparison with NaN is false.
+    negative = sized & ~(mins >= -STOCHASTIC_TOL)
+    unstochastic = sized & ~(np.abs(sums - 1.0) <= STOCHASTIC_TOL)
+    for i in np.flatnonzero(~sized | negative | unstochastic).tolist():
+        row = int(rows.states[i])
+        if not placed[i]:
+            out.append(Violation(ViolationKind.BAD_PLACEMENT, row,
+                                 f"concrete row index {row} outside 1..{n}"))
+        elif not sized[i]:
+            out.append(Violation(ViolationKind.ARITY_MISMATCH, row,
+                                 f"row {row} has {int(rows.lengths[i])} entries, expected {n}"))
+        else:
+            if negative[i]:
+                lo, hi = rows.indptr[i], rows.indptr[i + 1]
+                at = lo + int(np.argmin(rows.data[lo:hi]))  # the first NaN, if there is one
+                value = float(rows.data[at])
+                out.append(Violation(
+                    ViolationKind.NEGATIVE_ENTRY, row,
+                    f"row {row} has {'negative' if value < 0.0 else 'NaN'} entry "
+                    f"{value!r} at position {int(rows.indices[at]) + 1}"))
+            if unstochastic[i]:
+                out.append(Violation(ViolationKind.ROW_NOT_STOCHASTIC, row,
+                                     f"row {row} sums to {float(sums[i])!r}, expected 1"))
+
+
 def validate_pmc(pmc: Pmc) -> ValidationResult:
     """Check all structural and stochastic invariants of a PMC.
 
@@ -236,19 +382,12 @@ def validate_pmc(pmc: Pmc) -> ValidationResult:
     else:
         _check_probability_vector(pmc.initial, None, "initial distribution", out)
 
-    owner: dict[int, str] = {}
-    for row, vec in sorted(pmc.concrete_rows.items()):
-        if not 1 <= row <= n:
-            out.append(Violation(ViolationKind.BAD_PLACEMENT, row,
-                                 f"concrete row index {row} outside 1..{n}"))
-            continue
-        owner[row] = "concrete"
-        if vec.size != n:
-            out.append(Violation(ViolationKind.ARITY_MISMATCH, row,
-                                 f"row {row} has {vec.size} entries, expected {n}"))
-            continue
-        _check_probability_vector(vec, row, f"row {row}", out)
+    rows = pmc.concrete_rows
+    _concrete_violations(rows, n, out)
+    owned = np.zeros(max(n, 0) + 1, dtype=bool)  # whether each state (1-based) has a row
+    owned[rows.states[(rows.states >= 1) & (rows.states <= n)]] = True
 
+    owner: dict[int, str] = {}  # the parameter that owns each row
     seen_ids: set[str] = set()
     for param in pmc.parameters:
         if param.id in seen_ids:
@@ -260,10 +399,12 @@ def validate_pmc(pmc: Pmc) -> ValidationResult:
             out.append(Violation(ViolationKind.BAD_PLACEMENT, param.row,
                                  f"parameter {param.id!r} row index {param.row} outside 1..{n}"))
             continue
-        if param.row in owner:
+        if owned[param.row]:
             out.append(Violation(ViolationKind.DUPLICATE_ROW, param.row,
                                  f"row {param.row} defined more than once "
-                                 f"(parameter {param.id!r} vs {owner[param.row]})"))
+                                 f"(parameter {param.id!r} vs "
+                                 f"{owner.get(param.row, 'concrete')})"))
+        owned[param.row] = True
         owner[param.row] = f"parameter {param.id!r}"
 
         if not param.support:
@@ -283,10 +424,9 @@ def validate_pmc(pmc: Pmc) -> ValidationResult:
         _check_probability_vector(param.reference, param.row,
                                   f"reference of parameter {param.id!r}", out)
 
-    for state in range(1, n + 1):
-        if state not in owner:
-            out.append(Violation(ViolationKind.ROW_MISSING, state,
-                                 f"state {state} has no outgoing row"))
+    for state in (np.flatnonzero(~owned[1:]) + 1).tolist():
+        out.append(Violation(ViolationKind.ROW_MISSING, state,
+                             f"state {state} has no outgoing row"))
 
     return ValidationResult(ok=not out, violations=tuple(out))
 
@@ -297,11 +437,13 @@ def _checked_vectors(pmc: Pmc, assignment: Assignment | None) -> list[np.ndarray
     Checks first that the rows can be indexed. Raises as :func:`instantiate`.
     """
     n = pmc.n
-    for row, vec in pmc.concrete_rows.items():
+    rows = pmc.concrete_rows
+    bad = np.flatnonzero((rows.states < 1) | (rows.states > n) | (rows.lengths != n))
+    if bad.size:
+        row, size = int(rows.states[bad[0]]), int(rows.lengths[bad[0]])
         if not 1 <= row <= n:
             raise IndexOutOfRangeError(f"concrete row {row} outside 1..{n}")
-        if vec.size != n:
-            raise ArityMismatchError(f"concrete row {row} has {vec.size} entries, expected {n}")
+        raise ArityMismatchError(f"concrete row {row} has {size} entries, expected {n}")
     vectors = []
     for param in pmc.parameters:
         states = (param.row, *param.support)
@@ -329,8 +471,8 @@ def instantiate(pmc: Pmc, assignment: Assignment) -> np.ndarray:
     """
     vectors = _checked_vectors(pmc, assignment)
     matrix = np.zeros((pmc.n, pmc.n), dtype=np.float64)
-    for row, vec in pmc.concrete_rows.items():
-        matrix[row - 1, :] = vec
+    rows = pmc.concrete_rows
+    matrix[np.repeat(rows.states - 1, np.diff(rows.indptr)), rows.indices] = rows.data
     for param, vec in zip(pmc.parameters, vectors):
         matrix[param.row - 1, np.asarray(param.support, dtype=np.intp) - 1] = vec
     return matrix
@@ -346,9 +488,12 @@ def model_digest(pmc: Pmc) -> str:
     digest = hashlib.sha256(b"pmc-digest-v2")
     digest.update(np.array([pmc.n, pmc.initial.size], dtype="<i8").tobytes())
     digest.update(np.ascontiguousarray(pmc.initial, dtype="<f8"))
-    rows = [(row, 0, b"", (), vec) for row, vec in pmc.concrete_rows.items()]
+    dense = pmc.concrete_rows.dense_rows()  # a block of dense rows at a time, in state order
+    rows = [(row, 0, b"", (), None) for row in pmc.concrete_rows]
     rows += [(p.row, 1, p.id.encode("utf-8"), p.support, p.reference) for p in pmc.parameters]
     for row, kind, ident, support, vec in sorted(rows, key=lambda r: r[:2]):
+        if not kind:
+            vec = next(dense)
         header = [row, kind, len(ident), len(support), *support, vec.size]
         digest.update(np.array(header, dtype="<i8").tobytes() + ident)
         digest.update(np.ascontiguousarray(vec, dtype="<f8"))  # the row itself, no copy

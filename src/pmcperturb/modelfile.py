@@ -28,17 +28,22 @@ exact inverse of parsing on the data model.
 A file is read a chunk of ``CHUNK_BYTES`` at a time: one reader walks the
 top-level object and its ``rows`` array itself and hands every key and
 every other value, each row included, to the JSON decoder. Each row's
-``concrete`` or ``reference`` numbers become a read-only float64 array as
-soon as that row is decoded, so the parse never holds all n² numbers as
-Python floats, nor the whole text or the whole bytes of the file. The peak
-memory of a parse is therefore about one chunk plus the final arrays. A syntax
-error inside a value, after its first character, is reported by the reader
-itself, with the decoder's message; only then is the file read again up to
-the error, to count its line and column. Other input the reader does not
-accept (malformed JSON elsewhere, a top level that is not an object, a
-byte-order mark, a byte that is not UTF-8) is read whole and handed to
-``json.loads``, which raises the error. A pipe, which cannot be read twice,
-is read whole once and parsed as text.
+``reference`` numbers become a read-only float64 array as soon as that row
+is decoded, and its ``concrete`` numbers become the row's compact form
+(``model.sparse_row``: the entries whose bits are not +0.0), which is
+appended at once to the buffers of one CSR store (``model.ConcreteRows``).
+So no dense row outlives its own decode, and the parse never holds the n²
+numbers, as Python floats or as arrays, nor the whole text or the whole
+bytes of the file. The peak memory of a parse is therefore about one chunk
+plus the model's final arrays, which are O(non-zeros). A syntax error
+inside a value, after its first character, is reported by the reader
+itself, with the decoder's message, as soon as the reader's window holds
+the text after it; only then is the file read again up to the error, to
+count its line and column. Other input the reader does not accept
+(malformed JSON elsewhere, a top level that is not an object, a byte-order
+mark, a byte that is not UTF-8) is read whole and handed to ``json.loads``,
+which raises the error. A pipe, which cannot be read twice, is read whole
+once and parsed as text.
 """
 
 from __future__ import annotations
@@ -59,7 +64,14 @@ from .errors import (
     ModelValidationError,
     PmcError,
 )
-from .model import DistributionParameter, Pmc, validate_pmc
+from .model import (
+    ConcreteRows,
+    DistributionParameter,
+    Pmc,
+    SparseRow,
+    sparse_row,
+    validate_pmc,
+)
 from .perturbation import Direction
 from .reachability import ReachabilityProblem
 from .report import render_json
@@ -69,6 +81,10 @@ SCHEMA_VERSION = 1
 #: Bytes read from a model file at a time. The reader also refills its
 #: window of text before fewer than this many characters are left unread.
 CHUNK_BYTES = 1 << 18
+
+#: Characters before the window's end within which a decode error may come
+#: from a value cut there; the longest cut token is ``-Infinity``.
+_CUT_MARGIN = 16
 
 _NUMBER_TYPES = frozenset((int, float))
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
@@ -119,15 +135,17 @@ def _number_list(value, where: str) -> np.ndarray:
 def _rows_to_arrays(obj: dict) -> dict:
     """``object_hook`` that converts a row's numbers as soon as it is decoded.
 
-    Anything ``_float_array`` rejects stays as decoded, for the parse loop to
-    report with its location.
+    ``reference`` becomes an array and ``concrete`` a ``SparseRow``. Anything
+    ``_float_array`` rejects stays as decoded, for the parse loop to report
+    with its location.
     """
     for key in ("concrete", "reference"):
         if key in obj:
             try:
-                obj[key] = _float_array(obj[key])
+                arr = _float_array(obj[key])
             except ModelSchemaError:
-                pass
+                continue
+            obj[key] = sparse_row(arr) if key == "concrete" else arr
     return obj
 
 
@@ -135,6 +153,69 @@ def _int_list(value, where: str) -> list[int]:
     if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise ModelSchemaError(f"{where}: expected a list of integers")
     return list(value)
+
+
+class _Rows:
+    """A document's ``rows``, folded into the model's rows one row at a time.
+
+    Each concrete row's compact form is appended to growing CSR buffers and
+    each parameter row becomes a ``DistributionParameter``, so no row is
+    held as decoded. The first row that breaks the schema is kept in
+    ``error`` and later rows are only counted: ``parse_model`` raises it
+    after the checks that come before the rows.
+    """
+
+    def __init__(self, rows=()):
+        self.count, self.error, self.parameters = 0, None, []
+        # int64 (state, length, end in data) per concrete row; int32 indices; float64 data
+        self.table, self.indices, self.data = bytearray(), bytearray(), bytearray()
+        for row in rows:
+            self.add(row)
+
+    def add(self, row) -> None:
+        self.count += 1
+        if self.error is None:
+            try:
+                self._fold(self.count, row)
+            except ModelSchemaError as exc:
+                self.error = exc
+
+    def _fold(self, state: int, row) -> None:
+        where = f"rows[{state - 1}]"
+        if not isinstance(row, dict):
+            raise ModelSchemaError(f"{where}: expected an object")
+        if "concrete" in row and "parameter" in row:
+            raise ModelSchemaError(f"{where}: row is both concrete and parameterized")
+        if "concrete" in row:
+            _require_keys(row, {"concrete"}, {"concrete"}, where)
+            compact = row["concrete"]
+            if not isinstance(compact, SparseRow):  # left as decoded by _rows_to_arrays
+                compact = sparse_row(_number_list(compact, f"{where}.concrete"))
+            self.indices += compact.indices.tobytes()
+            self.data += compact.data.tobytes()
+            self.table += np.array([state, compact.size, len(self.data) // 8],
+                                   dtype=np.int64).tobytes()
+        elif "parameter" in row:
+            _require_keys(row, {"parameter", "support", "reference"},
+                          {"parameter", "support", "reference"}, where)
+            if not isinstance(row["parameter"], str):
+                raise ModelSchemaError(f"{where}.parameter: expected a string id")
+            self.parameters.append(DistributionParameter(
+                id=row["parameter"],
+                row=state,
+                support=tuple(_int_list(row["support"], f"{where}.support")),
+                reference=_number_list(row["reference"], f"{where}.reference"),
+            ))
+        else:
+            raise ModelSchemaError(f"{where}: expected 'concrete' or 'parameter'")
+
+    def concrete_rows(self) -> ConcreteRows:
+        """The concrete rows as one store, on the entry buffers themselves."""
+        table = np.frombuffer(self.table, dtype=np.int64).reshape(-1, 3)
+        return ConcreteRows(table[:, 0].copy(), table[:, 1].copy(),
+                            np.concatenate([[0], table[:, 2]]),
+                            np.frombuffer(self.indices, dtype=np.int32),
+                            np.frombuffer(self.data, dtype=np.float64))
 
 
 _DECODER = json.JSONDecoder(object_hook=_rows_to_arrays)
@@ -228,16 +309,21 @@ class _Window:
         """A value and the delimiter after it; whether that closed the container.
 
         A syntax error past the value's first character is raised by
-        ``_syntax_error`` once the window holds the rest of the document (a
-        failed step grows it to the end first). The decoder runs the nested
-        scan that ``json.loads`` of the whole text would, so the message is
-        the one ``json.loads`` gives.
+        ``_syntax_error`` as soon as it cannot come from the window's end: in
+        the window that holds the rest of the document, or more than
+        ``_CUT_MARGIN`` characters before the window's end. A value cut at
+        the end fails there, except an unterminated string, whose error
+        points at the string's start; that error waits for a longer window.
+        The decoder runs the nested scan that ``json.loads`` of the whole
+        text would, so the message is the one ``json.loads`` gives.
         """
         start = self.skip()
         try:
             value = self.value()
         except json.JSONDecodeError as exc:
-            if self.eof and exc.pos > start:
+            if exc.pos > start and (self.eof or (
+                    exc.pos < len(self.text) - _CUT_MARGIN
+                    and not exc.msg.startswith("Unterminated string"))):
                 _syntax_error(self.path, exc, self.dropped + exc.pos)
             raise
         return value, self.expect("," + close) == close
@@ -263,11 +349,11 @@ class _Window:
         while not closed:
             key, value, closed = self.step(self.member)
             if value is _ROWS:
-                value = []
+                value = _Rows()
                 done = self.step(self.opens, "]")
                 while not done:
                     row, done = self.step(self.element, "]")
-                    value.append(row)
+                    value.add(row)
                 closed = self.step(self.expect, ",}") == "}"
             doc[key] = value
         while True:  # only whitespace may follow
@@ -387,39 +473,17 @@ def parse_model(source: str | os.PathLike) -> ParsedModel:
     initial = _number_list(doc["initial"], "initial")
 
     rows = doc["rows"]
-    if not isinstance(rows, list):
+    if isinstance(rows, list):  # read whole by json.loads
+        rows = _Rows(rows)
+    if not isinstance(rows, _Rows):
         raise ModelSchemaError("rows: expected a list")
-    if len(rows) != n:
-        raise ModelSchemaError(f"rows: expected {n} entries, got {len(rows)}")
+    if rows.count != n:
+        raise ModelSchemaError(f"rows: expected {n} entries, got {rows.count}")
+    if rows.error is not None:
+        raise rows.error
 
-    concrete_rows: dict[int, np.ndarray] = {}
-    parameters: list[DistributionParameter] = []
-    for index, row in enumerate(rows):
-        where = f"rows[{index}]"
-        state = index + 1
-        if not isinstance(row, dict):
-            raise ModelSchemaError(f"{where}: expected an object")
-        if "concrete" in row and "parameter" in row:
-            raise ModelSchemaError(f"{where}: row is both concrete and parameterized")
-        if "concrete" in row:
-            _require_keys(row, {"concrete"}, {"concrete"}, where)
-            concrete_rows[state] = _number_list(row["concrete"], f"{where}.concrete")
-        elif "parameter" in row:
-            _require_keys(row, {"parameter", "support", "reference"},
-                          {"parameter", "support", "reference"}, where)
-            if not isinstance(row["parameter"], str):
-                raise ModelSchemaError(f"{where}.parameter: expected a string id")
-            parameters.append(DistributionParameter(
-                id=row["parameter"],
-                row=state,
-                support=tuple(_int_list(row["support"], f"{where}.support")),
-                reference=_number_list(row["reference"], f"{where}.reference"),
-            ))
-        else:
-            raise ModelSchemaError(f"{where}: expected 'concrete' or 'parameter'")
-
-    pmc = Pmc(n=n, initial=initial, concrete_rows=concrete_rows,
-              parameters=tuple(parameters))
+    pmc = Pmc(n=n, initial=initial, concrete_rows=rows.concrete_rows(),
+              parameters=tuple(rows.parameters))
     result = validate_pmc(pmc)
     if not result.ok:
         lines = "; ".join(
@@ -479,8 +543,8 @@ def render_model(pmc: Pmc, problem: ReachabilityProblem | None = None,
     data model exactly.
     """
     by_row: dict[int, dict] = {}
-    for row, vec in pmc.concrete_rows.items():
-        by_row[row] = {"concrete": list(map(float, vec))}
+    for row, vec in zip(pmc.concrete_rows, pmc.concrete_rows.dense_rows()):
+        by_row[row] = {"concrete": vec.tolist()}
     for p in pmc.parameters:
         by_row[p.row] = {
             "parameter": p.id,

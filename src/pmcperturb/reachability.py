@@ -74,8 +74,8 @@ RESIDUAL_HARD = 1e-10
 SPARSE_MIN_STATES = 512
 #: The sparse kernel needs a bandwidth of at most the block size over this.
 SPARSE_BANDWIDTH_DIVISOR = 32
-#: Entries of concrete rows scanned at once by the extraction (512 kB).
-_SCAN_ENTRIES = 1 << 16
+#: Entries of destination segments summed at once by the extraction (512 kB).
+_MASS_ENTRIES = 1 << 16
 #: Entries of sampled dense systems ``A`` stacked into one chunk (512 kB).
 _SOLVE_ENTRIES = 1 << 16
 
@@ -229,17 +229,19 @@ def _parameter_slots(pmc: Pmc, cp: CanonicalProblem) -> tuple[tuple[int, np.ndar
     return slots
 
 
-def _destination_mass(values: np.ndarray, cols: np.ndarray, cp: CanonicalProblem) -> np.ndarray:
-    """Each row's mass in the destination block; ``cols`` are the canonical positions of a row.
+def _destination_mass(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, count: int,
+                      cp: CanonicalProblem) -> np.ndarray:
+    """Each of ``count`` rows' mass in the destination block, from its entries there.
 
-    Sums the whole destination-ordered segment of the row, zeros included,
-    for concrete and parameter rows alike, so the result has the bits of the
-    same sum over a row of the ``n x n`` transition matrix.
+    ``rows``, ``cols`` (canonical positions in the destination block) and
+    ``values`` broadcast together. Sums the whole destination-ordered
+    segment of each row, zeros included, for concrete and parameter rows
+    alike, so the result has the bits of the same sum over a row of the
+    ``n x n`` transition matrix.
     """
     d0 = cp.destination_start - 1
-    outer = cols >= d0
-    segment = np.zeros((values.shape[0], cp.n - d0))
-    segment[:, cols[outer] - d0] = values[:, outer]
+    segment = np.zeros((count, cp.n - d0))
+    segment[rows, cols - d0] = values
     return segment.sum(axis=1)
 
 
@@ -247,33 +249,53 @@ def _constraint_entries(pmc: Pmc, cp: CanonicalProblem, vectors, slots):
     """``A`` as canonical ``(rows, cols, values)`` entries, and ``b``, at ``vectors``.
 
     Read from the model rows for both kernels, without an ``n x n`` matrix:
-    the non-zero entries of each concrete constraint row, scanned a block of
-    rows at a time, then the parameter rows' entries by
-    :func:`_parameter_entries`, a batch of one. ``b`` sums each row by
-    :func:`_destination_mass`; middle-block entries drop out.
+    the stored entries of the concrete constraint rows, read from the CSR
+    store (``model.ConcreteRows``) in one pass, then the parameter rows'
+    entries by :func:`_parameter_entries`, a batch of one. Middle-block
+    entries and zeros drop out of ``A``, and each output array is written
+    once. ``b`` sums each row by :func:`_destination_mass`, at most
+    ``_MASS_ENTRIES`` segment entries at a time; a row with no stored entry
+    in the destination block keeps 0.
     """
-    n, nq = cp.n, cp.n_constraint
+    nq, d0 = cp.n_constraint, cp.destination_start - 1
+    store = pmc.concrete_rows
     pos = np.asarray(cp.permutation, dtype=np.intp) - 1
-    constraint = pos < nq  # whether each state lies in the constraint block
-    states = [s for s in cp.constraint_states if s in pmc.concrete_rows]
-    canonical = pos[np.asarray(states, dtype=np.intp) - 1]
+    row = np.repeat(pos[store.states - 1], np.diff(store.indptr))
+    col = pos[store.indices]
+    inside = row < nq  # whether each entry's row lies in the constraint block
+
     b = np.zeros(nq)
-    rows, cols, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-    step = max(1, _SCAN_ENTRIES // n)
-    for start in range(0, len(states), step):
-        block = np.concatenate([pmc.concrete_rows[s] for s in states[start:start + step]])
-        block = block.reshape(-1, n)
-        at = canonical[start:start + step]
-        b[at] = _destination_mass(block, pos, cp)
-        index = np.flatnonzero((block != 0.0) & constraint)
-        row, col = np.divmod(index, n)
-        rows.append(at[row])
-        cols.append(pos[col])
-        values.append(block.ravel()[index])
-    row, col, value, b_rows, b_mass = _parameter_entries(cp, slots, [v[None] for v in vectors], 1)
+    outer = np.flatnonzero(inside & (col >= d0))
+    if outer.size:
+        # the rows with entries in the destination block, numbered in store order
+        local = np.cumsum(np.diff(row[outer], prepend=-1) != 0) - 1
+        targets = row[outer][np.diff(local, prepend=-1) != 0]
+        step = max(1, _MASS_ENTRIES // (cp.n - d0))
+        for start in range(0, targets.size, step):
+            lo, hi = np.searchsorted(local, (start, start + step))
+            part = outer[lo:hi]
+            b[targets[start:start + step]] = _destination_mass(
+                local[lo:hi] - start, col[part], store.data[part],
+                min(step, targets.size - start), cp)
+    del outer
+
+    p_row, p_col, p_value, b_rows, b_mass = _parameter_entries(
+        cp, slots, [v[None] for v in vectors], 1)
     b[b_rows] = b_mass[0]
-    return (np.concatenate([*rows, row]), np.concatenate([*cols, col]),
-            np.concatenate([*values, value[0]]), b)
+    keep = np.flatnonzero(inside & (col < nq) & (store.data != 0.0))
+    del inside
+
+    def pack(whole, tail):  # whole[keep] then tail, with no copy of either between
+        out = np.empty(keep.size + tail.size, whole.dtype)
+        np.take(whole, keep, out=out[:keep.size], mode="clip")  # "clip" takes no buffer
+        out[keep.size:] = tail
+        return out
+
+    rows = pack(row, p_row)
+    del row
+    cols = pack(col, p_col)
+    del col
+    return rows, cols, pack(store.data, p_value[0]), b
 
 
 def _parameter_entries(cp: CanonicalProblem, slots, vectors, count: int):
@@ -283,17 +305,18 @@ def _parameter_entries(cp: CanonicalProblem, slots, vectors, count: int):
     order of ``slots``; the values come one row per vector, ``b`` summed by
     :func:`_destination_mass`.
     """
-    nq = cp.n_constraint
+    nq, d0 = cp.n_constraint, cp.destination_start - 1
     rows, cols, b_rows = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
     values, mass = [np.empty((count, 0))], [np.empty((count, 0))]
     for (row, support), vec in zip(slots, vectors):
         if row < nq:
-            inner = support < nq
+            inner, outer = support < nq, support >= d0
             rows.append(np.full(int(inner.sum()), row))
             cols.append(support[inner])
             values.append(vec[:, inner])
             b_rows.append(row)
-            mass.append(_destination_mass(vec, support, cp)[:, None])
+            mass.append(_destination_mass(np.arange(count)[:, None], support[outer],
+                                          vec[:, outer], count, cp)[:, None])
     return (np.concatenate(rows), np.concatenate(cols), np.hstack(values),
             np.array(b_rows, dtype=np.intp), np.hstack(mass))
 

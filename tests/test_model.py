@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from pmcperturb import (
     DistributionParameter,
     DomainError,
     MissingParameterError,
+    ModelValidationError,
     Pmc,
     SimplexViolationError,
     ViolationKind,
@@ -22,7 +25,9 @@ from pmcperturb import (
     build_zeroconf,
     instantiate,
     model_digest,
+    parse_model,
     reference_assignment,
+    render_model,
     validate_pmc,
 )
 
@@ -89,6 +94,73 @@ class TestValidate:
                   parameters=(DistributionParameter("q", 1, (3, 1), (0.5, 0.5)),))
         assert any(v.kind is ViolationKind.BAD_PLACEMENT
                    for v in validate_pmc(pmc).violations)
+
+
+class TestValidateStoredRows:
+    """Concrete rows are checked by segment reductions over their stored entries.
+
+    ``np.add.reduceat`` gives an empty segment the next segment's first
+    entry, not 0, and implicit zeros are no stored entry: each row below
+    gets the message that the check of the dense row gave.
+    """
+
+    NAN = float("nan")
+    CASES = {
+        "all-zero row": (
+            {2: (0, 0, 0, 0), 3: (0.0, 0.5, 0.5, 0.0), 4: (0, 0, 0, 1)},
+            [("RowNotStochastic", 2, "row 2 sums to 0.0, expected 1")]),
+        "all-zero last row": (
+            {2: (0, 1, 0, 0), 3: (0.0, 0.5, 0.5, 0.0), 4: (0, 0, 0, 0)},
+            [("RowNotStochastic", 4, "row 4 sums to 0.0, expected 1")]),
+        "empty row": (
+            {2: (), 3: (0.0, 0.5, 0.5, 0.0), 4: (0, 0, 0, 1)},
+            [("ArityMismatch", 2, "row 2 has 0 entries, expected 4")]),
+        "wrong lengths": (
+            {2: (0.5, 0.5), 3: (0.0, 0.5, 0.5, 0.0, 0.0), 4: (0, 0, 0, 1)},
+            [("ArityMismatch", 2, "row 2 has 2 entries, expected 4"),
+             ("ArityMismatch", 3, "row 3 has 5 entries, expected 4")]),
+        "negative after implicit zeros": (
+            {2: (0, 0, -0.25, 1.25), 3: (0, -0.5, 0, 1.5), 4: (0, 0, 0, 1)},
+            [("NegativeEntry", 2, "row 2 has negative entry -0.25 at position 3"),
+             ("NegativeEntry", 3, "row 3 has negative entry -0.5 at position 2")]),
+        "NaN after implicit zeros": (
+            {2: (0, 0, NAN, 1.0), 3: (0, -0.5, NAN, 1.5), 4: (0, 0, 0, 1)},
+            [("NegativeEntry", 2, "row 2 has NaN entry nan at position 3"),
+             ("RowNotStochastic", 2, "row 2 sums to nan, expected 1"),
+             ("NegativeEntry", 3, "row 3 has NaN entry nan at position 3"),
+             ("RowNotStochastic", 3, "row 3 sums to nan, expected 1")]),
+        "rows outside 1..n": (
+            {-1: (0, 0, 0, 1), 0: (0, 0, 0, 1), 2: (0, 1, 0, 0), 3: (0.0, 0.5, 0.5, 0.0),
+             4: (0, 0, 0, 1), 5: (1, 0, 0, 0)},
+            [("BadPlacement", -1, "concrete row index -1 outside 1..4"),
+             ("BadPlacement", 0, "concrete row index 0 outside 1..4"),
+             ("BadPlacement", 5, "concrete row index 5 outside 1..4")]),
+        "nextafter": (
+            {2: (0.375, 0.125, 0.25, np.nextafter(0.25, 1.0)), 3: (0.0, 0.5, 0.5, 0.0),
+             4: (1 / 3, 0.0, 1 / 3, 1 / 3)},
+            []),
+        "sum tolerance across zeros": (
+            {2: (0.5, 0.0, 0.0, 0.5 + 2.0 ** -40), 3: (0.5, 0.0, 0.0, 0.5 + 2.0 ** -39),
+             4: (-0.0, 0.0, 1.0, -0.0)},
+            [("RowNotStochastic", 3, "row 3 sums to 1.000000000001819, expected 1")]),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_messages(self, name):
+        rows, expected = self.CASES[name]
+        frog, _ = build_frog()
+        pmc = dataclasses.replace(frog, concrete_rows=rows)
+        result = validate_pmc(pmc)
+        assert [(v.kind.value, v.row, v.detail) for v in result.violations] == expected
+        assert result.ok is not expected
+
+    def test_empty_row_in_a_file(self):
+        frog, problem = build_frog()
+        doc = json.loads(render_model(frog, problem))
+        doc["rows"][1]["concrete"] = []
+        with pytest.raises(ModelValidationError, match=re.escape(
+                "invalid model: ArityMismatch (row 2): row 2 has 0 entries, expected 4")):
+            parse_model(json.dumps(doc))
 
 
 class TestInstantiate:

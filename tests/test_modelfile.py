@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import birth_death_chain, random_pmc
+from conftest import birth_death_chain, random_pmc, random_sparse_pmc
 from hypothesis import given, settings, strategies as st
 
 from pmcperturb import (
@@ -23,6 +24,7 @@ from pmcperturb import (
     ModelSchemaError,
     ModelSyntaxError,
     ModelValidationError,
+    Pmc,
     PmcError,
     ReachabilityProblem,
     build_frog,
@@ -32,6 +34,7 @@ from pmcperturb import (
     render_model,
 )
 from pmcperturb import cli, modelfile
+from pmcperturb.model import SparseRow
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -189,10 +192,13 @@ def test_integer_beyond_double_range(field, place):
 
 
 def test_parse_peak_memory_is_the_final_arrays():
-    # Rows become arrays while decoding, so the parse never holds the n²
-    # numbers as Python floats (about 4x the arrays' size when it did).
-    pmc, problem, _ = birth_death_chain(1000)
-    text = render_model(pmc, problem)
+    # Each row is folded into the CSR store as soon as it is decoded, so the
+    # parse holds the store's arrays and a few dense rows of transients (one
+    # row's Python floats and its array, and the checks' per-row vectors),
+    # never the n² numbers: holding the dense rows made the peak 140 times
+    # the store. The file has no problem block, whose state sets are O(n).
+    pmc, _, _ = birth_death_chain(1000)
+    text = render_model(pmc)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -201,8 +207,88 @@ def test_parse_peak_memory_is_the_final_arrays():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    rows = [*parsed.pmc.concrete_rows.values(), *(p.reference for p in parsed.pmc.parameters)]
-    assert peak <= 1.25 * sum(row.nbytes for row in rows)
+    rows = parsed.pmc.concrete_rows
+    store = sum(a.nbytes for a in (rows.states, rows.lengths, rows.indptr, rows.indices, rows.data))
+    assert store < 64 * 1000
+    assert peak <= 2 * store + 16 * 8 * pmc.n
+
+
+def dense_digest(pmc) -> str:
+    """``model_digest`` over each concrete row as a dense vector: the hash before the store.
+
+    The rows come from the mapping, one lookup per row, so this checks
+    every stored entry and every implicit zero against the digest's block
+    of dense rows.
+    """
+    digest = hashlib.sha256(b"pmc-digest-v2")
+    digest.update(np.array([pmc.n, pmc.initial.size], dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(pmc.initial, dtype="<f8"))
+    rows = [(row, 0, b"", (), pmc.concrete_rows[row]) for row in pmc.concrete_rows]
+    rows += [(p.row, 1, p.id.encode("utf-8"), p.support, p.reference) for p in pmc.parameters]
+    for row, kind, ident, support, vec in sorted(rows, key=lambda r: r[:2]):
+        header = [row, kind, len(ident), len(support), *support, vec.size]
+        digest.update(np.array(header, dtype="<i8").tobytes() + ident)
+        digest.update(np.ascontiguousarray(vec, dtype="<f8"))
+    return digest.hexdigest()[:12]
+
+
+def dense_rows_of(text: str) -> dict[int, np.ndarray]:
+    """The concrete rows of a model's text as dense vectors, read by ``json.loads``."""
+    doc = json.loads(text)
+    return {i: np.array(row["concrete"], dtype=np.float64)
+            for i, row in enumerate(doc["rows"], start=1) if "concrete" in row}
+
+
+def assert_store_is_exact(pmc, problem=None):
+    """The CSR store gives back every row bit for bit: parse, render and digest."""
+    text = render_model(pmc, problem)
+    parsed = parse_model(text)
+    assert render_model(parsed.pmc, parsed.problem) == text
+    dense = dense_rows_of(text)
+    assert list(parsed.pmc.concrete_rows) == sorted(dense)
+    for state, row in dense.items():
+        assert parsed.pmc.concrete_rows[state].tobytes() == row.tobytes()
+    from_dense = replace(parsed.pmc, concrete_rows=dense)
+    assert model_digest(parsed.pmc) == model_digest(from_dense) == dense_digest(from_dense) \
+        == model_digest(pmc)
+
+
+@pytest.mark.parametrize("build", [build_frog, build_zeroconf, lambda: birth_death_chain(40)[:2],
+                                   lambda: birth_death_chain(40, jump=5)[:2]])
+def test_store_is_exact_on_the_bundled_models(build):
+    assert_store_is_exact(*build())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12),
+       st.sampled_from([random_pmc, random_sparse_pmc]))
+def test_store_is_exact_on_random_models(seed, n, draw):
+    rng = np.random.default_rng(seed)
+    assert_store_is_exact(draw(rng, n, int(rng.integers(0, n + 1))))
+
+
+def test_signed_zero_and_nan_entries_keep_their_bits():
+    row = (-0.0, float("nan"), 0.0, -0.0, 1.0, -float("nan"), 0.0, -0.0, 0.0)
+    rows = {state: np.eye(9)[state - 1] for state in range(1, 10)}
+    pmc = Pmc(n=9, initial=np.eye(9)[0], concrete_rows={**rows, 5: row}, parameters=())
+    assert pmc.concrete_rows[5].tobytes() == np.array(row).tobytes()
+    at = list(pmc.concrete_rows).index(5)
+    assert np.diff(pmc.concrete_rows.indptr)[at] == 6  # only the +0.0 entries are left out
+    assert model_digest(pmc) == dense_digest(pmc)
+    text = render_model(pmc)
+    assert '"concrete": [\n        -0.0,\n        NaN,\n        0.0,\n        -0.0,' in text
+    # The file spells both NaNs alike; the reader gives back what json.loads reads.
+    read = modelfile._read_document(text)["rows"].concrete_rows()
+    assert read[5].tobytes() == dense_rows_of(text)[5].tobytes()
+    assert np.array_equal(read[5], row, equal_nan=True)
+    assert np.signbit(read[5]).tolist() == np.signbit(row).tolist()[:5] + [False] \
+        + np.signbit(row).tolist()[6:]
+    with pytest.raises(ModelValidationError, match="row 5 has NaN entry nan at position 2"):
+        parse_model(text)
+    signed = replace(pmc, concrete_rows={**rows, 5: np.where(np.isnan(row), 0.0, row)})
+    assert_store_is_exact(signed)
+    assert model_digest(signed) != model_digest(replace(pmc, concrete_rows={
+        **rows, 5: np.where(np.isnan(row), 0.0, np.abs(row))}))
 
 
 # The chunked reader. The parse before it, json.loads of the whole text and
@@ -413,6 +499,34 @@ def test_late_syntax_error_is_read_once(tmp_path, name, location, chunk):
         assert outcome(parse_model, path) == outcome(parse_model, text) == expected
 
 
+@pytest.mark.parametrize("n, chunk", [*((300, c) for c in [*range(1, 9), 64]),
+                                      (1000, modelfile.CHUNK_BYTES)])
+def test_mid_file_syntax_error_is_raised_from_its_window(tmp_path, n, chunk):
+    # An error more than a cut token before the window's end is raised at
+    # once, with json.loads's message. Growing the window to the end of the
+    # file first held the rest of the file: 16.5 MB for the 13 MB chain with
+    # the error in its middle.
+    pmc, problem, _ = birth_death_chain(n)
+    text = render_model(pmc, problem)
+    at = text.index("0.0", len(text) // 8)
+    path = tmp_path / "bad.model"
+    path.write_text(text[:at] + "x" + text[at + 1:], encoding="utf-8")
+    expected = reference_outcome(path)
+    assert expected[0] is ModelSyntaxError and expected[1].endswith(": Expecting value")
+    parsed_again = AssertionError("the whole text was parsed again")
+    with mock.patch.object(modelfile, "CHUNK_BYTES", chunk), \
+            mock.patch.object(modelfile, "_load_document", side_effect=parsed_again):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert outcome(parse_model, path) == expected
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 * chunk + len(text) // 4
+
+
 @pytest.mark.parametrize("chunk", [*range(1, 9), 64, 1 << 18])
 def test_lone_carriage_return_is_left_to_json_loads(tmp_path, chunk):
     path = tmp_path / "bad.model"
@@ -430,10 +544,17 @@ def test_valid_files_never_locate_a_syntax_error(tmp_path, chunk):
     pmc, problem, _ = birth_death_chain(30)
     chain = tmp_path / "chain.model"
     chain.write_text(render_model(pmc, problem), encoding="utf-8")
+    # A string cut at the window's end is unterminated there, and that error
+    # points at the string's start: with a long id, far before the end.
+    frog, frog_problem = build_frog()
+    long_id = tmp_path / "long_id.model"
+    long_id.write_text(render_model(replace(frog, parameters=(
+        replace(frog.parameters[0], id="a parameter id longer than the cut margin"),)),
+        frog_problem), encoding="utf-8")
     located = AssertionError("a valid file was read again for an error's location")
     with mock.patch.object(modelfile, "CHUNK_BYTES", chunk), \
             mock.patch.object(modelfile, "_syntax_error", side_effect=located):
-        for path in [*sorted(MODELS.glob("*.model")), chain]:
+        for path in [*sorted(MODELS.glob("*.model")), chain, long_id]:
             assert parse_model(path).pmc.n > 0
 
 
@@ -551,12 +672,18 @@ def test_bytes_are_text_not_a_path():
 def test_top_level_object_rules():
     read = modelfile._read_document
     doc = read('{"concrete": [1, 2], "x": {"reference": [0.5]}}')
-    assert isinstance(doc["concrete"], np.ndarray) and doc["concrete"].tolist() == [1.0, 2.0]
+    assert isinstance(doc["concrete"], SparseRow)  # compacted as decoded: no dense row kept
+    assert [doc["concrete"].size, *map(np.ndarray.tolist, doc["concrete"][1:])] == \
+        [2, [0, 1], [1.0, 2.0]]
     assert isinstance(doc["x"]["reference"], np.ndarray)
     assert read('{"a": 1, "b": 2, "a": 3}') == {"a": 3, "b": 2}
-    assert read('{"rows": [1], "rows": [2, 3]}') == {"rows": [2, 3]}
+    # A rows array is folded as it is read: its count and its first bad row.
+    doc = read('{"rows": [1], "rows": [2, 3]}')
+    assert list(doc) == ["rows"] and doc["rows"].count == 2  # the last "rows" wins
+    assert str(doc["rows"].error) == "rows[0]: expected an object"
     assert read('{"rows": 5}') == {"rows": 5}
-    assert read('{"rows" : [ ] }') == {"rows": []}
+    doc = read('{"rows" : [ ] }')
+    assert list(doc) == ["rows"] and (doc["rows"].count, doc["rows"].error) == (0, None)
     assert read(' \r\n{}\t \r\n') == {}
     for text in ['{1: 2}', '{"a": 1}x', '{"a": 1} {}', '{"a": 1,}', '{"rows": [1,]}',
                  '[]', '﻿{}', '{"a" 1}', '{"rows": [1 2]}', '']:

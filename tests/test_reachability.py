@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from pmcperturb import (
     total_probability,
     validate_bounds,
 )
+from pmcperturb import reachability
 from pmcperturb.reachability import SPARSE_MIN_STATES
 
 RESIDUAL_HARD = 1e-10
@@ -175,6 +177,34 @@ class TestExtract:
                 a = system.a if dense else system.a.toarray()
                 assert a.shape == oracle.a.shape and a.tobytes() == oracle.a.tobytes()
                 assert system.b.tobytes() == oracle.b.tobytes()
+
+    @pytest.mark.parametrize("name", ["random_pmc", "random_sparse_pmc", "chain"])
+    @pytest.mark.parametrize("mass_entries", [1, 40])
+    def test_destination_sums_in_chunks_match_dense_oracle(self, monkeypatch, name,
+                                                          mass_entries):
+        # b sums the destination segments of the concrete rows one row, or a
+        # few rows, at a time; its bits do not depend on the chunks.
+        monkeypatch.setattr(reachability, "_MASS_ENTRIES", mass_entries)
+        for pmc, problem, _ in extraction_cases(name):
+            cp = canonicalize(pmc, problem)
+            assert extract_system(pmc, cp).b.tobytes() == dense_system(pmc, cp).b.tobytes()
+
+    @pytest.mark.parametrize("name", ["random_sparse_pmc", "chain"])
+    def test_signed_zero_entries_are_no_entries_of_a(self, name):
+        # The store keeps a -0.0 entry, but A drops it as it drops +0.0: the
+        # dense a keeps its +0.0 bits and the CSR a stores no explicit zero.
+        for pmc, problem, _ in extraction_cases(name):
+            signed = replace(pmc, concrete_rows={
+                state: np.where(row == 0.0, -0.0, row)
+                for state, row in pmc.concrete_rows.items()})
+            cp = canonicalize(pmc, problem)
+            plain, system = extract_system(pmc, cp), extract_system(signed, cp)
+            if name == "chain":
+                parts = [(x.a.indptr, x.a.indices, x.a.data) for x in (plain, system)]
+                assert [a.tobytes() for a in parts[0]] == [a.tobytes() for a in parts[1]]
+            else:
+                assert system.a.tobytes() == plain.a.tobytes()
+            np.testing.assert_array_equal(system.b, plain.b)
 
     @pytest.mark.parametrize("name", ["frog", "zeroconf", "random_sparse_pmc", "chain"])
     def test_slots_hold_canonical_positions(self, name):
