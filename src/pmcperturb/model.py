@@ -121,10 +121,12 @@ def sparse_row(values) -> SparseRow:
     """The compact form of a row: every entry whose bits are not +0.0.
 
     ``-0.0`` and NaN entries are kept, so the dense row comes back exactly.
+    A row that keeps every entry keeps ``values`` itself (flattened) as its
+    ``data``, without a gather.
     """
     vec = np.asarray(values, dtype=np.float64).reshape(-1)
     at = vec.view(np.uint64).nonzero()[0]
-    return SparseRow(vec.size, at.astype(np.int32), vec[at])
+    return SparseRow(vec.size, at.astype(np.int32), vec if at.size == vec.size else vec[at])
 
 
 class ConcreteRows(Mapping):
@@ -165,6 +167,11 @@ class ConcreteRows(Mapping):
                    np.concatenate([np.zeros(0, np.int32), *(row.indices for _, row in pairs)]),
                    np.concatenate([np.zeros(0), *(row.data for _, row in pairs)]))
 
+    @property
+    def block_rows(self) -> int:
+        """Rows in a block of :meth:`dense_rows`: ``_DENSE_ENTRIES`` numbers, or one row."""
+        return max(1, _DENSE_ENTRIES // int(self.lengths.max(initial=1)))
+
     def dense_rows(self):
         """Each stored row as a read-only vector, in state order.
 
@@ -173,7 +180,7 @@ class ConcreteRows(Mapping):
         whose rows store every entry is read from ``data`` as it is.
         """
         width = int(self.lengths.max(initial=1))
-        step = max(1, _DENSE_ENTRIES // width)
+        step = self.block_rows
         for start in range(0, len(self), step):
             bounds = self.indptr[start:start + step + 1]
             lo, hi, count = bounds[0], bounds[-1], bounds.size - 1
@@ -321,9 +328,11 @@ def _check_probability_vector(vec: np.ndarray, row: int | None, what: str,
         sort = "negative" if vec[idx] < 0.0 else "NaN"
         out.append(Violation(ViolationKind.NEGATIVE_ENTRY, row,
                              f"{what} has {sort} entry {float(vec[idx])!r} at position {idx + 1}"))
-    if not abs(vec.sum() - 1.0) <= STOCHASTIC_TOL:
+    with np.errstate(invalid="ignore"):  # inf + -inf sums to NaN, which fails the check
+        total = float(vec.sum())
+    if not abs(total - 1.0) <= STOCHASTIC_TOL:
         out.append(Violation(ViolationKind.ROW_NOT_STOCHASTIC, row,
-                             f"{what} sums to {float(vec.sum())!r}, expected 1"))
+                             f"{what} sums to {total!r}, expected 1"))
 
 
 def _concrete_violations(rows: ConcreteRows, n: int, out: list[Violation]) -> None:
@@ -340,7 +349,8 @@ def _concrete_violations(rows: ConcreteRows, n: int, out: list[Violation]) -> No
     sums, mins = np.zeros(stored.size), np.zeros(stored.size)
     if filled.size:
         starts = rows.indptr[filled]
-        sums[filled] = np.add.reduceat(rows.data, starts)
+        with np.errstate(invalid="ignore"):  # inf + -inf sums to NaN, which fails the check
+            sums[filled] = np.add.reduceat(rows.data, starts)
         mins[filled] = np.minimum.reduceat(rows.data, starts)
     # Written so that a NaN fails both checks: every comparison with NaN is false.
     negative = sized & ~(mins >= -STOCHASTIC_TOL)

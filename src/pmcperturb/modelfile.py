@@ -32,6 +32,14 @@ every other value, each row included, to the JSON decoder. Each row's
 is decoded, and its ``concrete`` numbers become the row's compact form
 (``model.sparse_row``: the entries whose bits are not +0.0), which is
 appended at once to the buffers of one CSR store (``model.ConcreteRows``).
+A row ``{"concrete": [...]}`` whose list opens with a zero token (``0.0``
+directly followed by its comma) is read by the reader itself
+(``_Window.zero_row``), since a sparse row is mostly that token: each run
+of copies of a zero token, whitespace included, is measured by comparing
+the text with doubling copies of it, and only the stretches between runs
+are decoded, so the row's +0.0 entries never become Python floats. A row
+the reader does not accept that way goes to the decoder whole, so its
+values and errors are the decoder's.
 So no dense row outlives its own decode, and the parse never holds the n²
 numbers, as Python floats or as arrays, nor the whole text or the whole
 bytes of the file. The peak memory of a parse is therefore about one chunk
@@ -52,6 +60,8 @@ import codecs
 import json
 import os
 import re
+from array import array
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,7 +84,7 @@ from .model import (
 )
 from .perturbation import Direction
 from .reachability import ReachabilityProblem
-from .report import render_json
+from .report import render_json, render_json_items
 
 SCHEMA_VERSION = 1
 
@@ -88,6 +98,11 @@ _CUT_MARGIN = 16
 
 _NUMBER_TYPES = frozenset((int, float))
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
+#: A row ``{"concrete": [`` whose list opens with a zero token (group 1):
+#: ``0.0`` and its comma, with the whitespace before it.
+_ZERO_ROW = re.compile(r'\{[ \t\n\r]*"concrete"[ \t\n\r]*:[ \t\n\r]*\[([ \t\n\r]*0\.0,)')
+#: A separator and the zero token after it (group 1).
+_NEXT_ZERO = re.compile(r",([ \t\n\r]*0\.0,)")
 
 
 class ParsedModel(NamedTuple):
@@ -167,8 +182,8 @@ class _Rows:
 
     def __init__(self, rows=()):
         self.count, self.error, self.parameters = 0, None, []
-        # int64 (state, length, end in data) per concrete row; int32 indices; float64 data
-        self.table, self.indices, self.data = bytearray(), bytearray(), bytearray()
+        # (state, length, end in data) per concrete row; int32 indices; float64 data
+        self.table, self.indices, self.data = array("q"), bytearray(), bytearray()
         for row in rows:
             self.add(row)
 
@@ -181,20 +196,22 @@ class _Rows:
                 self.error = exc
 
     def _fold(self, state: int, row) -> None:
+        if type(row) is dict and len(row) == 1 and "concrete" in row:
+            row = row["concrete"]
+            if not isinstance(row, SparseRow):  # left as decoded by _rows_to_arrays
+                row = sparse_row(_number_list(row, f"rows[{state - 1}].concrete"))
+        if isinstance(row, SparseRow):  # compacted as decoded, or read by _Window.zero_row
+            self.indices += row.indices.tobytes()
+            self.data += row.data.tobytes()
+            self.table.extend((state, row.size, len(self.data) // 8))
+            return
         where = f"rows[{state - 1}]"
         if not isinstance(row, dict):
             raise ModelSchemaError(f"{where}: expected an object")
         if "concrete" in row and "parameter" in row:
             raise ModelSchemaError(f"{where}: row is both concrete and parameterized")
-        if "concrete" in row:
+        if "concrete" in row:  # with another field, which this names
             _require_keys(row, {"concrete"}, {"concrete"}, where)
-            compact = row["concrete"]
-            if not isinstance(compact, SparseRow):  # left as decoded by _rows_to_arrays
-                compact = sparse_row(_number_list(compact, f"{where}.concrete"))
-            self.indices += compact.indices.tobytes()
-            self.data += compact.data.tobytes()
-            self.table += np.array([state, compact.size, len(self.data) // 8],
-                                   dtype=np.int64).tobytes()
         elif "parameter" in row:
             _require_keys(row, {"parameter", "support", "reference"},
                           {"parameter", "support", "reference"}, where)
@@ -219,6 +236,7 @@ class _Rows:
 
 
 _DECODER = json.JSONDecoder(object_hook=_rows_to_arrays)
+_NUMBERS = json.JSONDecoder()  # the stretches of a zero row between its runs of zeros
 _ROWS = object()  # the value of a ``rows`` member that is read row by row
 
 
@@ -328,6 +346,69 @@ class _Window:
             raise
         return value, self.expect("," + close) == close
 
+    def row(self):
+        """A row of ``rows`` and the delimiter after it; whether that closed ``rows``.
+
+        A row ``{"concrete": [...]}`` whose list opens with a zero token is
+        read by :meth:`zero_row` into its ``SparseRow``; any other row, and
+        one that ``zero_row`` does not accept, is read by :meth:`element`.
+        """
+        start = self.skip()
+        opening = _ZERO_ROW.match(self.text, start)
+        if opening is not None:
+            row = self.zero_row(opening)
+            if row is not None:
+                return row, self.expect(",]") == "]"
+            self.pos = start
+        return self.element("]")
+
+    def zero_row(self, opening: re.Match) -> SparseRow | None:
+        """The ``SparseRow`` of the concrete row that ``opening`` matched, or None.
+
+        Zero tokens are skipped a run at a time: a run of copies of its
+        first token, whitespace included, is measured by comparing the text
+        with doubling copies of that token. Every stretch between runs, and
+        the tail after the last one, is decoded as a list, and their values
+        go through ``_float_array`` together, so each kept entry has the bits
+        of the whole row's decode. A stretch that is empty or does not
+        decode, or values that ``_float_array`` rejects, give None: the row
+        is read again whole. A list end or a row close past the window's end
+        raises ``_Rejected`` before the end of the document.
+        """
+        text = self.text
+        close = text.find("]", opening.end())
+        brace = close if close < 0 else _WHITESPACE.match(text, close + 1).end()
+        if brace < 0 or brace == len(text):
+            if self.eof:
+                return None
+            raise _Rejected
+        if text[brace] != "}":
+            return None
+        columns, values = [], []
+        size, token, pos = 0, opening.group(1), opening.start(1)
+        while True:
+            run_end = _run_end(text, token, pos, close)
+            size += (run_end - pos) // len(token)
+            zero = _NEXT_ZERO.search(text, run_end - 1, close)
+            stretch_end = close if zero is None else zero.start()
+            if stretch_end >= run_end:  # not a zero token right after the run
+                stretch = _stretch(text[run_end:stretch_end])
+                if stretch is None:
+                    return None
+                columns += range(size, size + len(stretch))
+                values += stretch
+                size += len(stretch)
+            if zero is None:
+                break
+            token, pos = zero.group(1), zero.start(1)
+        try:
+            data = _float_array(values)
+        except ModelSchemaError:
+            return None
+        kept = data.view(np.uint64).nonzero()[0]
+        self.pos = brace + 1
+        return SparseRow(size, np.array(columns, dtype=np.int32)[kept], data[kept])
+
     def member(self):
         """A key and its value, and whether the object closed after it.
 
@@ -352,7 +433,7 @@ class _Window:
                 value = _Rows()
                 done = self.step(self.opens, "]")
                 while not done:
-                    row, done = self.step(self.element, "]")
+                    row, done = self.step(self.row)
                     value.add(row)
                 closed = self.step(self.expect, ",}") == "}"
             doc[key] = value
@@ -363,6 +444,36 @@ class _Window:
             if self.eof:
                 return _rows_to_arrays(doc)
             self.fill(CHUNK_BYTES)
+
+
+def _run_end(text: str, token: str, pos: int, end: int) -> int:
+    """End of the run of copies of ``token`` at ``text[pos:end]``.
+
+    Doubling copies are compared until one fails, then the halves of the
+    last one that matched: about 2 log2(run) C comparisons.
+    """
+    matched = []
+    while text.startswith(token, pos, end):
+        pos += len(token)
+        matched.append(token)
+        token += token
+    for piece in reversed(matched):
+        if text.startswith(piece, pos, end):
+            pos += len(piece)
+    return pos
+
+
+def _stretch(text: str) -> list | None:
+    """The values of ``text``, a non-empty run of list items, or None.
+
+    ``text`` comes before a list's first ``]``, so a list decoded from it
+    ends at the ``]`` appended to it.
+    """
+    try:
+        values = _NUMBERS.raw_decode("[" + text + "]")[0]
+    except (ValueError, RecursionError):
+        return None
+    return values or None
 
 
 def _file_chunks(path):
@@ -540,22 +651,15 @@ def render_model(pmc: Pmc, problem: ReachabilityProblem | None = None,
     """Serialize a model (plus optional problem and direction) to file text.
 
     Full double precision; ``parse_model(render_model(...))`` reproduces the
-    data model exactly.
+    data model exactly. The text is ``render_json`` of the whole document,
+    but its rows are written a block of ``ConcreteRows.dense_rows`` at a
+    time, so only one block of numbers is ever held as Python floats.
     """
-    by_row: dict[int, dict] = {}
-    for row, vec in zip(pmc.concrete_rows, pmc.concrete_rows.dense_rows()):
-        by_row[row] = {"concrete": vec.tolist()}
-    for p in pmc.parameters:
-        by_row[p.row] = {
-            "parameter": p.id,
-            "support": list(p.support),
-            "reference": list(map(float, p.reference)),
-        }
     doc: dict = {
         "version": SCHEMA_VERSION,
         "states": pmc.n,
         "initial": list(map(float, pmc.initial)),
-        "rows": [by_row[row] for row in range(1, pmc.n + 1)],
+        "rows": [],
     }
     if problem is not None:
         doc["problem"] = {
@@ -565,4 +669,35 @@ def render_model(pmc: Pmc, problem: ReachabilityProblem | None = None,
     if direction is not None:
         doc["direction"] = {"weights": {k: float(v)
                                         for k, v in sorted(direction.weights.items())}}
-    return render_json(doc)
+    # No string comes before the rows, so this is the document's "rows" member.
+    head, _, tail = render_json(doc).partition('"rows": []')
+    parts, separator = [head, '"rows": ['], "\n    "
+    rows = _row_objects(pmc)
+    while block := list(islice(rows, pmc.concrete_rows.block_rows)):
+        for text in render_json_items(block, 2):
+            parts += (separator, text)
+            separator = ",\n    "
+    parts += ("\n  ]", tail)
+    return "".join(parts)
+
+
+def _row_objects(pmc: Pmc):
+    """The document object of each state's row, in state order.
+
+    A concrete row's numbers become Python floats only when it is reached.
+    A state that has no row raises ``KeyError``.
+    """
+    parameters = {p.row: {
+        "parameter": p.id,
+        "support": list(p.support),
+        "reference": list(map(float, p.reference)),
+    } for p in pmc.parameters}
+    concrete = zip(pmc.concrete_rows.states.tolist(), pmc.concrete_rows.dense_rows())
+    row, vec = next(concrete, (None, None))
+    for state in range(1, pmc.n + 1):
+        while row is not None and row < state:
+            row, vec = next(concrete, (None, None))
+        if row == state and state not in parameters:
+            yield {"concrete": vec.tolist()}
+        else:
+            yield parameters[state]

@@ -24,7 +24,8 @@ may equal a float key and spell differently) and no zero (``0.0 == -0.0``).
 Every record that the walk does not write (one too deep for it, one that
 holds itself, or one with a value or key of another type) is handed to
 ``json.dumps``, which writes it or raises its own error. Model files
-(:func:`modelfile.render_model`) are written by the same function.
+(:func:`modelfile.render_model`) are written by the same walk, their rows a
+block at a time (:func:`render_json_items`).
 
 The ``reference_tables`` record reproduces the published case-study tables
 for the two built-in models (values scaled by 1e3 there, as in the source
@@ -111,6 +112,21 @@ def render_json(record) -> str:
         return _column([record], "\n")[0] + "\n"
     except (RecursionError, TypeError):
         return json.dumps(record, indent=2) + "\n"
+
+
+def render_json_items(values, depth: int) -> list[str]:
+    """The texts :func:`render_json` writes for ``values``, items of a list ``depth`` levels deep.
+
+    Each text is the item's lines as they stand in the whole record, byte
+    for byte; the caller joins them with ``","``, each after a newline and
+    the ``2 * depth`` spaces of their indent. A list of items too large to
+    hold as one record is written this way a part at a time.
+    """
+    newline = "\n" + "  " * depth
+    try:
+        return _column(values, newline)
+    except (RecursionError, TypeError):
+        return [json.dumps(value, indent=2).replace("\n", newline) for value in values]
 
 
 def _column(values, newline: str) -> list[str]:

@@ -34,6 +34,7 @@ from pmcperturb import (
     render_model,
 )
 from pmcperturb import cli, modelfile
+from pmcperturb import model as model_module
 from pmcperturb.model import SparseRow
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -691,12 +692,13 @@ def test_top_level_object_rules():
 
 
 def test_window_is_refilled_before_it_runs_short(monkeypatch, tmp_path):
-    # Each row fits in a chunk, so no decode runs on a cut value, and the
-    # window never holds more than two chunks.
+    # Each row fits in a chunk, so no decode or run of zeros is read on a
+    # cut value, and the window never holds more than two chunks.
     chunk = 256
     monkeypatch.setattr(modelfile, "CHUNK_BYTES", chunk)
-    calls, failures, windows = [0], [0], []
+    calls, rows, failures, windows = [0], [0], [0], []
     decode = modelfile._DECODER.raw_decode
+    zero_row = modelfile._Window.zero_row
 
     def counting(text, pos):
         calls[0] += 1
@@ -707,15 +709,177 @@ def test_window_is_refilled_before_it_runs_short(monkeypatch, tmp_path):
             failures[0] += 1
             raise
 
+    def counting_rows(window, opening):
+        rows[0] += 1
+        windows.append(len(window.text))
+        try:
+            row = zero_row(window, opening)
+        except modelfile._Rejected:
+            failures[0] += 1
+            raise
+        failures[0] += row is None  # read again by the decoder
+        return row
+
     monkeypatch.setattr(modelfile._DECODER, "raw_decode", counting)
+    monkeypatch.setattr(modelfile._Window, "zero_row", counting_rows)
     pmc, problem, _ = birth_death_chain(12)
     path = tmp_path / "chain.model"
     path.write_text(render_model(pmc, problem), encoding="utf-8")
     assert path.stat().st_size > 10 * chunk
     parse_model(path)
-    # 5 keys, the 4 values that are not rows, and the 12 rows
-    assert (calls[0], failures[0]) == (5 + 4 + 12, 0)
+    # 5 keys, the 4 values that are not rows, and the 12 rows: the 4
+    # parameter rows, and the 2 concrete rows that open with a non-zero,
+    # are decoded; the other 6 are read a run of zeros at a time.
+    assert (calls[0], rows[0], failures[0]) == (5 + 4 + 6, 6, 0)
     assert max(windows) < 2 * chunk
+
+
+# Rows that open with a zero token are read a run of zeros at a time
+# (_Window.zero_row). Each must give the store and the outcome that
+# json.loads of the whole text (_load_document) gives, with runs and the
+# stretches between them cut by small chunks.
+
+def store_of(doc) -> tuple:
+    """The row count, first row error and concrete store's arrays of a decoded document."""
+    rows = doc["rows"]
+    if not isinstance(rows, modelfile._Rows):
+        rows = modelfile._Rows(rows)
+    store = rows.concrete_rows()
+    error = rows.error and (type(rows.error), str(rows.error))
+    return rows.count, error, [a.dtype.str + ":" + a.tobytes().hex() for a in (
+        store.states, store.lengths, store.indptr, store.indices, store.data)]
+
+
+def assert_rows_read_as_json_loads_reads_them(path: Path, chunk: int):
+    text = path.read_bytes().decode("utf-8")
+    with mock.patch.object(modelfile, "CHUNK_BYTES", chunk):
+        assert outcome(parse_model, path) == reference_outcome(path)
+        try:
+            read = modelfile._read_document(path)
+        except ModelSyntaxError as exc:
+            read = exc
+    try:
+        loaded = modelfile._load_document(text)
+    except ModelSyntaxError:
+        assert read is None or isinstance(read, ModelSyntaxError)
+        return
+    assert isinstance(read, dict)
+    assert store_of(read) == store_of(loaded)
+
+
+def zero_row_document(rows: list[str], ws: str = "\n") -> str:
+    """A model of ``len(rows)`` states whose rows are the given row texts."""
+    n = len(rows)
+    return (f'{{{ws}"version": 1,{ws}"states": {n},{ws}"initial": [1.0{", 0.0" * (n - 1)}],'
+            f'{ws}"rows": [{ws}{("," + ws).join(rows)}{ws}],'
+            f'{ws}"problem": {{"constraint": [1], "destination": [{n}]}}{ws}}}')
+
+
+_EIGHT = "[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]"
+ZERO_ROWS = {
+    "signed zero": '{"concrete": [0.0, 0.0, -0.0, 0.0, 1.0, 0.0, -0.0, 0.0]}',
+    "integer zero": '{"concrete": [0.0, 0, 0.0, 0.0, 1.0, 0, 0, 0.0]}',
+    "0.00": '{"concrete": [0.0, 0.00, 0.0, 0.0, 1.0, 0.00, 0.0, 0.0]}',
+    "0e0": '{"concrete": [0.0, 0e0, 0.0, 0.0, 1.0, 0.0, 0E-0, 0.0]}',
+    "space before a comma": '{"concrete": [0.0 , 0.0, 0.0 ,0.0, 1.0, 0.0 , 0.0, 0.0]}',
+    "first token before a space": '{"concrete": [0.0 ,0.0,0.0,0.0,1.0,0.0,0.0,0.0]}',
+    "subnormal": '{"concrete": [0.0, 0.0, 1e-320, 0.0, 1.0, 0.0, 5e-324, 0.0]}',
+    "NaN": '{"concrete": [0.0, 0.0, NaN, 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    "Infinity": '{"concrete": [0.0, 0.0, 0.0, -Infinity, 1.0, 0.0, Infinity, 0.0]}',
+    "float beyond a double": '{"concrete": [0.0, 0.0, 1e400, 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    "integer beyond a double":
+        '{"concrete": [0.0, 0.0, 1' + "0" * 400 + ', 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    "2**64": '{"concrete": [0.0, 0.0, 18446744073709551616, 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    "true in a run": '{"concrete": [0.0, 0.0, true, 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    "null in a run": '{"concrete": [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, null, 0.0]}',
+    "string holding ]": '{"concrete": [0.0, 0.0, "]", 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    "string holding ,": '{"concrete": [0.0, "a, b", 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    "string holding zero tokens": '{"concrete": [0.0,"x,0.0,0.0,",0.0,0.0,1.0,0.0,0.0,0.0]}',
+    "string after the list": '{"concrete": [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], "x": "]"}',
+    "nested list": '{"concrete": [0.0, [0.0, 1.0], 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    "nested list of zeros": '{"concrete": [0.0, 0.0, [0.0,0.0,], 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    "nested empty list": '{"concrete": [0.0, [], 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    "nested object": '{"concrete": [0.0, {"a": [0.0]}, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    ",,": '{"concrete": [0.0, 0.0,, 0.0, 1.0, 0.0, 0.0, 0.0]}',
+    ", ,": '{"concrete": [0.0, 0.0, 0.0, 1.0, 0.0, , 0.0, 0.0]}',
+    "trailing comma": '{"concrete": [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,]}',
+    "trailing comma after a value": '{"concrete": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,]}',
+    "[]": '{"concrete": []}',
+    "one zero": '{"concrete": [0.0]}',
+    "tabs": '{\t"concrete":\t[0.0,\t0.0,\t0.0,\t0.0,\t1.0,\t0.0,\t0.0,\t0.0\t]\t}',
+    "CRs": '{\r"concrete":\r[0.0,\r0.0,\r0.0,\r0.0,\r1.0,\r0.0,\r0.0,\r0.0\r]\r}',
+    "CRLFs": '{"concrete": [\r\n0.0,\r\n0.0,\r\n0.0,\r\n0.0,\r\n1.0,\r\n0.0,\r\n0.0,\r\n0.0]}',
+    "no whitespace": '{"concrete":[0.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0]}',
+    "runs of mixed whitespace": '{"concrete": [0.0, 0.0,  0.0,\t0.0,1.0,\n 0.0, 0.0,0.0]}',
+    "all but the last zero": '{"concrete": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]}',
+    "a row of one value": '{"concrete": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1]}',
+    "unknown field": '{"concrete": ' + _EIGHT + ', "extra": 1}',
+    "repeated key": '{"concrete": ' + _EIGHT + ', "concrete": ' + _EIGHT + '}',
+    "after a parameter key": '{"concrete": ' + _EIGHT + ', "parameter": "p"}',
+    "a cut number": '{"concrete": [0.0, 0.0, 0.0, 0.0, 1., 0.0, 0.0, 0.0]}',
+    "unclosed row": '{"concrete": [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]',
+    "unclosed list": '{"concrete": [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0}',
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_ROWS))
+@pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 18])
+def test_zero_rows_read_as_json_loads_reads_them(tmp_path, name, chunk):
+    rows = ['{"concrete": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}', *[ZERO_ROWS[name]] * 6,
+            '{"concrete": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]}']
+    for ws in ["\n", ""]:
+        path = tmp_path / "rows.model"
+        path.write_bytes(zero_row_document(rows, ws).encode("utf-8"))
+        assert_rows_read_as_json_loads_reads_them(path, chunk)
+
+
+_ROW_WS = st.sampled_from(["", " ", "  ", "\t", "\r", "\n", "\r\n", "\n        ", " \t\r\n"])
+_ZERO_SPELLINGS = ["0.0"] * 12 + ["-0.0", "0", "0.00", "0e0", "0.0 ", "1e-320"]
+_ODD_TOKENS = ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, str(2 ** 64), "true", "null",
+               '"]"', '","', '"0.0,"', "[0.0]", "[0.0,0.0]", "[]", "", "1.5e"]
+
+
+@st.composite
+def zero_row_texts(draw, n: int) -> str:
+    """A concrete row of ``n`` numbers, runs of zeros of drawn spelling, and a 1.0."""
+    tokens = []
+    while len(tokens) < n:  # a run of one spelling after one whitespace
+        tokens += [draw(_ROW_WS) + draw(st.sampled_from(_ZERO_SPELLINGS))] \
+            * draw(st.integers(1, 12))
+    tokens = tokens[:n]
+    tokens[draw(st.integers(0, n - 1))] = draw(_ROW_WS) + "1.0"
+    for _ in range(draw(st.integers(0, 2)) // 2):
+        tokens[draw(st.integers(0, n - 1))] = draw(_ROW_WS) + draw(st.sampled_from(_ODD_TOKENS))
+    if draw(st.booleans()):
+        tokens[0] = draw(_ROW_WS) + "0.0"
+    close = draw(_ROW_WS) + draw(st.sampled_from(["]"] * 12 + [",]", "}"]))
+    ws = lambda: draw(_ROW_WS)  # noqa: E731
+    return f'{{{ws()}"concrete"{ws()}:{ws()}[{",".join(tokens)}{close}{ws()}}}'
+
+
+@st.composite
+def zero_row_models(draw) -> str:
+    n = draw(st.integers(2, 30))
+    rows = [draw(zero_row_texts(n)) for _ in range(draw(st.integers(1, 4)))]
+    rows.append('{"concrete": [' + ", ".join(["0.0"] * (n - 1) + ["1.0"]) + "]}")
+    return zero_row_document([*rows, *rows[-1:] * (n - len(rows))], draw(_ROW_WS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=zero_row_models(), chunk=st.integers(1, 64))
+def test_zero_row_reader_matches_json_loads(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.getbasetemp() / "zero_rows.model"
+    path.write_bytes(text.encode("utf-8"))
+    assert_rows_read_as_json_loads_reads_them(path, chunk)
+
+
+def test_zero_row_runs_are_measured_exactly():
+    token = "\n  0.0,"
+    for count in [1, 2, 3, 7, 8, 9, 1000, 1023, 1024, 1025]:
+        text = "[" + token * count + " 1.0]"
+        assert modelfile._run_end(text, token, 1, len(text)) == 1 + count * len(token)
+        assert modelfile._run_end(text, token, 1, 1 + len(token) * (count // 2)) \
+            == 1 + len(token) * (count // 2)  # never past the end it is given
 
 
 def test_float_array_type_check_is_exact():
@@ -747,3 +911,24 @@ def test_load_model_peaks_below_the_file_size(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert model_digest(loaded) == model_digest(pmc)
     assert peak < size
+
+
+def test_render_model_peaks_near_its_text_size(monkeypatch):
+    # The rows are written a block of dense rows at a time, so the render
+    # holds the text's parts and the joined text, not the n² numbers as
+    # Python floats: 2.03 times the text's size here, with blocks of 4,096
+    # numbers (14 rows). Writing the whole document at once peaked at 5.75
+    # times (74.8 MB for the 13.1 MB chain of 1,000 states).
+    monkeypatch.setattr(model_module, "_DENSE_ENTRIES", 1 << 12)
+    pmc, problem, _ = birth_death_chain(300)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = render_model(pmc, problem)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 20 * 8 * (1 << 12)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert peak < 2.25 * len(text)
